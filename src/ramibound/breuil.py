@@ -68,7 +68,8 @@ def mat_vec(A: Matrix, v: tuple[TruncatedSeries, ...]) -> tuple[TruncatedSeries,
 
 
 def mat_det(A: Matrix) -> TruncatedSeries:
-    """Cofactor-expansion determinant; fine at desk-scale ranks."""
+    """Cofactor-expansion determinant, O(h!); an independent reference, since
+    module construction certifies det V by its rank mod p instead."""
     h = len(A)
     if h == 1:
         return A[0][0]
@@ -134,8 +135,9 @@ class BreuilModule:
             V = nd.change_of_basis
             if len(V) != self.h or any(len(r) != self.h for r in V):
                 raise ValueError("change_of_basis has wrong shape")
-            det = mat_det(V)
-            if det.coeffs[0] % self.prec.p == 0:
+            # det V is a unit iff V(0) is invertible mod p
+            p = self.prec.p
+            if _rank_mod_p([[x.coeffs[0] % p for x in row] for row in V], p) < self.h:
                 raise ValueError("change_of_basis determinant is not a unit")
             expect = tuple(
                 tuple(V[i][j] * E_s if j < nd.d else V[i][j] for j in range(self.h))
@@ -176,7 +178,12 @@ def _cokernel_killed_by(phi: Matrix, target: TruncatedSeries) -> bool:
 
 
 def _in_span_after_row_ops(res: "SnfResult", b: list[TruncatedSeries]) -> bool:
-    v = _apply_row_ops_to_vector(res.ops, list(b))
+    # replay the row operations on b as a one-column matrix
+    work = [[x] for x in b]
+    for op in res.ops:
+        if op[0] not in ("swap_cols", "addmul_col"):
+            _apply_op(work, op)
+    v = [row[0] for row in work]
     for k, a in enumerate(res.exponents):
         if a is None:
             if not v[k].is_zero():
@@ -404,21 +411,6 @@ def _apply_op(work, op):
             row[j] = row[j] + f * row[k]
     else:
         raise ValueError(f"unknown operation {kind}")
-
-
-def _apply_row_ops_to_vector(ops, v):
-    for op in ops:
-        kind = op[0]
-        if kind == "swap_rows":
-            _, i, j = op
-            v[i], v[j] = v[j], v[i]
-        elif kind == "scale_row":
-            _, i, s = op
-            v[i] = s * v[i]
-        elif kind == "addmul_row":
-            _, i, j, f = op
-            v[i] = v[i] + f * v[j]
-    return v
 
 
 def snf_replay(A: Matrix, ops) -> Matrix:

@@ -301,11 +301,8 @@ def cmd_heights(args) -> int:
         payload["h"] = module.h
         payload["order"] = breuil.order(module)
         payload["h3"] = breuil.h3(module)
-        if module.prec.n != 1:
-            print("error: h4 needs an n = 1 module (p-torsion level)",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        payload["h4"] = breuil.h4(module)
+        if module.prec.n == 1:  # h4 is defined at the p-torsion level only
+            payload["h4"] = breuil.h4(module)
     if args.s is not None or args.r is not None:
         if args.s is None or args.r is None:
             print("error: --s and --r go together", file=sys.stderr)

@@ -2,21 +2,28 @@
 
 The central question: given an Eisenstein polynomial E, a p-adic precision
 n, and a polynomial C whose constant term is nonzero mod p^n, how deep can
-E * twist(C) sit inside the ideal (u^t, p^n)?  The scan enumerates every
-candidate C up to the degree bound implied by the reduction p*deg(C) < t
-(monomials of C with p*i >= t cannot affect coefficients below u^t) and
-reports the maximal t together with all witnesses attaining it.
+E * twist(C) sit inside the ideal (u^t, p^n)?  prop2_max_t answers it over
+every C up to the degree bound of SearchConfig and reports the maximal t
+together with all witnesses attaining it.
 
-The scan runs on raw residue lists for speed and exits at the first
-nonzero coefficient; every reported witness is then re-verified through
-TruncatedSeries arithmetic, so the fast path never silently vouches for
-itself.  Results are deterministic: candidates are enumerated in
-lexicographic digit order and witness lists inherit that order.
+Coefficient j of E(u) * C(u^p) depends only on c_0..c_{floor(j/p)}, so the
+search is one depth-first walk over the digits c_0, c_1, ... in
+lexicographic order: choosing c_k fixes the coefficients j in
+[p*k, p*(k+1)).  At the first nonzero coefficient every completion of the
+prefix has that depth, so the walk accounts for the whole cylinder
+(q^free candidates, q = p^n) at once and goes no deeper.  Only the
+cylinders tied at the running best depth are kept; at the end they are
+expanded into the explicit witness list, which inherits the lexicographic
+order.
+
+The walk runs on raw residues; every reported witness is then re-verified
+through TruncatedSeries arithmetic, so the fast path never silently vouches
+for itself.  The tests check the walk against a plain brute-force scan.
 
 Expected invariants of the surrounding theory are asserted on every run
 (t <= n*e, t <= tau*e + iota when tau is finite, the p-power kill of the
-twisted witness, the Weierstrass witness profile when p | e); any
-violation raises OracleViolationError, which would falsify the
+twisted witness; lemma4_check adds the Weierstrass witness profile when
+p | e); any violation raises OracleViolationError, which would falsify the
 implementation rather than the theory.
 """
 
@@ -45,18 +52,17 @@ DEFAULT_BUDGET = 10**8
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Scope of one exhaustive run over candidates C.
+    """Scope of one exhaustive run over multipliers C = c_0 + ... + c_d u^d.
 
-    degree_bound * p < t_max keeps the search space faithful to the degree
-    reduction: any series achieving depth t < t_max has a truncation of
-    degree <= floor((t-1)/p) achieving the same depth."""
+    Every depth up to n*e is probed: t_max = n*e + 1 exposes a violation of
+    t <= n*e instead of hiding it.  degree_bound = floor(n*e / p) is the
+    largest d with p*d < t_max; a monomial c_l u^l with p*l >= t_max cannot
+    touch a coefficient below u^t_max of E * twist(C), so truncating C to
+    degree d keeps its depth.  The space holds c_0 in [1, p^n) and
+    c_1..c_d in [0, p^n); the budget bounds its size before any work."""
 
     eis: EisensteinPolynomial
     n: int
-    t_max: int
-    degree_bound: int
-    require_weierstrass: bool = False
-    require_unit_constant: bool = False
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
@@ -64,12 +70,6 @@ class SearchConfig:
             raise ValueError("searches need exact integer Eisenstein input")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.t_max < 1:
-            raise ValueError("t_max must be >= 1")
-        if self.degree_bound < 0:
-            raise ValueError("degree_bound must be >= 0")
-        if self.degree_bound * self.eis.p >= self.t_max:
-            raise ValueError("need degree_bound * p < t_max")
 
     @property
     def p(self) -> int:
@@ -79,17 +79,24 @@ class SearchConfig:
     def e(self) -> int:
         return self.eis.e
 
+    @property
+    def t_max(self) -> int:
+        return self.n * self.e + 1
 
-def default_config(eis: EisensteinPolynomial, n: int, t_max: int | None = None,
-                   budget: int = DEFAULT_BUDGET, **flags) -> SearchConfig:
+    @property
+    def degree_bound(self) -> int:
+        return (self.n * self.e) // self.p
+
+    @property
+    def space_size(self) -> int:
+        q = self.p**self.n
+        return (q - 1) * q**self.degree_bound
+
+
+def default_config(eis: EisensteinPolynomial, n: int,
+                   budget: int = DEFAULT_BUDGET) -> SearchConfig:
     """Config probing every depth up to (and exposing violations beyond) n*e."""
-    if t_max is None:
-        t_max = n * eis.e + 1
-    return SearchConfig(
-        eis=eis, n=n, t_max=t_max,
-        degree_bound=(t_max - 1) // eis.p,
-        budget=budget, **flags,
-    )
+    return SearchConfig(eis=eis, n=n, budget=budget)
 
 
 @dataclass
@@ -123,48 +130,44 @@ def _is_weierstrass(c: tuple[int, ...], p: int) -> bool:
     return all(c[i] % p == 0 for i in range(deg))
 
 
-def _space_size(cfg: SearchConfig) -> int:
-    q = cfg.p**cfg.n
-    qp = q // cfg.p
-    if cfg.require_weierstrass:
-        total = 1  # the constant 1 (degree 0), which is also a unit
-        if not cfg.require_unit_constant:
-            for d in range(1, cfg.degree_bound + 1):
-                total += (qp - 1) * qp ** (d - 1)
-        return total
-    if cfg.require_unit_constant:
-        return (q - qp) * q**cfg.degree_bound
-    return (q - 1) * q**cfg.degree_bound
+def _walk(cfg: SearchConfig):
+    """Depth-first walk over the digits c_0..c_d in lexicographic order.
 
-
-def _candidates(cfg: SearchConfig):
-    q = cfg.p**cfg.n
-    first = range(1, q)
-    rest = [range(q)] * cfg.degree_bound
-    for c in product(first, *rest):
-        if cfg.require_unit_constant and c[0] % cfg.p == 0:
-            continue
-        if cfg.require_weierstrass and not _is_weierstrass(c, cfg.p):
-            continue
-        yield c
-
-
-def _depth(e_mod, c, p, q, t_cap):
-    # first index j < t_cap with a nonzero coefficient of E(u)*C(u^p) mod q
+    Returns (best_t, cylinders, covered): the cylinders (prefix, free digit
+    count) tied at the maximal depth, in walk order, and the number of
+    candidates accounted for by all cylinders met."""
+    p, d, t_max = cfg.p, cfg.degree_bound, cfg.t_max
+    q = p**cfg.n
+    e_mod = [a % q for a in cfg.eis.all_coeffs()]
     e_len = len(e_mod)
-    d = len(c) - 1
-    for j in range(t_cap):
-        acc = 0
-        lmax = j // p
-        if lmax > d:
-            lmax = d
-        for l in range(lmax + 1):
-            i = j - p * l
-            if i < e_len and c[l]:
-                acc += e_mod[i] * c[l]
-        if acc % q:
-            return j
-    return t_cap
+    best_t, best, covered = -1, [], 0
+
+    def visit(prefix):
+        nonlocal best_t, best, covered
+        k = len(prefix)
+        lo = p * k
+        hi = p * (k + 1) if k < d else t_max
+        # coefficient j in [lo, hi) is base[j - lo] + slope[j - lo] * c_k
+        base = [sum(e_mod[j - p * l] * x for l, x in enumerate(prefix) if j - p * l < e_len)
+                for j in range(lo, hi)]
+        slope = [e_mod[i] if i < e_len else 0 for i in range(hi - lo)]
+        free = d - k
+        size = q**free
+        for c in range(1 if k == 0 else 0, q):
+            cylinder = prefix + (c,)
+            t = next((lo + i for i, (b, s) in enumerate(zip(base, slope))
+                      if (b + s * c) % q), hi)
+            if t == hi and k < d:
+                visit(cylinder)
+                continue
+            covered += size
+            if t > best_t:
+                best_t, best = t, [(cylinder, free)]
+            elif t == best_t:
+                best.append((cylinder, free))
+
+    visit(())
+    return best_t, best, covered
 
 
 def _series_scope(cfg: SearchConfig) -> Precision:
@@ -179,22 +182,12 @@ def prop2_max_t(cfg: SearchConfig, strict: bool = True) -> Prop2Result:
     raising, so suite drivers can tally individual failures."""
     p, e, n = cfg.p, cfg.e, cfg.n
     q = p**n
-    space = _space_size(cfg)
+    space = cfg.space_size
     if space > cfg.budget:
         raise BudgetExceededError(
             f"{space} candidates exceed the budget of {cfg.budget}"
         )
-    e_mod = [a % q for a in cfg.eis.all_coeffs()]
-    best_t = -1
-    best: list[tuple[int, ...]] = []
-    visited = 0
-    for c in _candidates(cfg):
-        visited += 1
-        t = _depth(e_mod, c, p, q, cfg.t_max)
-        if t > best_t:
-            best_t, best = t, [c]
-        elif t == best_t:
-            best.append(c)
+    best_t, cylinders, visited = _walk(cfg)
     if visited != space:
         raise OracleViolationError(
             f"enumeration incomplete: visited {visited} of {space}"
@@ -205,13 +198,15 @@ def prop2_max_t(cfg: SearchConfig, strict: bool = True) -> Prop2Result:
     if not math.isinf(inv.tau):
         assertions["t-le-taue-iota"] = best_t <= inv.tau * e + inv.iota
 
-    # re-verify every witness through the series ring, independent of the scan
+    # re-verify every witness through the series ring, independent of the walk
     prec = _series_scope(cfg)
     E_s = breuil.eisenstein_series(cfg.eis, prec)
     witnesses = []
     kill = p ** (1 if inv.m == 0 else (inv.tau + 1 if not math.isinf(inv.tau) else 0))
     all_ok = True
-    for c in sorted(best):
+    # the walk is lexicographic, so the expanded witnesses come out sorted
+    for c in (prefix + tail for prefix, free in cylinders
+              for tail in product(range(q), repeat=free)):
         c_s = TruncatedSeries.from_coeffs(prec, c)
         twisted = frobenius(c_s)
         prod = E_s * twisted

@@ -2,6 +2,7 @@
 and the inclusion exponents on the cascade family."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -99,6 +100,40 @@ def test_bad_certificate_is_refused():
                      normal_decomp=NormalDecomposition(1, mat_identity(prec, 1)))
 
 
+def test_det_unit_certificate_agrees_with_mat_det():
+    # construction certifies det V by the rank of V(0) mod p; the cofactor
+    # determinant is the reference, on matrices singular mod p as well
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        p, n, h = rng.choice([2, 3, 5]), rng.randint(1, 3), rng.randint(1, 4)
+        prec = Precision(p, n, 6)
+        V = [[TruncatedSeries.from_coeffs(prec, [rng.randrange(p**n) for _ in range(3)])
+              for _ in range(h)] for _ in range(h)]
+        if seed % 3 == 0:
+            V[0] = [x.scale(p) for x in V[0]]
+        elif seed % 3 == 1 and h > 1:
+            V[-1] = list(V[0])
+        V = tuple(tuple(row) for row in V)
+        unit = breuil.mat_det(V).coeffs[0] % p != 0
+        rank = breuil._rank_mod_p([[x.coeffs[0] % p for x in row] for row in V], p)
+        assert unit == (rank == h)
+        seen.add(unit)
+
+        eis = EisensteinPolynomial(p, (p, 0))
+        E_s = eisenstein_series(eis, prec)
+        d = rng.randint(0, h)
+        phi = tuple(tuple(V[i][j] * E_s if j < d else V[i][j] for j in range(h))
+                    for i in range(h))
+        cert = NormalDecomposition(d, V)
+        if unit:
+            BreuilModule(prec=prec, h=h, eis=eis, phi=phi, normal_decomp=cert)
+        else:
+            with pytest.raises(ValueError, match="not a unit"):
+                BreuilModule(prec=prec, h=h, eis=eis, phi=phi, normal_decomp=cert)
+    assert seen == {True, False}
+
+
 def test_n1_cokernel_gate():
     # phi = (u^a) has cokernel killed by E = u^e exactly when a <= e
     prec = Precision(2, 1, 8)
@@ -106,6 +141,35 @@ def test_n1_cokernel_gate():
     with pytest.raises(ValueError, match="annihilated"):
         rank1_module(2, 1, 8, E22, a=3)
     del prec
+
+
+def test_cokernel_gate_matches_brute_force_span():
+    # n = 1, rank 2 over F_2[u]/(u^4): the gate replays the Smith row
+    # operations; the reference tries every x with phi x = E e_i
+    T = 4
+    prec = Precision(2, 1, T)
+    E_s = eisenstein_series(E22, prec)
+
+    def mul(a, b):
+        return [sum(a[i] * b[k - i] for i in range(k + 1)) % 2 for k in range(T)]
+
+    zero = (0,) * T
+    targets = [(tuple(E_s.coeffs), zero), (zero, tuple(E_s.coeffs))]
+    xs = list(product(product(range(2), repeat=T), repeat=2))
+    seen = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        A = [[[rng.randrange(2) for _ in range(T)] for _ in range(2)] for _ in range(2)]
+        images = {
+            tuple(tuple((a + b) % 2 for a, b in zip(mul(row[0], x[0]), mul(row[1], x[1])))
+                  for row in A)
+            for x in xs
+        }
+        brute = all(t in images for t in targets)
+        phi = tuple(tuple(TruncatedSeries.from_coeffs(prec, a) for a in row) for row in A)
+        assert breuil._cokernel_killed_by(phi, E_s) == brute
+        seen.add(brute)
+    assert seen == {True, False}
 
 
 # -- the semilinear map -------------------------------------------------------------

@@ -210,13 +210,15 @@ def test_cmd_heights_module_file(capsys, tmp_path):
     assert payload["h3"] == "2" and payload["h4"] == "0"  # d = h: image is E*M
 
 
-def test_cmd_heights_module_file_rejects_n2(capsys, tmp_path):
+def test_cmd_heights_module_file_n2_omits_h4(capsys, tmp_path):
     M = build_bt_module(Precision(2, 2, 12), EisensteinPolynomial(2, (2, 2)),
                         d=1, h=1, seed=3)
     path = tmp_path / "module.json"
     path.write_text(json.dumps(module_to_json(M)))
-    code, _, err = run(capsys, "heights", "--module-file", str(path))
-    assert code == EXIT_USAGE and "n = 1" in err
+    code, payload, _ = run_json(capsys, "heights", "--module-file", str(path))
+    assert code == EXIT_OK
+    assert (payload["h"], payload["order"], payload["h3"]) == ("1", "2", "1")
+    assert "h4" not in payload
 
 
 def test_cmd_heights_needs_something(capsys):
