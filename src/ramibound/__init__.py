@@ -62,7 +62,6 @@ from .series import (
     TruncatedSeries,
     WeierstrassFactorization,
     frobenius,
-    frobenius_min_input_T,
     invert_unit,
     weierstrass_prep,
 )

@@ -10,9 +10,9 @@ Construction is gated two ways.  A normal decomposition certificate
 (phi = V * diag(E, ..., E, 1, ..., 1) with V of unit determinant) is
 accepted at any p-adic precision n and re-verified by multiplying out.
 Without a certificate, the cokernel condition is decidable only at n = 1,
-where the coefficient ring k[[u]] is a discrete valuation ring and Smith
-reduction applies; uncertified constructions at n > 1 are refused rather
-than trusted.
+where the coefficient ring k[[u]] is a discrete valuation ring and E = u^e:
+phi is accepted iff every exponent of its Smith form is finite and at most
+e.  Uncertified constructions at n > 1 are refused rather than trusted.
 
 Elements with denominators u^t are carried as FractionalElement values in
 least-pole-order normal form.  Applying the semilinear map multiplies pole
@@ -146,56 +146,16 @@ class BreuilModule:
             if expect != self.phi:
                 raise ValueError("normal decomposition certificate does not reproduce phi")
         elif self.prec.n == 1:
-            if not _cokernel_killed_by(self.phi, E_s):
+            # E = u^e over k[[u]]: the cokernel is killed by E iff every Smith
+            # exponent of phi is finite and at most e
+            v = prop1_classify(self.phi)
+            if not (v.closed_embedding and v.min_u_annihilator <= self.eis.e):
                 raise ValueError("cokernel of phi is not annihilated by E (at precision T)")
         else:
             raise ValueError(
                 "n > 1 module without a normal decomposition certificate; "
                 "general solvability is not available over this ring"
             )
-
-
-def breuil_module(
-    prec: Precision,
-    eis: EisensteinPolynomial,
-    phi: Matrix,
-    normal_decomp: NormalDecomposition | None = None,
-) -> BreuilModule:
-    return BreuilModule(prec=prec, h=len(phi), eis=eis, phi=phi, normal_decomp=normal_decomp)
-
-
-def _cokernel_killed_by(phi: Matrix, target: TruncatedSeries) -> bool:
-    """n = 1 check that target * e_i lies in the column span of phi for all i."""
-    res = snf_mod_uT(phi)
-    h = len(phi)
-    prec = target.prec
-    zero = TruncatedSeries.zero(prec)
-    for i in range(h):
-        b = [target if k == i else zero for k in range(h)]
-        if not _in_span_after_row_ops(res, b):
-            return False
-    return True
-
-
-def _in_span_after_row_ops(res: "SnfResult", b: list[TruncatedSeries]) -> bool:
-    # replay the row operations on b as a one-column matrix
-    work = [[x] for x in b]
-    for op in res.ops:
-        if op[0] not in ("swap_cols", "addmul_col"):
-            _apply_op(work, op)
-    v = [row[0] for row in work]
-    for k, a in enumerate(res.exponents):
-        if a is None:
-            if not v[k].is_zero():
-                return False
-        else:
-            o = v[k].ord_u()
-            if o is not None and o < a:
-                return False
-    for k in range(len(res.exponents), len(v)):
-        if not v[k].is_zero():
-            return False
-    return True
 
 
 # -- fractional elements and the semilinear map -------------------------------
@@ -335,9 +295,10 @@ class SnfResult:
     """Diagonal u-exponents plus the elementary-operation log that produced them.
 
     exponents[i] is a when the i-th diagonal entry is u^a (up to the recorded
-    unit scalings) and None when it vanishes at precision T.  Replaying ops on
-    the input reproduces the diagonal; replaying inverses in reverse order on
-    the diagonal reproduces the input exactly."""
+    unit scalings) and None when it vanishes at precision T; verdicts such as
+    the module gate read the exponents alone.  The op log is a certificate:
+    replaying ops on the input reproduces the diagonal, and replaying inverses
+    in reverse order on the diagonal reproduces the input exactly."""
 
     exponents: tuple[int | None, ...]
     ops: tuple[tuple, ...]
@@ -564,7 +525,8 @@ def build_bt_module(
         f = sparse_series()
         V[i] = [a + f * b for a, b in zip(V[i], V[j])]
     for i in range(h):
-        V[i] = [sparse_series(unit_constant=True) * x for x in V[i]]
+        unit = sparse_series(unit_constant=True)
+        V[i] = [unit * x for x in V[i]]
 
     Vm = tuple(tuple(row) for row in V)
     phi = tuple(

@@ -261,32 +261,32 @@ def cmd_bound(args) -> int:
 
 def cmd_verify(args) -> int:
     suite = args.suite
-    kwargs: dict = {}
+    if suite != "heights" and (args.p is None or args.n is None):
+        print("error: this suite needs --p and --n", file=sys.stderr)
+        return EXIT_USAGE
+    if args.poly is not None and args.p is None:
+        print("error: --poly needs --p", file=sys.stderr)
+        return EXIT_USAGE
+    for flag in ("n", "e", "seeds"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            print(f"error: --{flag} must be >= 1, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     poly = None
     if args.poly is not None:
         poly = eisenstein_from_text(args.p, args.poly).coeffs
+    kwargs: dict = {"p": args.p, "n": args.n}
     if suite in ("prop2", "lemma4", "cor5"):
-        if args.p is None or args.n is None:
-            print("error: this suite needs --p and --n", file=sys.stderr)
-            return EXIT_USAGE
         if poly is None and args.e is None:
             print("error: this suite needs --poly or --e", file=sys.stderr)
             return EXIT_USAGE
-        kwargs = {"p": args.p, "n": args.n, "poly": poly, "e": args.e,
-                  "budget": args.budget}
+        kwargs.update(poly=poly, e=args.e, budget=args.budget)
     elif suite == "lemma1":
-        kwargs = {"p": args.p, "n": args.n, "seeds": args.seeds}
-    elif suite == "lemma2":
-        kwargs = {"p": args.p, "n": args.n}
-        if args.e is not None:
-            kwargs["e_max"] = args.e
-    elif suite == "example3":
-        kwargs = {"p": args.p, "n": args.n}
+        kwargs["seeds"] = args.seeds
+    elif suite == "lemma2" and args.e is not None:
+        kwargs["e_max"] = args.e
     elif suite == "heights":
         kwargs = {"seeds": args.seeds}
-    if suite != "heights" and (kwargs.get("p") is None or kwargs.get("n") is None):
-        print("error: this suite needs --p and --n", file=sys.stderr)
-        return EXIT_USAGE
     report = suites.SUITES[suite](**kwargs)
     _emit({"command": "verify", **report}, args.json)
     return EXIT_OK if report["ok"] else EXIT_ASSERTION

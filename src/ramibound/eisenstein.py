@@ -220,13 +220,6 @@ class UniformizerChange:
             return cls(p, precision, (0, 1) + (0,) * (e - 2))
         return cls(p, precision, (1,))
 
-    @classmethod
-    def shift_by_p(cls, p: int, e: int, precision: int = 1) -> "UniformizerChange":
-        """pi~ = pi + p."""
-        if e < 2:
-            raise ValueError("pi + p needs e >= 2")
-        return cls(p, precision, (1, 1) + (0,) * (e - 2))
-
 
 def _companion_matrix(E: EisensteinPolynomial, q: int) -> list[list[int]]:
     # multiplication by pi on the basis 1, pi, ..., pi^{e-1}; columns are images
@@ -331,14 +324,13 @@ class TauSearchResult:
 def tau_v_search(
     E: EisensteinPolynomial,
     digit_precision: int,
-    N: int | None = None,
     lower_bound: int | None = None,
 ) -> TauSearchResult:
     """Minimize (tau, iota) over all changes with digits mod p^digit_precision.
 
     Enumeration is lexicographic over the digit vectors (c_0, ..., c_{e-1}),
-    so the reported witness is deterministic.  N >= m + 3 guarantees every
-    tau value up to the ceiling m + 1 is decided exactly."""
+    so the reported witness is deterministic.  Substituting at p-adic
+    precision m + 3 decides every tau value up to the ceiling m + 1 exactly."""
     if E.precision is not None:
         raise ValueError("tau search requires exact integer coefficients")
     if digit_precision < 1:
@@ -350,11 +342,6 @@ def tau_v_search(
             witness=UniformizerChange.identity(p, e, digit_precision),
             certified_exact=True, ceiling=m + 1, candidates=0,
         )
-    if N is None:
-        N = m + 3
-    if N < m + 3:
-        raise ValueError(f"N = {N} too small: need N >= m + 3 = {m + 3}")
-
     base = p**digit_precision
     best_key = None
     best = None
@@ -364,7 +351,7 @@ def tau_v_search(
             continue
         visited += 1
         change = UniformizerChange(p, digit_precision, cs)
-        inv = substitute(E, change, N).invariants()
+        inv = substitute(E, change, m + 3).invariants()
         if inv.tau_is_lower_bound or inv.tau == INF:
             continue
         key = (inv.tau, inv.iota)

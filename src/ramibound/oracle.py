@@ -317,10 +317,12 @@ def weierstrass_polys(p: int, n: int, degree: int):
 def eisenstein_grid(p: int, e: int, n: int):
     """All Eisenstein polynomials of degree e whose coefficients lie in
     {p*j : 0 <= j < p^n}, in lexicographic coefficient order."""
+    if e < 1 or n < 1:
+        raise ValueError(f"grid needs e >= 1 and n >= 1, got e = {e}, n = {n}")
     choices = [p * j for j in range(p**n)]
     a0s = [a for a in choices if a and int_valuation(a, p) == 1]
-    for coeffs in product(a0s, *([choices] * (e - 1))):
-        yield EisensteinPolynomial(p, coeffs)
+    return (EisensteinPolynomial(p, coeffs)
+            for coeffs in product(a0s, *([choices] * (e - 1))))
 
 
 @dataclass
@@ -347,10 +349,8 @@ class DescentTable:
     rows: list[DescentRow]
 
 
-def descent_minimal_s(p: int, eis: EisensteinPolynomial, n: int = 1, rank: int = 1) -> DescentTable:
+def descent_minimal_s(p: int, eis: EisensteinPolynomial) -> DescentTable:
     """Build the stability table and assert it against the recursion bound."""
-    if n != 1 or rank != 1:
-        raise ValueError("the analysis covers rank 1 at n = 1 only")
     if eis.p != p:
         raise ValueError("prime mismatch")
     e = eis.e

@@ -166,13 +166,6 @@ class TruncatedSeries:
         c %= q
         return TruncatedSeries(self.prec, tuple((c * a) % q for a in self.coeffs))
 
-    def mul_u(self, k: int) -> "TruncatedSeries":
-        """Multiply by u^k (degrees >= T fall off)."""
-        if k < 0:
-            raise ValueError("use shift_down to divide by u")
-        T = self.prec.T
-        return TruncatedSeries(self.prec, (0,) * min(k, T) + self.coeffs[: T - k])
-
     def shift_down(self, k: int) -> "TruncatedSeries":
         """Exact division by u^k; the k lowest coefficients must vanish."""
         if k == 0:
@@ -242,25 +235,17 @@ class TruncatedSeries:
         return "+".join(terms) if terms else "0"
 
 
-def frobenius(a: TruncatedSeries, out_T: int | None = None) -> TruncatedSeries:
-    """Frobenius twist: sum a_i u^i  ->  sum a_i u^(p*i), truncated at out_T.
+def frobenius(a: TruncatedSeries) -> TruncatedSeries:
+    """Frobenius twist: sum a_i u^i  ->  sum a_i u^(p*i), truncated at the input T.
 
-    Coefficients are fixed.  The output precision defaults to the input T;
-    callers wanting an untruncated image must allocate out_T themselves
-    (see frobenius_min_input_T for the contract)."""
-    p = a.prec.p
-    T_out = a.prec.T if out_T is None else out_T
-    out_prec = Precision(p, a.prec.n, T_out)
-    cs = [0] * T_out
-    for i, c in enumerate(a.coeffs):
-        if c and p * i < T_out:
+    Coefficients are fixed.  Only a_i with i < ceil(T/p) reach the image, so
+    callers wanting an untruncated image allocate T for the twisted degree."""
+    p, T = a.prec.p, a.prec.T
+    cs = [0] * T
+    for i, c in enumerate(a.coeffs[: -(-T // p)]):
+        if c:
             cs[p * i] = c
-    return TruncatedSeries(out_prec, tuple(cs))
-
-
-def frobenius_min_input_T(p: int, out_T: int) -> int:
-    """Minimal input u-precision so frobenius output is exact below u^out_T."""
-    return -(-out_T // p)
+    return TruncatedSeries(a.prec, tuple(cs))
 
 
 def invert_unit(a: TruncatedSeries) -> TruncatedSeries:

@@ -143,33 +143,48 @@ def test_n1_cokernel_gate():
     del prec
 
 
-def test_cokernel_gate_matches_brute_force_span():
-    # n = 1, rank 2 over F_2[u]/(u^4): the gate replays the Smith row
-    # operations; the reference tries every x with phi x = E e_i
-    T = 4
-    prec = Precision(2, 1, T)
-    E_s = eisenstein_series(E22, prec)
+@pytest.mark.parametrize("p,T", [(2, 4), (3, 3)])
+def test_cokernel_gate_matches_brute_force_span(p, T):
+    # n = 1, rank 2 over F_p[u]/(u^T) with E = u^2: the constructor reads the
+    # Smith exponents; the reference tries every x with phi x = E e_i
+    prec = Precision(p, 1, T)
+    eis = EisensteinPolynomial(p, (p, 0))
+    E_s = eisenstein_series(eis, prec)
 
     def mul(a, b):
-        return [sum(a[i] * b[k - i] for i in range(k + 1)) % 2 for k in range(T)]
+        return [sum(a[i] * b[k - i] for i in range(k + 1)) % p for k in range(T)]
 
     zero = (0,) * T
     targets = [(tuple(E_s.coeffs), zero), (zero, tuple(E_s.coeffs))]
-    xs = list(product(product(range(2), repeat=T), repeat=2))
+    xs = list(product(product(range(p), repeat=T), repeat=2))
     seen = set()
     for seed in range(40):
         rng = random.Random(seed)
-        A = [[[rng.randrange(2) for _ in range(T)] for _ in range(2)] for _ in range(2)]
+        A = [[[rng.randrange(p) for _ in range(T)] for _ in range(2)] for _ in range(2)]
         images = {
-            tuple(tuple((a + b) % 2 for a, b in zip(mul(row[0], x[0]), mul(row[1], x[1])))
+            tuple(tuple((a + b) % p for a, b in zip(mul(row[0], x[0]), mul(row[1], x[1])))
                   for row in A)
             for x in xs
         }
         brute = all(t in images for t in targets)
         phi = tuple(tuple(TruncatedSeries.from_coeffs(prec, a) for a in row) for row in A)
-        assert breuil._cokernel_killed_by(phi, E_s) == brute
+        try:
+            BreuilModule(prec=prec, h=2, eis=eis, phi=phi)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == brute
         seen.add(brute)
     assert seen == {True, False}
+
+
+def test_seeded_builds_have_unit_change_of_basis():
+    # one unit per row of V keeps det V a unit at every odd prime too
+    for p, n in product([3, 5, 7], [1, 2]):
+        eis = EisensteinPolynomial(p, (p, 0))
+        for seed in range(60):
+            h = 1 + seed % 5
+            build_bt_module(Precision(p, n, 8), eis, d=seed % (h + 1), h=h, seed=seed)
 
 
 # -- the semilinear map -------------------------------------------------------------

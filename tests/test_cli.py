@@ -178,6 +178,30 @@ def test_cmd_verify_missing_args(capsys):
     assert code == EXIT_USAGE and "--poly or --e" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--suite", "prop2", "--poly", "u^2-2", "--n", "2"],
+    ["--suite", "prop2", "--p", "2", "--e", "0", "--n", "1"],
+    ["--suite", "prop2", "--p", "2", "--e", "2", "--n", "0"],
+    ["--suite", "cor5", "--p", "2", "--e", "-1", "--n", "1"],
+    ["--suite", "lemma1", "--p", "2", "--n", "1", "--seeds", "0"],
+    ["--suite", "lemma2", "--p", "2", "--n", "1", "--e", "0"],
+    ["--suite", "heights", "--seeds", "0"],
+    ["--suite", "heights", "--poly", "u^2-2"],
+    ["--suite", "example3", "--n", "2"],
+])
+def test_cmd_verify_rejects_bad_sizes_cleanly(capsys, argv):
+    code, _, err = run(capsys, "verify", *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (7, 2)])
+def test_cmd_verify_lemma1_odd_primes(capsys, p, n):
+    code, payload, _ = run_json(capsys, "verify", "--suite", "lemma1",
+                                "--p", str(p), "--n", str(n))
+    assert code == EXIT_OK and payload["ok"] is True
+
+
 def test_cmd_verify_remaining_suites(capsys):
     code, payload, _ = run_json(capsys, "verify", "--suite", "lemma2",
                                 "--p", "2", "--n", "3", "--e", "4")

@@ -153,13 +153,6 @@ def test_descent_examples():
     assert rows[3] == (1, 1)
 
 
-def test_descent_validates_scope():
-    with pytest.raises(ValueError):
-        descent_minimal_s(2, E22, n=2)
-    with pytest.raises(ValueError):
-        descent_minimal_s(2, E22, rank=2)
-
-
 # -- grids -------------------------------------------------------------------------------
 
 def test_eisenstein_grid_counts():
@@ -167,6 +160,12 @@ def test_eisenstein_grid_counts():
     assert len(list(eisenstein_grid(2, 2, 2))) == 8
     assert len(list(eisenstein_grid(2, 4, 2))) == 128
     assert len(list(eisenstein_grid(3, 3, 2))) == 486
+
+
+@pytest.mark.parametrize("e,n", [(0, 1), (2, 0), (-1, 2)])
+def test_eisenstein_grid_rejects_degenerate_sizes(e, n):
+    with pytest.raises(ValueError, match="grid needs"):
+        eisenstein_grid(2, e, n)
 
 
 def _brute_prop2(E, p, n):

@@ -10,7 +10,6 @@ from ramibound.series import (
     PrecisionMismatchError,
     TruncatedSeries,
     frobenius,
-    frobenius_min_input_T,
     int_valuation,
     invert_unit,
     is_prime,
@@ -143,27 +142,20 @@ def test_frobenius_examples():
     assert frobenius(S(prec, 2, 1, 0)) == S(prec, 2, 0, 1)
 
 
-def test_frobenius_min_input_T():
-    assert frobenius_min_input_T(2, 10) == 5
-    assert frobenius_min_input_T(3, 10) == 4
-    assert frobenius_min_input_T(2, 1) == 1
-
-
 @given(series_pairs())
 def test_frobenius_is_ring_map_at_allocated_precision(pair):
+    # terms the truncation drops land at degree >= T after the twist as well
     a, b = pair
-    T_out = a.prec.p * a.prec.T
-    assert frobenius(a + b, T_out) == frobenius(a, T_out) + frobenius(b, T_out)
-    assert frobenius(a * b, T_out) == frobenius(a, T_out) * frobenius(b, T_out)
+    assert frobenius(a + b) == frobenius(a) + frobenius(b)
+    assert frobenius(a * b) == frobenius(a) * frobenius(b)
 
 
 @given(precisions().flatmap(lambda pr: series_for(pr)))
 def test_frobenius_input_precision_contract(a):
-    # coefficients beyond the minimal input precision cannot affect the image
-    T_out = a.prec.T
-    t_min = frobenius_min_input_T(a.prec.p, T_out)
+    # coefficients from ceil(T/p) on cannot affect the image
+    t_min = -(-a.prec.T // a.prec.p)
     trimmed = TruncatedSeries.from_coeffs(a.prec, a.coeffs[:t_min])
-    assert frobenius(trimmed, T_out) == frobenius(a, T_out)
+    assert frobenius(trimmed) == frobenius(a)
 
 
 # -- valuations -------------------------------------------------------------------------
