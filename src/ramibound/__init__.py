@@ -9,14 +9,12 @@ from .bounds import (
     compute_s,
     prop3_height_bounds,
     reference_log_bound,
-    s_closed_form_unramified,
 )
 from .breuil import (
     BreuilModule,
     FractionalElement,
     NormalDecomposition,
     Prop1Verdict,
-    SnfResult,
     apply_phi,
     build_bt_module,
     example3_identity,

@@ -130,21 +130,6 @@ def compute_s(p: int, e: int, tau: int, iota: int, variant: str = "standard") ->
                       variant=variant, pairs=tuple(pairs))
 
 
-def s_closed_form_unramified(p: int, e: int) -> int:
-    """s = 1 + floor(log_p(e/(p-1))) for p not dividing e and e >= p - 1."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if e % p == 0:
-        raise ValueError("closed form requires p not dividing e")
-    if e < p - 1:
-        raise ValueError("for e <= p - 2 the exponent is 0, not covered by the closed form")
-    t0 = e // (p - 1)
-    v = 0
-    while p ** (v + 1) <= t0:
-        v += 1
-    return v + 1
-
-
 def reference_log_bound(p: int, e: int) -> int:
     """1 + floor(log_p(e/(p-1))), the sharper bound known from the
     literature; comparison display only, never asserted by this package."""

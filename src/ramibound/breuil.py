@@ -13,6 +13,8 @@ Without a certificate, the cokernel condition is decidable only at n = 1,
 where the coefficient ring k[[u]] is a discrete valuation ring and E = u^e:
 phi is accepted iff every exponent of its Smith form is finite and at most
 e.  Uncertified constructions at n > 1 are refused rather than trusted.
+Smith reduction returns the exponents only: the gate, prop1_classify and
+the height h4 (the number of exponents below e) all read them.
 
 Elements with denominators u^t are carried as FractionalElement values in
 least-pole-order normal form.  Applying the semilinear map multiplies pole
@@ -24,16 +26,10 @@ inputs whose images would be corrupted by truncation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .eisenstein import EisensteinPolynomial
-from .series import (
-    Precision,
-    PrecisionError,
-    TruncatedSeries,
-    frobenius,
-    invert_unit,
-)
+from .series import Precision, PrecisionError, TruncatedSeries, frobenius
 
 Matrix = tuple[tuple[TruncatedSeries, ...], ...]
 
@@ -240,32 +236,15 @@ def h3(M: BreuilModule) -> int:
 def h4(M: BreuilModule) -> int:
     """Minimal number of generators of im(phi)/(E * M), for n = 1 modules.
 
-    At n = 1 the ideal (E) equals (u^e), so the quotient is computed from
-    the columns of phi reduced mod u^e: by Nakayama its generator count is
-    dim_k of (span of u^j-shifted columns) modulo (the shifts with j >= 1)."""
+    At n = 1 the ideal (E) equals (u^e), and phi has Smith form
+    diag(u^a_1, ..., u^a_h) with every a_i <= e, so the quotient is the sum
+    of the u^(a_i) S / u^e S and needs one generator per a_i < e."""
     if M.prec.n != 1:
         raise ValueError("h4 is computed for n = 1 modules only")
     e = M.eis.e
     if M.prec.T <= 2 * e:
         raise PrecisionError(f"T = {M.prec.T} too small: need T > 2e = {2 * e}")
-    p = M.prec.p
-    cols = [
-        [M.phi[i][j].coeffs[:e] for i in range(M.h)] for j in range(M.h)
-    ]
-
-    def shifted(col, k):
-        # coordinates of u^k * col in (k[u]/u^e)^h, flattened
-        vec = []
-        for comp in col:
-            vec.extend([0] * k + list(comp[: e - k]))
-        return vec
-
-    shifts_all = [shifted(c, k) for c in cols for k in range(e)]
-    shifts_pos = [shifted(c, k) for c in cols for k in range(1, e)]
-    value = _rank_mod_p(shifts_all, p) - _rank_mod_p(shifts_pos, p)
-    if not 0 <= value <= M.h:
-        raise AssertionError("generator count fell outside [0, h3]")
-    return value
+    return sum(a is not None and a < e for a in snf_mod_uT(M.phi))
 
 
 def _rank_mod_p(vectors, p: int) -> int:
@@ -290,113 +269,43 @@ def _rank_mod_p(vectors, p: int) -> int:
 
 # -- Smith reduction over k[u]/(u^T) (n = 1) -----------------------------------
 
-@dataclass(frozen=True)
-class SnfResult:
-    """Diagonal u-exponents plus the elementary-operation log that produced them.
+def snf_mod_uT(A: Matrix) -> tuple[int | None, ...]:
+    """Smith exponents of a matrix over k[u]/(u^T), in increasing order.
 
-    exponents[i] is a when the i-th diagonal entry is u^a (up to the recorded
-    unit scalings) and None when it vanishes at precision T; verdicts such as
-    the module gate read the exponents alone.  The op log is a certificate:
-    replaying ops on the input reproduces the diagonal, and replaying inverses
-    in reverse order on the diagonal reproduces the input exactly."""
-
-    exponents: tuple[int | None, ...]
-    ops: tuple[tuple, ...]
-    diagonal: Matrix
-
-
-def snf_mod_uT(A: Matrix) -> SnfResult:
-    """Diagonalize a matrix over k[u]/(u^T) by unimodular row/column operations.
-
-    k[[u]] is a discrete valuation ring, so an entry of minimal u-order divides
-    every remaining entry and one clearing pass per pivot suffices."""
+    Entry i is a when the i-th diagonal entry of the Smith form is a unit
+    times u^a, and None when it vanishes at precision T.  k[[u]] is a
+    discrete valuation ring, so an entry of minimal u-order divides every
+    remaining entry.  A pivot v * u^a (v a unit) clears every other row
+    division-free: row_i <- v * row_i - g * row_pivot, where g * u^a is the
+    entry of row_i in the pivot column.  The column operations that would
+    clear the pivot's row leave the remaining block unchanged, so they are
+    skipped, and the pivot's row and column are dropped."""
     if not A or not A[0]:
         raise ValueError("empty matrix")
-    prec = A[0][0].prec
-    if prec.n != 1:
+    if A[0][0].prec.n != 1:
         raise ValueError("Smith reduction requires n = 1 (k[[u]] is a DVR)")
-    rows, cols = len(A), len(A[0])
-    work = [list(r) for r in A]
-    ops: list[tuple] = []
-
-    def record(op):
-        ops.append(op)
-        _apply_op(work, op)
-
-    for k in range(min(rows, cols)):
-        pivot = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                o = work[i][j].ord_u()
-                if o is not None and (pivot is None or o < pivot[0]):
-                    pivot = (o, i, j)
-        if pivot is None:
+    size = min(len(A), len(A[0]))
+    block = [list(r) for r in A]
+    exps: list[int] = []
+    while block and block[0]:
+        orders = [
+            (o, i, j)
+            for i, row in enumerate(block)
+            for j, x in enumerate(row)
+            if (o := x.ord_u()) is not None
+        ]
+        if not orders:
             break
-        a, pi, pj = pivot
-        if pi != k:
-            record(("swap_rows", k, pi))
-        if pj != k:
-            record(("swap_cols", k, pj))
-        unit = work[k][k].shift_down(a)
-        record(("scale_row", k, invert_unit(unit)))
-        for i in range(rows):
-            if i != k and not work[i][k].is_zero():
-                f = work[i][k].shift_down(a)
-                record(("addmul_row", i, k, -f))
-        for j in range(cols):
-            if j != k and not work[k][j].is_zero():
-                f = work[k][j].shift_down(a)
-                record(("addmul_col", j, k, -f))
-    exps = tuple(work[i][i].ord_u() for i in range(min(rows, cols)))
-    return SnfResult(exponents=exps, ops=tuple(ops), diagonal=tuple(tuple(r) for r in work))
-
-
-def _apply_op(work, op):
-    kind = op[0]
-    if kind == "swap_rows":
-        _, i, j = op
-        work[i], work[j] = work[j], work[i]
-    elif kind == "swap_cols":
-        _, i, j = op
-        for row in work:
-            row[i], row[j] = row[j], row[i]
-    elif kind == "scale_row":
-        _, i, s = op
-        work[i] = [s * x for x in work[i]]
-    elif kind == "addmul_row":
-        _, i, j, f = op
-        work[i] = [a + f * b for a, b in zip(work[i], work[j])]
-    elif kind == "addmul_col":
-        _, j, k, f = op
-        for row in work:
-            row[j] = row[j] + f * row[k]
-    else:
-        raise ValueError(f"unknown operation {kind}")
-
-
-def snf_replay(A: Matrix, ops) -> Matrix:
-    """Apply the recorded operations to A (returns the diagonal form)."""
-    work = [list(r) for r in A]
-    for op in ops:
-        _apply_op(work, op)
-    return tuple(tuple(r) for r in work)
-
-
-def snf_unreplay(D: Matrix, ops) -> Matrix:
-    """Invert the recorded operations in reverse order (returns the input)."""
-    work = [list(r) for r in D]
-    for op in reversed(ops):
-        kind = op[0]
-        if kind in ("swap_rows", "swap_cols"):
-            inv = op
-        elif kind == "scale_row":
-            inv = (kind, op[1], invert_unit(op[2]))
-        elif kind in ("addmul_row", "addmul_col"):
-            inv = (kind, op[1], op[2], -op[3])
-        else:
-            raise ValueError(f"unknown operation {kind}")
-        _apply_op(work, inv)
-    return tuple(tuple(r) for r in work)
+        a, pi, pj = min(orders)
+        pivot_row = block.pop(pi)
+        v = pivot_row.pop(pj).shift_down(a)
+        for i, row in enumerate(block):
+            g = row.pop(pj)
+            if not g.is_zero():
+                g = g.shift_down(a)
+                block[i] = [v * x - g * y for x, y in zip(row, pivot_row)]
+        exps.append(a)
+    return tuple(exps) + (None,) * (size - len(exps))
 
 
 @dataclass(frozen=True)
@@ -416,9 +325,8 @@ class Prop1Verdict:
 
 def prop1_classify(g: Matrix) -> Prop1Verdict:
     """Classify a module map via Smith reduction of its matrix."""
-    res = snf_mod_uT(g)
     rows, cols = len(g), len(g[0])
-    finite = [a for a in res.exponents if a is not None]
+    finite = [a for a in snf_mod_uT(g) if a is not None]
     coker_killed = len(finite) == rows
     mono = len(finite) == cols
     return Prop1Verdict(

@@ -33,13 +33,13 @@ from .bounds import (
     compute_s,
     prop3_height_bounds,
     reference_log_bound,
-    s_closed_form_unramified,
 )
 from .eisenstein import (
     EisensteinPolynomial,
     EisensteinValidationError,
     tau_v_search,
 )
+from .series import poly_text
 
 SCHEMA = 1
 EXIT_OK, EXIT_ASSERTION, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
@@ -104,25 +104,6 @@ def parse_polynomial(text: str, allow_minus: bool = True) -> dict[int, int]:
         pos = m.end()
         first = False
     return {k: v for k, v in out.items() if v != 0} or {0: 0}
-
-
-def poly_text(coeffs) -> str:
-    """Render ascending coefficients as polynomial text (parser round-trip)."""
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if terms else "")
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        elif i == 1:
-            body = "u" if mag == 1 else f"{mag}*u"
-        else:
-            body = f"u^{i}" if mag == 1 else f"{mag}*u^{i}"
-        terms.append(sign + body)
-    return "".join(terms) if terms else "0"
 
 
 def eisenstein_from_text(p: int, text: str) -> EisensteinPolynomial:
@@ -247,7 +228,7 @@ def cmd_bound(args) -> int:
         "reference_log_bound": reference_log_bound(p, e),
     }
     if trace.epsilon == 0 and e >= p - 1 and (tau, iota) == (1, 0):
-        payload["closed_form_unramified"] = s_closed_form_unramified(p, e)
+        payload["closed_form_unramified"] = payload["reference_log_bound"]
     if trace.epsilon == 1:
         b4 = bound_example4(p, e)
         payload["bound_example4"] = {
@@ -267,7 +248,7 @@ def cmd_verify(args) -> int:
     if args.poly is not None and args.p is None:
         print("error: --poly needs --p", file=sys.stderr)
         return EXIT_USAGE
-    for flag in ("n", "e", "seeds"):
+    for flag in ("n", "e", "seeds", "budget"):
         value = getattr(args, flag)
         if value is not None and value < 1:
             print(f"error: --{flag} must be >= 1, got {value}", file=sys.stderr)

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .series import is_prime, int_valuation
+from .series import int_valuation, is_prime, poly_text
 
 INF = math.inf  # order sentinel only; never enters arithmetic
 
@@ -118,20 +118,7 @@ class EisensteinPolynomial:
         )
 
     def __str__(self) -> str:
-        terms = [f"u^{self.e}"]
-        for i in range(self.e - 1, -1, -1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            sign = "-" if a < 0 else "+"
-            mag = abs(a)
-            if i == 0:
-                terms.append(f"{sign}{mag}")
-            elif i == 1:
-                terms.append(f"{sign}{mag}*u" if mag != 1 else f"{sign}u")
-            else:
-                terms.append(f"{sign}{mag}*u^{i}" if mag != 1 else f"{sign}u^{i}")
-        return "".join(terms)
+        return poly_text(self.all_coeffs())
 
 
 def _eisenstein_violations(p, coeffs, precision) -> list[str]:
@@ -157,11 +144,6 @@ def _eisenstein_violations(p, coeffs, precision) -> list[str]:
     elif v0 != 1:
         violations.append(f"ord_p(a_0) must be exactly 1, got {v0}")
     return violations
-
-
-def validate(p: int, coeffs, precision: int | None = None) -> EisensteinPolynomial:
-    """Module-level alias for EisensteinPolynomial.validate."""
-    return EisensteinPolynomial.validate(p, coeffs, precision)
 
 
 @dataclass(frozen=True)

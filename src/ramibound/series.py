@@ -53,6 +53,26 @@ def int_valuation(x: int, p: int) -> int | None:
     return v
 
 
+def poly_text(coeffs) -> str:
+    """Render ascending coefficients as polynomial text; the CLI parser
+    reads it back."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else ("+" if terms else "")
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        elif i == 1:
+            body = "u" if mag == 1 else f"{mag}*u"
+        else:
+            body = f"u^{i}" if mag == 1 else f"{mag}*u^{i}"
+        terms.append(sign + body)
+    return "".join(terms) if terms else "0"
+
+
 @dataclass(frozen=True)
 class Precision:
     """Working precision: prime p, p-adic precision n, u-adic precision T."""
@@ -221,18 +241,7 @@ class TruncatedSeries:
         return all(c % q == 0 for c in self.coeffs[:t])
 
     def __str__(self) -> str:
-        terms = []
-        for i in range(self.prec.T - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("u" if c == 1 else f"{c}*u")
-            else:
-                terms.append(f"u^{i}" if c == 1 else f"{c}*u^{i}")
-        return "+".join(terms) if terms else "0"
+        return poly_text(self.coeffs)
 
 
 def frobenius(a: TruncatedSeries) -> TruncatedSeries:

@@ -12,7 +12,6 @@ from ramibound.bounds import (
     compute_s,
     prop3_height_bounds,
     reference_log_bound,
-    s_closed_form_unramified,
 )
 from ramibound.series import int_valuation
 
@@ -75,16 +74,9 @@ def test_trace_constructor_rejects_broken_chains():
 # -- closed form for p not dividing e ----------------------------------------------
 
 def test_closed_form_examples():
-    assert s_closed_form_unramified(3, 4) == 1
-    assert s_closed_form_unramified(2, 1) == 1
-    assert s_closed_form_unramified(2, 5) == 3
-
-
-def test_closed_form_preconditions():
-    with pytest.raises(ValueError):
-        s_closed_form_unramified(2, 4)
-    with pytest.raises(ValueError):
-        s_closed_form_unramified(7, 3)
+    assert reference_log_bound(3, 4) == 1
+    assert reference_log_bound(2, 1) == 1
+    assert reference_log_bound(2, 5) == 3
 
 
 def test_example2_agreement_and_window():
@@ -93,8 +85,7 @@ def test_example2_agreement_and_window():
             if e % p == 0:
                 continue
             s_mod = compute_s(p, e, 1, 0, variant="modified").s
-            closed = s_closed_form_unramified(p, e)
-            assert s_mod == closed
+            assert s_mod == reference_log_bound(p, e)
             assert (s_mod == 1) == (p - 1 <= e <= p * p - p - 1)
 
 
@@ -178,11 +169,6 @@ def test_reference_log_bound():
     assert reference_log_bound(2, 5) == 3
     assert reference_log_bound(3, 4) == 1
     assert reference_log_bound(5, 3) == 0
-    # matches the closed form wherever that one applies
-    for p in (2, 3, 5):
-        for e in range(p - 1, 60):
-            if e % p and e >= p - 1:
-                assert reference_log_bound(p, e) == s_closed_form_unramified(p, e)
 
 
 def test_prop3_examples():

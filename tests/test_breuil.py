@@ -2,7 +2,7 @@
 and the inclusion exponents on the cascade family."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -27,8 +27,6 @@ from ramibound.breuil import (
     prop1_classify,
     required_u_precision,
     snf_mod_uT,
-    snf_replay,
-    snf_unreplay,
     verify_inclusion_p_s,
 )
 from ramibound.eisenstein import EisensteinPolynomial
@@ -276,6 +274,7 @@ def test_h4_bounded_by_h3_randomized():
         value = h4(M)
         assert 0 <= value <= h3(M)
         assert h3(M) + value <= 2 * h3(M)
+        assert value == h - M.normal_decomp.d  # one generator per unit column
 
 
 # -- Smith reduction -----------------------------------------------------------------------
@@ -285,9 +284,10 @@ def test_snf_examples():
     u = TruncatedSeries.monomial(prec, 1)
     u2 = TruncatedSeries.monomial(prec, 2)
     one, zero = TruncatedSeries.one(prec), TruncatedSeries.zero(prec)
-    assert snf_mod_uT(((u, zero), (zero, u2))).exponents == (1, 2)
-    assert snf_mod_uT(((u, one), (zero, u))).exponents == (0, 2)
-    assert snf_mod_uT(((zero,),)).exponents == (None,)
+    assert snf_mod_uT(((u, zero), (zero, u2))) == (1, 2)
+    assert snf_mod_uT(((u, one), (zero, u))) == (0, 2)
+    assert snf_mod_uT(((zero,),)) == (None,)
+    assert snf_mod_uT(((u2, u), (zero, zero), (u, u))) == (1, 1)
 
 
 def test_snf_requires_n1():
@@ -296,37 +296,42 @@ def test_snf_requires_n1():
         snf_mod_uT(((TruncatedSeries.one(prec),),))
 
 
-def random_n1_matrix(rng, p, size, T):
+def random_n1_matrix(rng, p, rows, cols, T):
     prec = Precision(p, 1, T)
     return tuple(
         tuple(
             TruncatedSeries.from_coeffs(
                 prec, [rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(T)]
             )
-            for _ in range(size)
+            for _ in range(cols)
         )
-        for _ in range(size)
+        for _ in range(rows)
     )
 
 
-def test_snf_replay_and_det_invariants():
-    for seed in range(30):
+def test_snf_exponents_match_determinantal_divisors():
+    # the k-th determinantal divisor of a matrix over k[[u]] is u^(a_1+...+a_k):
+    # the least u-order over all k x k minors, None once it reaches T
+    T = 8
+    for seed in range(60):
         rng = random.Random(seed)
         p = rng.choice([2, 3])
-        size = rng.randint(1, 3)
-        A = random_n1_matrix(rng, p, size, 8)
-        res = snf_mod_uT(A)
-        assert snf_replay(A, res.ops) == res.diagonal
-        assert snf_unreplay(res.diagonal, res.ops) == A
-        finite = [a for a in res.exponents if a is not None]
-        assert finite == sorted(finite)
-        det = breuil.mat_det(A)
-        if None in res.exponents:
-            assert det.ord_u() is None
-        elif sum(res.exponents) < A[0][0].prec.T:
-            assert det.ord_u() == sum(res.exponents)
-        else:
-            assert det.ord_u() is None  # u^(sum) already truncates to zero
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        A = random_n1_matrix(rng, p, rows, cols, T)
+        exps = snf_mod_uT(A)
+        assert len(exps) == min(rows, cols)
+        for k in range(1, len(exps) + 1):
+            orders = [
+                breuil.mat_det(tuple(tuple(A[i][j] for j in cs) for i in rs)).ord_u()
+                for rs in combinations(range(rows), k)
+                for cs in combinations(range(cols), k)
+            ]
+            least = min((o for o in orders if o is not None), default=None)
+            head = exps[:k]
+            if None in head or sum(head) >= T:
+                assert least is None
+            else:
+                assert least == sum(head)
 
 
 def test_prop1_examples():

@@ -188,6 +188,8 @@ def test_cmd_verify_missing_args(capsys):
     ["--suite", "heights", "--seeds", "0"],
     ["--suite", "heights", "--poly", "u^2-2"],
     ["--suite", "example3", "--n", "2"],
+    ["--suite", "prop2", "--p", "2", "--e", "2", "--n", "1", "--budget", "-5"],
+    ["--suite", "prop2", "--p", "2", "--e", "2", "--n", "1", "--budget", "0"],
 ])
 def test_cmd_verify_rejects_bad_sizes_cleanly(capsys, argv):
     code, _, err = run(capsys, "verify", *argv)

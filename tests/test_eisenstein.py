@@ -16,7 +16,6 @@ from ramibound.eisenstein import (
     berkowitz_charpoly,
     substitute,
     tau_v_search,
-    validate,
 )
 
 
@@ -80,22 +79,22 @@ def random_eisenstein(rng, p, e, spread=4):
 # -- validation ---------------------------------------------------------------------
 
 def test_validate_examples():
-    assert validate(2, (-2, 0)).e == 2
+    assert EisensteinPolynomial.validate(2, (-2, 0)).e == 2
     with pytest.raises(EisensteinValidationError, match="ord_p"):
-        validate(2, (-4, 0))
-    assert validate(3, (3, 3, 0)).e == 3
+        EisensteinPolynomial.validate(2, (-4, 0))
+    assert EisensteinPolynomial.validate(3, (3, 3, 0)).e == 3
 
 
 def test_validate_lists_every_violation():
     with pytest.raises(EisensteinValidationError) as err:
-        validate(2, (3, 1))
+        EisensteinPolynomial.validate(2, (3, 1))
     text = str(err.value)
     assert "a_0" in text and "a_1" in text and "ord_p" in text
 
 
 def test_validate_rejects_nonprime():
     with pytest.raises(EisensteinValidationError, match="not prime"):
-        validate(6, (6,))
+        EisensteinPolynomial.validate(6, (6,))
 
 
 def test_residue_polynomials_need_n_at_least_2():
@@ -106,11 +105,11 @@ def test_residue_polynomials_need_n_at_least_2():
 # -- the E0/E1 split -----------------------------------------------------------------
 
 def test_split_examples():
-    s = validate(2, (2, 2)).split()
+    s = EisensteinPolynomial.validate(2, (2, 2)).split()
     assert s.e0 == (2, 0, 1) and s.e1 == (0, 2, 0)  # u^2+2 and 2u
-    s = validate(3, (3, 3, 0)).split()
+    s = EisensteinPolynomial.validate(3, (3, 3, 0)).split()
     assert s.e0 == (3, 0, 0, 1) and s.e1 == (0, 3, 0, 0)  # u^3+3 and 3u
-    s = validate(3, (3, 0)).split()
+    s = EisensteinPolynomial.validate(3, (3, 0)).split()
     assert s.e0 == (3, 0, 0) and s.e1 == (0, 0, 1)  # 3 and u^2
 
 
@@ -130,11 +129,11 @@ def test_split_partition_property(data):
 # -- invariants -----------------------------------------------------------------------
 
 def test_invariants_examples():
-    inv = validate(2, (-2, 0)).invariants()
+    inv = EisensteinPolynomial.validate(2, (-2, 0)).invariants()
     assert (inv.m, inv.tau, inv.iota, inv.t_pi) == (1, INF, None, INF)
-    inv = validate(2, (2, 2)).invariants()
+    inv = EisensteinPolynomial.validate(2, (2, 2)).invariants()
     assert (inv.m, inv.tau, inv.iota, inv.t_pi) == (1, 1, 1, 3)
-    inv = validate(5, (5, 0, 0)).invariants()
+    inv = EisensteinPolynomial.validate(5, (5, 0, 0)).invariants()
     assert (inv.m, inv.tau, inv.iota, inv.t_pi) == (0, 1, 0, 0)
 
 
@@ -168,10 +167,10 @@ def test_berkowitz_against_cofactor_expansion():
 
 def test_substitute_examples():
     # pi -> pi + 2 on u^2 - 2 gives u^2 - 4u + 2
-    out = substitute(validate(2, (-2, 0)), UniformizerChange(2, 2, (1, 1)), 4)
+    out = substitute(EisensteinPolynomial.validate(2, (-2, 0)), UniformizerChange(2, 2, (1, 1)), 4)
     assert out.coeffs == (2, 12) and out.precision == 4
     # identity change reproduces E mod p^N
-    eis = validate(3, (3, 3, 0))
+    eis = EisensteinPolynomial.validate(3, (3, 3, 0))
     out = substitute(eis, UniformizerChange.identity(3, 3, 2), 4)
     assert out.coeffs == tuple(c % 81 for c in eis.coeffs)
     # pi -> pi + 3 on u^3 + 3u + 3 gives u^3 - 9u^2 + 30u - 33
@@ -181,7 +180,7 @@ def test_substitute_examples():
 
 
 def test_substitute_rejects_small_N_and_non_units():
-    eis = validate(2, (-2, 0))
+    eis = EisensteinPolynomial.validate(2, (-2, 0))
     with pytest.raises(ValueError, match="N >= 2"):
         substitute(eis, UniformizerChange(2, 2, (1, 1)), 1)
     with pytest.raises(ValueError, match="unit"):
@@ -218,7 +217,7 @@ def test_substitute_agrees_with_taylor_shift():
 
 def test_substituted_tau_lower_bound_marker():
     # all E1 residues vanish mod p^N: tau reported as the lower bound N-1
-    out = substitute(validate(2, (-2, 0)), UniformizerChange(2, 2, (0, 1)), 4)
+    out = substitute(EisensteinPolynomial.validate(2, (-2, 0)), UniformizerChange(2, 2, (0, 1)), 4)
     inv = out.invariants()
     assert inv.tau_is_lower_bound and inv.tau == 3
     assert inv.iota is None and inv.t_pi is None
@@ -227,22 +226,22 @@ def test_substituted_tau_lower_bound_marker():
 # -- tau search ----------------------------------------------------------------------------
 
 def test_tau_search_examples():
-    found = tau_v_search(validate(2, (-2, 0)), digit_precision=2)
+    found = tau_v_search(EisensteinPolynomial.validate(2, (-2, 0)), digit_precision=2)
     assert (found.tau, found.iota) == (2, 1)
     assert found.witness.cs == (1, 1)
 
-    found = tau_v_search(validate(3, (-3, 0, 0)), digit_precision=2, lower_bound=2)
+    found = tau_v_search(EisensteinPolynomial.validate(3, (-3, 0, 0)), digit_precision=2, lower_bound=2)
     assert found.tau == 2 and found.iota <= 2
     assert found.certified_exact
 
-    found = tau_v_search(validate(5, (5, 0, 0)), digit_precision=2)
+    found = tau_v_search(EisensteinPolynomial.validate(5, (5, 0, 0)), digit_precision=2)
     assert (found.tau, found.iota) == (1, 0)
     assert found.candidates == 0 and found.certified_exact
 
 
 def test_tau_search_witness_is_consistent():
     for coeffs, p in [((-2, 0), 2), ((2, 2), 2), ((-3, 0, 0), 3)]:
-        eis = validate(p, coeffs)
+        eis = EisensteinPolynomial.validate(p, coeffs)
         found = tau_v_search(eis, digit_precision=2)
         inv = substitute(eis, found.witness, eis.m + 3).invariants()
         assert inv.tau == found.tau and inv.iota == found.iota
