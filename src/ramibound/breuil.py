@@ -377,12 +377,10 @@ def example3_identity(p: int, n: int) -> TruncatedSeries:
     return lhs
 
 
-def example3_module(p: int, n: int, T: int | None = None) -> tuple[BreuilModule, FractionalElement]:
+def example3_module(p: int, n: int) -> tuple[BreuilModule, FractionalElement]:
     """The rank-1 module with phi(e_1) = u^p - p over (Z/p^n)[u]/(u^T), plus
     the pole-n generator whose numerator is p^{n-1} + p^{n-2}u + ... + u^{n-1}."""
-    if T is None:
-        T = required_u_precision(p, n, p) + 1
-    prec = Precision(p, n, T)
+    prec = Precision(p, n, required_u_precision(p, n, p) + 1)
     eis = EisensteinPolynomial(p, (-p,) + (0,) * (p - 1))
     V = mat_identity(prec, 1)
     M = BreuilModule(
@@ -496,31 +494,28 @@ def module_to_json(M: BreuilModule) -> dict:
 
 
 def module_from_json(data: dict) -> BreuilModule:
-    """Inverse of module_to_json; accepts integers serialized as strings."""
+    """Inverse of module_to_json; accepts integers serialized as strings.
 
-    def as_int(x):
-        return int(x)
-
-    prec = Precision(as_int(data["p"]), as_int(data["n"]), as_int(data["T"]))
-    eis = EisensteinPolynomial(prec.p, tuple(as_int(c) for c in data["eisenstein"]))
-    phi = tuple(
-        tuple(
-            TruncatedSeries.from_coeffs(prec, [as_int(c) for c in entry])
-            for entry in row
+    A missing key or an entry of the wrong shape raises ValueError."""
+    try:
+        prec = Precision(int(data["p"]), int(data["n"]), int(data["T"]))
+        h = int(data["h"])
+        eis = EisensteinPolynomial(prec.p, tuple(int(c) for c in data["eisenstein"]))
+        phi = tuple(
+            tuple(TruncatedSeries.from_coeffs(prec, [int(c) for c in entry]) for entry in row)
+            for row in data["phi"]
         )
-        for row in data["phi"]
-    )
-    nd = None
-    if data.get("normal_decomp") is not None:
-        raw = data["normal_decomp"]
-        nd = NormalDecomposition(
-            d=as_int(raw["d"]),
-            change_of_basis=tuple(
-                tuple(
-                    TruncatedSeries.from_coeffs(prec, [as_int(c) for c in entry])
-                    for entry in row
-                )
-                for row in raw["change_of_basis"]
-            ),
-        )
-    return BreuilModule(prec=prec, h=as_int(data["h"]), eis=eis, phi=phi, normal_decomp=nd)
+        nd = None
+        if data.get("normal_decomp") is not None:
+            raw = data["normal_decomp"]
+            nd = NormalDecomposition(
+                d=int(raw["d"]),
+                change_of_basis=tuple(
+                    tuple(TruncatedSeries.from_coeffs(prec, [int(c) for c in entry])
+                          for entry in row)
+                    for row in raw["change_of_basis"]
+                ),
+            )
+    except (KeyError, TypeError, IndexError) as err:
+        raise ValueError(f"malformed module file: {err!r}") from None
+    return BreuilModule(prec=prec, h=h, eis=eis, phi=phi, normal_decomp=nd)

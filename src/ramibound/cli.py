@@ -61,7 +61,7 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_polynomial(text: str, allow_minus: bool = True) -> dict[int, int]:
+def parse_polynomial(text: str) -> dict[int, int]:
     """Parse polynomial text into {exponent: coefficient}, collecting terms."""
     out: dict[int, int] = {}
     pos, n = 0, len(text)
@@ -79,10 +79,6 @@ def parse_polynomial(text: str, allow_minus: bool = True) -> dict[int, int]:
             if ch == "+":
                 pass
             elif ch == "-":
-                if not allow_minus:
-                    raise PolyParseError(
-                        "negative terms are not allowed here", pos, text
-                    )
                 sign = -1
             else:
                 raise PolyParseError(f"expected '+' or '-', found {ch!r}", pos, text)
@@ -115,7 +111,7 @@ def eisenstein_from_text(p: int, text: str) -> EisensteinPolynomial:
     if parsed.get(e) != 1:
         raise PolyParseError(f"leading coefficient of u^{e} must be 1", 0, text)
     coeffs = tuple(parsed.get(i, 0) for i in range(e))
-    return EisensteinPolynomial.validate(p, coeffs)
+    return EisensteinPolynomial(p, coeffs)
 
 
 def _jsonify(x):
@@ -158,10 +154,6 @@ def _emit(payload: dict, as_json: bool):
         print(line)
 
 
-def _fmt_inf(x):
-    return "inf" if isinstance(x, float) and math.isinf(x) else x
-
-
 def cmd_invariants(args) -> int:
     eis = eisenstein_from_text(args.p, args.poly)
     inv = eis.invariants()
@@ -172,9 +164,9 @@ def cmd_invariants(args) -> int:
         "e": eis.e,
         "poly": str(eis),
         "m": inv.m,
-        "tau": _fmt_inf(inv.tau),
+        "tau": inv.tau,
         "iota": inv.iota,
-        "t_pi": _fmt_inf(inv.t_pi),
+        "t_pi": inv.t_pi,
         "E0": poly_text(split.e0),
         "E1": poly_text(split.e1),
     }
@@ -184,6 +176,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_bound(args) -> int:
     p = args.p
+    found = None
     if args.poly is not None:
         eis = eisenstein_from_text(p, args.poly)
         e = eis.e
@@ -235,6 +228,13 @@ def cmd_bound(args) -> int:
             "exact": b4.exact_value(),
             "approx": round(b4.approx(), 4),
             "s_below": b4.exceeds(trace.s),
+        }
+    if found is not None:  # tau is the searched minimum, exact only if certified
+        payload["tau_search"] = {
+            "witness": found.witness.cs,
+            "candidates": found.candidates,
+            "ceiling": found.ceiling,
+            "certified_exact": found.certified_exact,
         }
     _emit(payload, args.json)
     return EXIT_OK

@@ -14,8 +14,11 @@ extension V of Z_p; this module computes the invariants attached to pi:
 
 Changing the uniformizer to pi~ = c_0 p + c_1 pi + ... + c_{e-1} pi^{e-1}
 (c_1 a unit) is realized exactly by the characteristic polynomial of the
-multiplication-by-pi~ matrix on Z_p[u]/(E), computed mod p^N with a
-division-free (Berkowitz) recurrence, since Z/p^N admits no safe division.
+multiplication-by-pi~ matrix on the basis 1, pi, ..., pi^{e-1} of
+Z_p[u]/(E).  Its first column is the digit vector; each next column is pi
+times the last, a shift up with one fold of the top entry through E.  The
+charpoly is taken mod p^N with a division-free (Berkowitz) recurrence, since
+Z/p^N admits no safe division.
 Exhaustive enumeration of digit-truncated changes gives a certified upper
 bound for the minimal tau over all uniformizers.
 """
@@ -56,15 +59,6 @@ class EisensteinPolynomial:
         violations = _eisenstein_violations(self.p, self.coeffs, self.precision)
         if violations:
             raise EisensteinValidationError(violations)
-
-    @classmethod
-    def validate(cls, p: int, coeffs, precision: int | None = None) -> "EisensteinPolynomial":
-        """Construct after normalizing residues; error lists every violation."""
-        coeffs = tuple(coeffs)
-        if precision is not None and is_prime(p) and precision >= 1:
-            q = p**precision
-            coeffs = tuple(c % q for c in coeffs)
-        return cls(p, coeffs, precision)
 
     @property
     def e(self) -> int:
@@ -203,17 +197,6 @@ class UniformizerChange:
         return cls(p, precision, (1,))
 
 
-def _companion_matrix(E: EisensteinPolynomial, q: int) -> list[list[int]]:
-    # multiplication by pi on the basis 1, pi, ..., pi^{e-1}; columns are images
-    e = E.e
-    comp = [[0] * e for _ in range(e)]
-    for j in range(e - 1):
-        comp[j + 1][j] = 1
-    for i in range(e):
-        comp[i][e - 1] = (-E.coeffs[i]) % q
-    return comp
-
-
 def berkowitz_charpoly(A: list[list[int]], q: int) -> list[int]:
     """det(x*I - A) over Z/q via the Samuelson-Berkowitz recurrence.
 
@@ -257,32 +240,16 @@ def substitute(E: EisensteinPolynomial, change: UniformizerChange, N: int) -> Ei
         raise ValueError(f"input known only mod p^{E.precision}, cannot output mod p^{N}")
     p, e = E.p, E.e
     q = p**N
-    if e == 1:
-        # pi~ = c_0 * p with c_0 a unit
-        b = (change.cs[0] * p) % q
-        return EisensteinPolynomial.validate(p, ((-b) % q,), precision=N)
-    comp = _companion_matrix(E, q)
-    # B = c_0*p*I + sum_{i>=1} c_i * comp^i, by Horner in comp
-    acc = [[0] * e for _ in range(e)]
-    for i in range(e - 1, 0, -1):
-        acc = _mat_mul_mod(acc, comp, q)
-        ci = change.cs[i] % q
-        for k in range(e):
-            acc[k][k] = (acc[k][k] + ci) % q
-    acc = _mat_mul_mod(acc, comp, q)
-    c0p = (change.cs[0] * p) % q
-    for k in range(e):
-        acc[k][k] = (acc[k][k] + c0p) % q
-    char = berkowitz_charpoly(acc, q)
-    return EisensteinPolynomial.validate(p, char[:e], precision=N)
-
-
-def _mat_mul_mod(A, B, q):
-    n = len(A)
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(n)) % q for j in range(n)]
-        for i in range(n)
-    ]
+    # column j is pi~ * pi^j; multiplying a column by pi shifts it up one
+    # place and folds the top entry through pi^e = -(a_0 + ... + a_{e-1} pi^{e-1})
+    col = [(change.cs[0] * p) % q] + [c % q for c in change.cs[1:]]
+    cols = [col]
+    for _ in range(e - 1):
+        top = col[-1]
+        col = [(x - a * top) % q for x, a in zip([0] + col[:-1], E.coeffs)]
+        cols.append(col)
+    char = berkowitz_charpoly(list(zip(*cols)), q)
+    return EisensteinPolynomial(p, tuple(char[:e]), precision=N)
 
 
 @dataclass(frozen=True)

@@ -129,13 +129,13 @@ class TruncatedSeries:
         return cls.monomial(prec, 0)
 
     @classmethod
-    def monomial(cls, prec: Precision, k: int, c: int = 1) -> "TruncatedSeries":
-        """The series c*u^k (zero if k >= T)."""
+    def monomial(cls, prec: Precision, k: int) -> "TruncatedSeries":
+        """The series u^k (zero if k >= T)."""
         if k < 0:
             raise ValueError("monomial exponent must be >= 0")
         cs = [0] * prec.T
         if k < prec.T:
-            cs[k] = c % prec.modulus
+            cs[k] = 1
         return cls(prec, tuple(cs))
 
     # -- ring operations -----------------------------------------------

@@ -141,7 +141,10 @@ def _seeded_module(rng: random.Random, p: int, n_max: int, T: int = 40):
     return M, d
 
 
-def suite_lemma1(p: int, n: int, seeds: int = 200, tries: int = 8) -> dict:
+LEMMA1_TRIES = 8  # sampled elements per seeded module
+
+
+def suite_lemma1(p: int, n: int, seeds: int = 200) -> dict:
     """Pole-growth membership: for x with pole t whose image keeps pole <= t,
     every coordinate numerator must satisfy E * twist(alpha) in (u^(t(p-1)), p^n).
 
@@ -159,7 +162,7 @@ def suite_lemma1(p: int, n: int, seeds: int = 200, tries: int = 8) -> dict:
         if cap < 2:
             raise AssertionError("u-precision budget left no sampling room")
         accepted_here = 0
-        for k in range(tries):
+        for k in range(LEMMA1_TRIES):
             t = rng.randint(1, 2)
             lift = -(-t * (prec.p - 1) // prec.p) if k % 2 == 0 else 0
             alphas = []
@@ -181,7 +184,7 @@ def suite_lemma1(p: int, n: int, seeds: int = 200, tries: int = 8) -> dict:
             )
             _tally(assertions, "twist-membership", ok)
         _tally(assertions, "module-sampled", accepted_here > 0)
-    config = {"p": p, "n": n, "seeds": seeds, "tries": tries}
+    config = {"p": p, "n": n, "seeds": seeds, "tries": LEMMA1_TRIES}
     return _finish("lemma1", config, assertions, started)
 
 

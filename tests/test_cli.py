@@ -53,12 +53,6 @@ def test_parse_polynomial_positions():
         parse_polynomial("-u")  # terms are unsigned; signs join terms
 
 
-def test_series_grammar_disallows_minus():
-    assert parse_polynomial("u^4+4", allow_minus=False) == {4: 1, 0: 4}
-    with pytest.raises(PolyParseError, match="negative"):
-        parse_polynomial("u^4-4", allow_minus=False)
-
-
 def test_poly_text_round_trip():
     for coeffs in [(-2, 0, 1), (2, 2, 1), (0, 0, 0, 1), (5,)]:
         text = poly_text(coeffs)
@@ -82,6 +76,10 @@ def test_cmd_invariants_inf(capsys):
     assert payload["schema"] == 1
     assert payload["tau"] == "inf" and payload["iota"] is None
     assert payload["E0"] == "u^2-2" and payload["E1"] == "0"
+    code, out, _ = run(capsys, "invariants", "--p", "2", "--poly", "u^2-2")
+    lines = out.splitlines()
+    assert code == EXIT_OK
+    assert "tau = inf" in lines and "t_pi = inf" in lines and "iota = -" in lines
 
 
 def test_cmd_invariants_finite(capsys):
@@ -245,6 +243,32 @@ def test_cmd_heights_module_file_n2_omits_h4(capsys, tmp_path):
     assert code == EXIT_OK
     assert (payload["h"], payload["order"], payload["h3"]) == ("1", "2", "1")
     assert "h4" not in payload
+
+
+def _without_change_of_basis(data):
+    del data["normal_decomp"]["change_of_basis"]
+    return data
+
+
+def _null_phi_entry(data):
+    data["phi"][0][0] = None
+    return data
+
+
+@pytest.mark.parametrize("malform", [
+    lambda data: {},
+    lambda data: [1],
+    _without_change_of_basis,
+    _null_phi_entry,
+], ids=["empty-object", "list", "no-change-of-basis", "null-phi-entry"])
+def test_cmd_heights_malformed_module_file(capsys, tmp_path, malform):
+    M = build_bt_module(Precision(2, 1, 12), EisensteinPolynomial(2, (2, 2)),
+                        d=1, h=2, seed=3)
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(malform(module_to_json(M))))
+    code, _, err = run(capsys, "heights", "--module-file", str(path))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: malformed module file") and "Traceback" not in err
 
 
 def test_cmd_heights_needs_something(capsys):

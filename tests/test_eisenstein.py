@@ -79,37 +79,37 @@ def random_eisenstein(rng, p, e, spread=4):
 # -- validation ---------------------------------------------------------------------
 
 def test_validate_examples():
-    assert EisensteinPolynomial.validate(2, (-2, 0)).e == 2
+    assert EisensteinPolynomial(2, (-2, 0)).e == 2
     with pytest.raises(EisensteinValidationError, match="ord_p"):
-        EisensteinPolynomial.validate(2, (-4, 0))
-    assert EisensteinPolynomial.validate(3, (3, 3, 0)).e == 3
+        EisensteinPolynomial(2, (-4, 0))
+    assert EisensteinPolynomial(3, (3, 3, 0)).e == 3
 
 
 def test_validate_lists_every_violation():
     with pytest.raises(EisensteinValidationError) as err:
-        EisensteinPolynomial.validate(2, (3, 1))
+        EisensteinPolynomial(2, (3, 1))
     text = str(err.value)
     assert "a_0" in text and "a_1" in text and "ord_p" in text
 
 
 def test_validate_rejects_nonprime():
     with pytest.raises(EisensteinValidationError, match="not prime"):
-        EisensteinPolynomial.validate(6, (6,))
+        EisensteinPolynomial(6, (6,))
 
 
 def test_residue_polynomials_need_n_at_least_2():
     with pytest.raises(EisensteinValidationError, match="precision"):
-        EisensteinPolynomial.validate(2, (2,), precision=1)
+        EisensteinPolynomial(2, (2,), precision=1)
 
 
 # -- the E0/E1 split -----------------------------------------------------------------
 
 def test_split_examples():
-    s = EisensteinPolynomial.validate(2, (2, 2)).split()
+    s = EisensteinPolynomial(2, (2, 2)).split()
     assert s.e0 == (2, 0, 1) and s.e1 == (0, 2, 0)  # u^2+2 and 2u
-    s = EisensteinPolynomial.validate(3, (3, 3, 0)).split()
+    s = EisensteinPolynomial(3, (3, 3, 0)).split()
     assert s.e0 == (3, 0, 0, 1) and s.e1 == (0, 3, 0, 0)  # u^3+3 and 3u
-    s = EisensteinPolynomial.validate(3, (3, 0)).split()
+    s = EisensteinPolynomial(3, (3, 0)).split()
     assert s.e0 == (3, 0, 0) and s.e1 == (0, 0, 1)  # 3 and u^2
 
 
@@ -129,11 +129,11 @@ def test_split_partition_property(data):
 # -- invariants -----------------------------------------------------------------------
 
 def test_invariants_examples():
-    inv = EisensteinPolynomial.validate(2, (-2, 0)).invariants()
+    inv = EisensteinPolynomial(2, (-2, 0)).invariants()
     assert (inv.m, inv.tau, inv.iota, inv.t_pi) == (1, INF, None, INF)
-    inv = EisensteinPolynomial.validate(2, (2, 2)).invariants()
+    inv = EisensteinPolynomial(2, (2, 2)).invariants()
     assert (inv.m, inv.tau, inv.iota, inv.t_pi) == (1, 1, 1, 3)
-    inv = EisensteinPolynomial.validate(5, (5, 0, 0)).invariants()
+    inv = EisensteinPolynomial(5, (5, 0, 0)).invariants()
     assert (inv.m, inv.tau, inv.iota, inv.t_pi) == (0, 1, 0, 0)
 
 
@@ -167,10 +167,10 @@ def test_berkowitz_against_cofactor_expansion():
 
 def test_substitute_examples():
     # pi -> pi + 2 on u^2 - 2 gives u^2 - 4u + 2
-    out = substitute(EisensteinPolynomial.validate(2, (-2, 0)), UniformizerChange(2, 2, (1, 1)), 4)
+    out = substitute(EisensteinPolynomial(2, (-2, 0)), UniformizerChange(2, 2, (1, 1)), 4)
     assert out.coeffs == (2, 12) and out.precision == 4
     # identity change reproduces E mod p^N
-    eis = EisensteinPolynomial.validate(3, (3, 3, 0))
+    eis = EisensteinPolynomial(3, (3, 3, 0))
     out = substitute(eis, UniformizerChange.identity(3, 3, 2), 4)
     assert out.coeffs == tuple(c % 81 for c in eis.coeffs)
     # pi -> pi + 3 on u^3 + 3u + 3 gives u^3 - 9u^2 + 30u - 33
@@ -180,7 +180,7 @@ def test_substitute_examples():
 
 
 def test_substitute_rejects_small_N_and_non_units():
-    eis = EisensteinPolynomial.validate(2, (-2, 0))
+    eis = EisensteinPolynomial(2, (-2, 0))
     with pytest.raises(ValueError, match="N >= 2"):
         substitute(eis, UniformizerChange(2, 2, (1, 1)), 1)
     with pytest.raises(ValueError, match="unit"):
@@ -215,9 +215,40 @@ def test_substitute_agrees_with_taylor_shift():
         assert via_matrix.coeffs == tuple(c % q for c in via_shift[: eis.e])
 
 
+def mat_mul(A, B):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def test_substitute_agrees_with_integer_charpoly():
+    # general changes: B = c_0 p I + sum c_i C^i exactly over Z, with C the
+    # integer companion matrix of E, and its charpoly by cofactors mod p^N
+    rng = random.Random(29)
+    for _ in range(150):
+        p = rng.choice([2, 3, 5])
+        e = rng.randint(1, 4)
+        N = rng.randint(2, 5)
+        eis = random_eisenstein(rng, p, e)
+        cs = [rng.randrange(p * p) for _ in range(e)]
+        unit = 1 if e >= 2 else 0  # the digit that must be a unit
+        cs[unit] = p * rng.randrange(p) + rng.randrange(1, p)
+        cs[2:] = [rng.randrange(1, p * p) for _ in cs[2:]]
+        C = [[int(i == j + 1) for j in range(e)] for i in range(e)]
+        for i in range(e):
+            C[i][e - 1] = -eis.coeffs[i]
+        power = [[int(i == j) for j in range(e)] for i in range(e)]
+        B = [[cs[0] * p * x for x in row] for row in power]
+        for c in cs[1:]:
+            power = mat_mul(power, C)
+            B = [[b + c * x for b, x in zip(rb, rx)] for rb, rx in zip(B, power)]
+        q = p**N
+        expected = tuple(c % q for c in charpoly_by_cofactors(B)[:e])
+        out = substitute(eis, UniformizerChange(p, 2, tuple(cs)), N)
+        assert out.coeffs == expected and out.precision == N
+
+
 def test_substituted_tau_lower_bound_marker():
     # all E1 residues vanish mod p^N: tau reported as the lower bound N-1
-    out = substitute(EisensteinPolynomial.validate(2, (-2, 0)), UniformizerChange(2, 2, (0, 1)), 4)
+    out = substitute(EisensteinPolynomial(2, (-2, 0)), UniformizerChange(2, 2, (0, 1)), 4)
     inv = out.invariants()
     assert inv.tau_is_lower_bound and inv.tau == 3
     assert inv.iota is None and inv.t_pi is None
@@ -226,22 +257,22 @@ def test_substituted_tau_lower_bound_marker():
 # -- tau search ----------------------------------------------------------------------------
 
 def test_tau_search_examples():
-    found = tau_v_search(EisensteinPolynomial.validate(2, (-2, 0)), digit_precision=2)
+    found = tau_v_search(EisensteinPolynomial(2, (-2, 0)), digit_precision=2)
     assert (found.tau, found.iota) == (2, 1)
     assert found.witness.cs == (1, 1)
 
-    found = tau_v_search(EisensteinPolynomial.validate(3, (-3, 0, 0)), digit_precision=2, lower_bound=2)
+    found = tau_v_search(EisensteinPolynomial(3, (-3, 0, 0)), digit_precision=2, lower_bound=2)
     assert found.tau == 2 and found.iota <= 2
     assert found.certified_exact
 
-    found = tau_v_search(EisensteinPolynomial.validate(5, (5, 0, 0)), digit_precision=2)
+    found = tau_v_search(EisensteinPolynomial(5, (5, 0, 0)), digit_precision=2)
     assert (found.tau, found.iota) == (1, 0)
     assert found.candidates == 0 and found.certified_exact
 
 
 def test_tau_search_witness_is_consistent():
     for coeffs, p in [((-2, 0), 2), ((2, 2), 2), ((-3, 0, 0), 3)]:
-        eis = EisensteinPolynomial.validate(p, coeffs)
+        eis = EisensteinPolynomial(p, coeffs)
         found = tau_v_search(eis, digit_precision=2)
         inv = substitute(eis, found.witness, eis.m + 3).invariants()
         assert inv.tau == found.tau and inv.iota == found.iota
@@ -264,7 +295,7 @@ def test_tau_ceiling_over_random_polynomials():
 
 
 def test_tau_search_requires_exact_input():
-    residue = EisensteinPolynomial.validate(2, (2, 0), precision=4)
+    residue = EisensteinPolynomial(2, (2, 0), precision=4)
     with pytest.raises(ValueError, match="exact"):
         tau_v_search(residue, 1)
 

@@ -84,7 +84,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="n must be"):
         SearchConfig(eis=E22, n=0)
     with pytest.raises(ValueError, match="exact"):
-        SearchConfig(eis=EisensteinPolynomial.validate(2, (2,), precision=3), n=1)
+        SearchConfig(eis=EisensteinPolynomial(2, (2,), precision=3), n=1)
     cfg = SearchConfig(eis=EisensteinPolynomial(3, (3, 0, 0, 0)), n=2)
     assert (cfg.t_max, cfg.degree_bound, cfg.space_size) == (9, 2, 8 * 9**2)
 
