@@ -26,6 +26,7 @@ inputs whose images would be corrupted by truncation.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 from .eisenstein import EisensteinPolynomial
@@ -493,25 +494,38 @@ def module_to_json(M: BreuilModule) -> dict:
     return out
 
 
+def _file_int(x) -> int:
+    """An integer field of a module file: a JSON integer or a string of
+    decimal digits.  Floats, booleans and other text are malformed rather
+    than truncated."""
+    if isinstance(x, bool) or not (
+        isinstance(x, int) or isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x)
+    ):
+        raise ValueError(f"malformed module file: {x!r} is not an integer")
+    return int(x)
+
+
 def module_from_json(data: dict) -> BreuilModule:
     """Inverse of module_to_json; accepts integers serialized as strings.
 
-    A missing key or an entry of the wrong shape raises ValueError."""
+    A missing key, an entry of the wrong shape or a number that is not an
+    integer raises ValueError."""
     try:
-        prec = Precision(int(data["p"]), int(data["n"]), int(data["T"]))
-        h = int(data["h"])
-        eis = EisensteinPolynomial(prec.p, tuple(int(c) for c in data["eisenstein"]))
+        prec = Precision(_file_int(data["p"]), _file_int(data["n"]), _file_int(data["T"]))
+        h = _file_int(data["h"])
+        eis = EisensteinPolynomial(prec.p, tuple(_file_int(c) for c in data["eisenstein"]))
         phi = tuple(
-            tuple(TruncatedSeries.from_coeffs(prec, [int(c) for c in entry]) for entry in row)
+            tuple(TruncatedSeries.from_coeffs(prec, [_file_int(c) for c in entry])
+                  for entry in row)
             for row in data["phi"]
         )
         nd = None
         if data.get("normal_decomp") is not None:
             raw = data["normal_decomp"]
             nd = NormalDecomposition(
-                d=int(raw["d"]),
+                d=_file_int(raw["d"]),
                 change_of_basis=tuple(
-                    tuple(TruncatedSeries.from_coeffs(prec, [int(c) for c in entry])
+                    tuple(TruncatedSeries.from_coeffs(prec, [_file_int(c) for c in entry])
                           for entry in row)
                     for row in raw["change_of_basis"]
                 ),

@@ -18,9 +18,16 @@ multiplication-by-pi~ matrix on the basis 1, pi, ..., pi^{e-1} of
 Z_p[u]/(E).  Its first column is the digit vector; each next column is pi
 times the last, a shift up with one fold of the top entry through E.  The
 charpoly is taken mod p^N with a division-free (Berkowitz) recurrence, since
-Z/p^N admits no safe division.
+Z/p^N admits no safe division.  One kernel returns its residues; substitute
+wraps them in an EisensteinPolynomial.
+
 Exhaustive enumeration of digit-truncated changes gives a certified upper
-bound for the minimal tau over all uniformizers.
+bound for the minimal tau over all uniformizers.  The search calls the
+kernel once per digit vector and works on the raw residues: it checks inline
+that each charpoly is Eisenstein (raising what the constructor would), reads
+(tau, iota) off the E_1 residues, and builds objects for the witness only.
+A search over more than TAU_SEARCH_CAP digit vectors raises
+BudgetExceededError before the first charpoly.
 """
 
 from __future__ import annotations
@@ -28,10 +35,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import add, mul
 
-from .series import int_valuation, is_prime, poly_text
+from .series import BudgetExceededError, int_valuation, is_prime, poly_text
 
 INF = math.inf  # order sentinel only; never enters arithmetic
+
+# Largest digit-vector count (p - 1) * p^(dp*e - 1) tau_v_search enumerates.
+TAU_SEARCH_CAP = 10**6
 
 
 class EisensteinValidationError(ValueError):
@@ -203,27 +214,43 @@ def berkowitz_charpoly(A: list[list[int]], q: int) -> list[int]:
     Division-free on purpose: Z/q is not a domain, so elimination-style
     charpoly algorithms are unavailable.  Returns ascending coefficients
     [c_0, ..., c_{n-1}, 1]."""
-    n = len(A)
     poly = [1]  # descending coefficients for the 0x0 leading block
-    for r in range(1, n + 1):
-        a = A[r - 1][r - 1]
-        row = A[r - 1][: r - 1]
-        col = [A[i][r - 1] for i in range(r - 1)]
-        block = [A[i][: r - 1] for i in range(r - 1)]
-        qs = [1, (-a) % q]
+    for r, row in enumerate(A):
+        # row[:r] and col are the border of the leading r x r block; the
+        # map() products stop at len(v) = r, so block rows need no slicing
+        col = [A[i][r] for i in range(r)]
+        qs = [1, -row[r] % q]
         v = col
-        for _ in range(r - 1):
-            qs.append((-sum(row[i] * v[i] for i in range(r - 1))) % q)
-            v = [sum(block[i][j] * v[j] for j in range(r - 1)) % q for i in range(r - 1)]
-        new = [0] * (r + 1)
-        for i in range(r + 1):
-            acc = 0
-            for j in range(max(0, i - r), min(i, r - 1) + 1):
-                acc += qs[i - j] * poly[j]
-            new[i] = acc % q
-        poly = new
+        for k in range(r):
+            qs.append(-sum(map(mul, row, v)) % q)
+            if k < r - 1:  # the last product M^r * col is never read
+                v = [sum(map(mul, A[i], v)) % q for i in range(r)]
+        # Toeplitz step: poly <- (lower (r+2) x (r+1) Toeplitz of qs) * poly
+        new = [0] * (r + 2)
+        for j, c in enumerate(poly):
+            if c:
+                new[j:] = map(add, new[j:], map(c.__mul__, qs))
+        poly = [x % q for x in new]
     poly.reverse()
     return poly
+
+
+def _charpoly_residues(coeffs, x, q: int) -> list[int]:
+    """(a_0, ..., a_{e-1}) mod q of the charpoly of multiplication by
+    x_0 + x_1 pi + ... + x_{e-1} pi^{e-1} on the basis 1, pi, ..., pi^{e-1}
+    of Z_p[u]/(E), where coeffs = (a_0, ..., a_{e-1}) of E.  For the
+    uniformizer change pi~, x = (c_0 p, c_1, ..., c_{e-1})."""
+    # column j is x * pi^j; multiplying a column by pi shifts it up one place
+    # and folds the top entry through pi^e = -(a_0 + ... + a_{e-1} pi^{e-1}).
+    # Column 0 may be unreduced: the charpoly reduces every product.
+    col = x
+    cols = [col]
+    for _ in range(len(coeffs) - 1):
+        top = col[-1]
+        col = [(y - a * top) % q for y, a in zip((0, *col), coeffs)]  # zip drops the old top
+        cols.append(col)
+    # det(xI - B) = det(xI - B^T): the columns go in as rows
+    return berkowitz_charpoly(cols, q)[:-1]
 
 
 def substitute(E: EisensteinPolynomial, change: UniformizerChange, N: int) -> EisensteinPolynomial:
@@ -238,18 +265,9 @@ def substitute(E: EisensteinPolynomial, change: UniformizerChange, N: int) -> Ei
         raise ValueError(f"expected {E.e} digits, got {len(change.cs)}")
     if E.precision is not None and E.precision < N:
         raise ValueError(f"input known only mod p^{E.precision}, cannot output mod p^{N}")
-    p, e = E.p, E.e
-    q = p**N
-    # column j is pi~ * pi^j; multiplying a column by pi shifts it up one
-    # place and folds the top entry through pi^e = -(a_0 + ... + a_{e-1} pi^{e-1})
-    col = [(change.cs[0] * p) % q] + [c % q for c in change.cs[1:]]
-    cols = [col]
-    for _ in range(e - 1):
-        top = col[-1]
-        col = [(x - a * top) % q for x, a in zip([0] + col[:-1], E.coeffs)]
-        cols.append(col)
-    char = berkowitz_charpoly(list(zip(*cols)), q)
-    return EisensteinPolynomial(p, tuple(char[:e]), precision=N)
+    x = (change.cs[0] * E.p, *change.cs[1:])
+    char = _charpoly_residues(E.coeffs, x, E.p**N)
+    return EisensteinPolynomial(E.p, tuple(char), precision=N)
 
 
 @dataclass(frozen=True)
@@ -279,7 +297,9 @@ def tau_v_search(
 
     Enumeration is lexicographic over the digit vectors (c_0, ..., c_{e-1}),
     so the reported witness is deterministic.  Substituting at p-adic
-    precision m + 3 decides every tau value up to the ceiling m + 1 exactly."""
+    precision m + 3 decides every tau value up to the ceiling m + 1 exactly.
+    More than TAU_SEARCH_CAP vectors, (p - 1) * p^(dp*e - 1), raise
+    BudgetExceededError before any is visited."""
     if E.precision is not None:
         raise ValueError("tau search requires exact integer coefficients")
     if digit_precision < 1:
@@ -291,26 +311,42 @@ def tau_v_search(
             witness=UniformizerChange.identity(p, e, digit_precision),
             certified_exact=True, ceiling=m + 1, candidates=0,
         )
-    base = p**digit_precision
-    best_key = None
-    best = None
-    visited = 0
-    for cs in product(range(base), repeat=e):
-        if cs[1] % p == 0:
-            continue
-        visited += 1
-        change = UniformizerChange(p, digit_precision, cs)
-        inv = substitute(E, change, m + 3).invariants()
-        if inv.tau_is_lower_bound or inv.tau == INF:
-            continue
-        key = (inv.tau, inv.iota)
-        if best_key is None or key < best_key:
-            best_key, best = key, (inv, change)
-    if best is None or best_key[0] > m + 1:
+    # p^k > TAU_SEARCH_CAP once k reaches its bit length, so a huge
+    # exponent is refused without computing the power
+    exponent = digit_precision * e - 1
+    if exponent >= TAU_SEARCH_CAP.bit_length() or (p - 1) * p**exponent > TAU_SEARCH_CAP:
+        size = (p - 1) * p**exponent if exponent < 64 else f"{p - 1}*{p}^{exponent}"
+        raise BudgetExceededError(
+            f"the tau search would visit {size} candidates, "
+            f"over the cap of {TAU_SEARCH_CAP}"
+        )
+    count = (p - 1) * p**exponent  # every digit vector with c_1 a unit
+    N = m + 3
+    q = p**N
+    coeffs = tuple(a % q for a in E.coeffs)
+    # (tau, iota) is packed as tau*e + iota, so one min() over the E1 indices
+    # picks the least valuation and then the lowest index; a vanishing E1
+    # residue reads N*e, above every key, since tau <= N - 1 mod p^N
+    e1 = [i for i in range(1, e) if i % p]
+    weight = [N * e] + [int_valuation(a, p) * e for a in range(1, q)]
+    digits = range(p**digit_precision)
+    units = [c for c in digits if c % p]  # c_1 must be a unit
+    # the vectors x = (c_0 p, c_1, ..., c_{e-1}) in the lexicographic digit order
+    c0p = range(0, p * len(digits), p)
+    best_key, best_x, best_res = N * e, None, None
+    for x in product(c0p, units, *[digits] * (e - 2)):
+        res = _charpoly_residues(coeffs, x, q)
+        if res[0] % (p * p) == 0 or any(map(p.__rmod__, res)):
+            raise EisensteinValidationError(_eisenstein_violations(p, res, N))
+        key = min([weight[res[i]] + i for i in e1])
+        if key < best_key:  # strict: the first minimizer in digit order
+            best_key, best_x, best_res = key, x, res
+    if best_key // e > m + 1:
         raise AssertionError("tau ceiling m + 1 violated; pi and pi + p were enumerated")
-    inv, change = best
+    inv = EisensteinPolynomial(p, tuple(best_res), precision=N).invariants()
     certified = inv.tau == 1 or (lower_bound is not None and inv.tau == lower_bound)
     return TauSearchResult(
-        tau=inv.tau, iota=inv.iota, witness=change,
-        certified_exact=certified, ceiling=m + 1, candidates=visited,
+        tau=inv.tau, iota=inv.iota,
+        witness=UniformizerChange(p, digit_precision, (best_x[0] // p, *best_x[1:])),
+        certified_exact=certified, ceiling=m + 1, candidates=count,
     )

@@ -36,11 +36,13 @@ from itertools import product
 from . import breuil
 from .bounds import compute_s
 from .eisenstein import EisensteinPolynomial, tau_v_search
-from .series import Precision, TruncatedSeries, frobenius, int_valuation
-
-
-class BudgetExceededError(RuntimeError):
-    """The candidate space exceeds the configured evaluation budget."""
+from .series import (
+    BudgetExceededError,
+    Precision,
+    TruncatedSeries,
+    frobenius,
+    int_valuation,
+)
 
 
 class OracleViolationError(AssertionError):

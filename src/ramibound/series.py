@@ -26,6 +26,10 @@ class PrecisionError(ValueError):
     """The working precision is too small to decide the question asked."""
 
 
+class BudgetExceededError(RuntimeError):
+    """The candidate space exceeds the configured evaluation budget."""
+
+
 def is_prime(p: int) -> bool:
     """Deterministic primality test by trial division (desk-scale inputs)."""
     if p < 2:

@@ -62,6 +62,15 @@ def suite_prop2(p: int, n: int, poly=None, e: int | None = None,
     return _finish("prop2", config, assertions, started)
 
 
+def _staircase_family(suite: str, p: int, n: int, poly=None, e: int | None = None):
+    """The family of a Weierstrass staircase suite, which needs p | e: with
+    p not dividing e it would check nothing, so that is refused up front."""
+    degree = len(poly) if poly is not None else e
+    if degree is not None and degree % p:
+        raise ValueError(f"{suite} needs p | e, got p = {p}, e = {degree} (p ∤ e)")
+    return _family(p, n, poly, e)
+
+
 def _eligible_witnesses(eis, n, budget):
     """Prop2 witnesses satisfying the Weierstrass staircase hypotheses."""
     res = oracle.prop2_max_t(oracle.default_config(eis, n, budget=budget),
@@ -82,7 +91,7 @@ def suite_lemma4(p: int, n: int, poly=None, e: int | None = None,
     """Degree and valuation staircase of eligible witnesses (p | e only)."""
     started = time.perf_counter()
     assertions: dict = {}
-    polys = [E for E in _family(p, n, poly, e) if E.e % p == 0]
+    polys = _staircase_family("lemma4", p, n, poly, e)
     eligible_total = 0
     for eis in polys:
         res, eligible = _eligible_witnesses(eis, n, budget)
@@ -102,7 +111,7 @@ def suite_cor5(p: int, n: int, poly=None, e: int | None = None,
     """Low-degree Weierstrass multipliers against staircase witnesses."""
     started = time.perf_counter()
     assertions: dict = {}
-    polys = [E for E in _family(p, n, poly, e) if E.e % p == 0]
+    polys = _staircase_family("cor5", p, n, poly, e)
     scanned = 0
     for eis in polys:
         res, eligible = _eligible_witnesses(eis, n, budget)

@@ -1,10 +1,11 @@
 """The command-line surface: text formats, exit codes, JSON schema."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from ramibound import cli, suites
+from ramibound import cli, eisenstein, suites
 from ramibound.breuil import build_bt_module, module_to_json
 from ramibound.cli import (
     EXIT_ASSERTION,
@@ -131,6 +132,17 @@ def test_cmd_bound_infinite_tau_needs_search(capsys):
     assert code == EXIT_USAGE and "search-prec" in err
 
 
+def test_cmd_bound_search_over_the_cap(capsys, monkeypatch):
+    # 2^23 changes of u^8 - 2 at digit precision 3: refused before any charpoly
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(eisenstein, "_charpoly_residues", no_enumeration)
+    code, out, err = run(capsys, "bound", "--p", "2", "--poly", "u^8-2", "--search-prec", "3")
+    assert code == EXIT_BUDGET and out == ""
+    assert err.startswith("budget exceeded:") and "8388608 candidates" in err
+
+
 # -- verify ----------------------------------------------------------------------------
 
 def test_cmd_verify_example3(capsys):
@@ -195,6 +207,19 @@ def test_cmd_verify_rejects_bad_sizes_cleanly(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--suite", "lemma4", "--p", "3", "--e", "4", "--n", "2"],
+    ["--suite", "cor5", "--p", "3", "--e", "4", "--n", "2"],
+    ["--suite", "lemma4", "--p", "3", "--poly", "u^2+3", "--n", "1"],
+    ["--suite", "cor5", "--p", "2", "--poly", "u^3+2", "--n", "1"],
+])
+def test_cmd_verify_staircase_suites_need_p_dividing_e(capsys, argv):
+    # with p not dividing e these suites would check nothing at all
+    code, out, err = run(capsys, "verify", *argv, "--json")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "p ∤ e" in err
+
+
 @pytest.mark.parametrize("p,n", [(5, 1), (7, 2)])
 def test_cmd_verify_lemma1_odd_primes(capsys, p, n):
     code, payload, _ = run_json(capsys, "verify", "--suite", "lemma1",
@@ -255,12 +280,24 @@ def _null_phi_entry(data):
     return data
 
 
+def _float_phi_entry(data):
+    data["phi"][0][0][0] += 0.5
+    return data
+
+
 @pytest.mark.parametrize("malform", [
     lambda data: {},
     lambda data: [1],
     _without_change_of_basis,
     _null_phi_entry,
-], ids=["empty-object", "list", "no-change-of-basis", "null-phi-entry"])
+    lambda data: {**data, "T": 12.9},  # int() would truncate it to T = 12
+    lambda data: {**data, "h": 2.0},
+    lambda data: {**data, "n": True},
+    lambda data: {**data, "p": "2.0"},
+    lambda data: {**data, "eisenstein": ["2", " 2"]},
+    _float_phi_entry,
+], ids=["empty-object", "list", "no-change-of-basis", "null-phi-entry", "float-T",
+        "float-h", "bool-n", "text-p", "padded-text", "float-phi-entry"])
 def test_cmd_heights_malformed_module_file(capsys, tmp_path, malform):
     M = build_bt_module(Precision(2, 1, 12), EisensteinPolynomial(2, (2, 2)),
                         d=1, h=2, seed=3)
@@ -269,6 +306,17 @@ def test_cmd_heights_malformed_module_file(capsys, tmp_path, malform):
     code, _, err = run(capsys, "heights", "--module-file", str(path))
     assert code == EXIT_USAGE
     assert err.startswith("error: malformed module file") and "Traceback" not in err
+
+
+def test_cmd_heights_float_field_in_golden_module_file(capsys, tmp_path):
+    # the golden extension module with "T": 40.9 once loaded as T = 40 and exited 0
+    source = Path(__file__).parent / "golden" / "modules" / "extension_n1.json"
+    data = json.loads(source.read_text(encoding="utf-8"))
+    path = tmp_path / "extension_n1.json"
+    path.write_text(json.dumps({**data, "T": 40.9}))
+    code, out, err = run(capsys, "heights", "--module-file", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: malformed module file: 40.9 is not an integer\n"
 
 
 def test_cmd_heights_needs_something(capsys):

@@ -1,6 +1,7 @@
 """Eisenstein invariants, the mod-p^N characteristic polynomial route, and
 the exhaustive minimization of tau over digit-truncated uniformizer changes."""
 
+import itertools
 import math
 import random
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramibound import eisenstein, oracle
 from ramibound.eisenstein import (
     INF,
+    TAU_SEARCH_CAP,
     EisensteinPolynomial,
     EisensteinValidationError,
     UniformizerChange,
@@ -17,6 +20,7 @@ from ramibound.eisenstein import (
     substitute,
     tau_v_search,
 )
+from ramibound.series import BudgetExceededError
 
 
 # -- independent oracles -----------------------------------------------------------
@@ -156,11 +160,15 @@ def test_tau_ignores_p_power_part():
 # -- characteristic polynomial route ----------------------------------------------------
 
 def test_berkowitz_against_cofactor_expansion():
+    # arbitrary matrices, not only multiplication matrices; a third of them
+    # sparse, so that zero coefficients reach the Toeplitz step
     rng = random.Random(11)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        q = rng.choice([4, 8, 9, 27, 16, 125])
-        A = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+    for k in range(200):
+        n = rng.randint(1, 5)
+        q = rng.choice([2, 4, 8, 9, 27, 16, 125, 7**3])
+        density = 0.3 if k % 3 == 0 else 1.0
+        A = [[rng.randrange(q) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(n)]
         expected = [c % q for c in charpoly_by_cofactors(A)]
         assert berkowitz_charpoly(A, q) == expected
 
@@ -307,3 +315,87 @@ def test_substitute_degree_one():
     assert out.coeffs == ((-6) % 27,)
     with pytest.raises(ValueError, match="unit"):
         UniformizerChange(3, 2, (3,))
+
+
+def reference_tau_search(eis, dp, lower_bound=None):
+    """The per-candidate route: substitute, validate and read the invariants
+    of every digit vector with c_1 a unit, in lexicographic order."""
+    p, e, m = eis.p, eis.e, eis.m
+    best, visited = None, 0
+    for cs in itertools.product(range(p**dp), repeat=e):
+        if cs[1] % p == 0:
+            continue
+        visited += 1
+        inv = substitute(eis, UniformizerChange(p, dp, cs), m + 3).invariants()
+        if inv.tau_is_lower_bound:
+            continue
+        if best is None or (inv.tau, inv.iota) < best[0]:
+            best = ((inv.tau, inv.iota), cs)
+    (tau, iota), cs = best
+    return eisenstein.TauSearchResult(
+        tau=tau, iota=iota, witness=UniformizerChange(p, dp, cs),
+        certified_exact=tau == 1 or tau == lower_bound, ceiling=m + 1, candidates=visited,
+    )
+
+
+# (p, e, digit precision) with p | e; each shape enumerates at most 2500 changes
+TAU_SHAPES = [(2, 2, 1), (2, 2, 2), (2, 4, 1), (2, 4, 2), (2, 6, 1), (3, 3, 1),
+              (3, 3, 2), (3, 6, 1), (5, 5, 1)]
+
+
+def test_tau_search_agrees_with_per_candidate_route():
+    rng = random.Random(31)
+    cases = [(EisensteinPolynomial(2, (-2, 0, 0, 0)), 2),  # E1 = 0: u^4 - 2
+             (EisensteinPolynomial(3, (3, 0, 0)), 1)]
+    for _ in range(50):
+        p, e, dp = rng.choice(TAU_SHAPES)
+        cases.append((random_eisenstein(rng, p, e, spread=9), dp))
+    for p, e in [(2, 3), (3, 4), (5, 2), (2, 5), (3, 2), (5, 6)]:  # m = 0
+        cases.append((random_eisenstein(rng, p, e), rng.choice([1, 2])))
+    for eis, dp in cases:
+        lower = rng.choice([None, 1, 2, 3])
+        found = tau_v_search(eis, dp, lower_bound=lower)
+        if eis.m == 0:
+            assert (found.tau, found.iota, found.candidates) == (1, 0, 0)
+            assert found.certified_exact and found.ceiling == 1
+            continue
+        assert found == reference_tau_search(eis, dp, lower)
+
+
+@pytest.mark.parametrize("bad", [
+    lambda res: [res[0] * 2] + res[1:],  # ord_2(a_0) = 2
+    lambda res: [res[0], 1] + res[2:],  # a_1 is a unit
+    lambda res: [0] + res[1:],  # a_0 = 0
+])
+def test_tau_search_checks_each_charpoly_inline(monkeypatch, bad):
+    # a charpoly that is not Eisenstein raises what the constructor raises
+    kernel = eisenstein._charpoly_residues
+    calls = []
+
+    def faulty(coeffs, x, q):
+        res = kernel(coeffs, x, q)
+        calls.append(res)
+        return [c % q for c in bad(res)] if len(calls) == 3 else res
+
+    monkeypatch.setattr(eisenstein, "_charpoly_residues", faulty)
+    with pytest.raises(EisensteinValidationError) as err:
+        tau_v_search(EisensteinPolynomial(2, (2, 2, 0, 2)), 1)
+    assert len(calls) == 3
+    with pytest.raises(EisensteinValidationError) as expected:
+        EisensteinPolynomial(2, tuple(c % 32 for c in bad(calls[2])), precision=5)
+    assert err.value.violations == expected.value.violations
+
+
+def test_tau_search_refuses_spaces_over_the_cap(monkeypatch):
+    # refused from the closed-form count, before the first charpoly
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(eisenstein, "_charpoly_residues", no_enumeration)
+    u8m2 = EisensteinPolynomial(2, (-2,) + (0,) * 7)
+    with pytest.raises(BudgetExceededError, match=f"8388608 candidates.*cap of {TAU_SEARCH_CAP}"):
+        tau_v_search(u8m2, 3)
+    with pytest.raises(oracle.BudgetExceededError, match=r"1\*2\^7999999999 candidates"):
+        tau_v_search(u8m2, 10**9)
+    with pytest.raises(BudgetExceededError, match="7812500 candidates"):  # 4 * 5^(2*5-1)
+        tau_v_search(EisensteinPolynomial(5, (5, 0, 0, 0, 0)), 2)

@@ -32,6 +32,7 @@ CASES = {
     "bound_explicit": ["bound", "--p", "5", "--e", "3", "--tau", "1", "--iota", "0"],
     "bound_search": ["bound", "--p", "2", "--poly", "u^2-2", "--search-prec", "2"],
     "bound_search_u4m2": ["bound", "--p", "2", "--poly", "u^4-2", "--search-prec", "2"],
+    "bound_search_u3p3": ["bound", "--p", "3", "--poly", "u^3+3", "--search-prec", "2"],
     "bound_modified": ["bound", "--p", "3", "--e", "4", "--tau", "1", "--iota", "0",
                        "--variant", "modified"],
     "prop2_u4m2_n3": ["verify", "--suite", "prop2", "--p", "2", "--poly", "u^4-2",
