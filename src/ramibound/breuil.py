@@ -505,30 +505,40 @@ def _file_int(x) -> int:
     return int(x)
 
 
+def _file_list(x) -> list:
+    """A list field of a module file.  Text is malformed rather than read
+    character by character."""
+    if not isinstance(x, list):
+        raise ValueError(f"malformed module file: {x!r} is not a list")
+    return x
+
+
+def _file_matrix(prec: Precision, rows) -> tuple:
+    """A matrix of series: a list of rows, each a list of coefficient lists."""
+    return tuple(
+        tuple(TruncatedSeries.from_coeffs(prec, [_file_int(c) for c in _file_list(entry)])
+              for entry in _file_list(row))
+        for row in _file_list(rows)
+    )
+
+
 def module_from_json(data: dict) -> BreuilModule:
     """Inverse of module_to_json; accepts integers serialized as strings.
 
-    A missing key, an entry of the wrong shape or a number that is not an
-    integer raises ValueError."""
+    A missing key, an entry of the wrong shape, a row or entry that is not
+    a list, or a number that is not an integer raises ValueError."""
     try:
         prec = Precision(_file_int(data["p"]), _file_int(data["n"]), _file_int(data["T"]))
         h = _file_int(data["h"])
-        eis = EisensteinPolynomial(prec.p, tuple(_file_int(c) for c in data["eisenstein"]))
-        phi = tuple(
-            tuple(TruncatedSeries.from_coeffs(prec, [_file_int(c) for c in entry])
-                  for entry in row)
-            for row in data["phi"]
-        )
+        eis = EisensteinPolynomial(
+            prec.p, tuple(_file_int(c) for c in _file_list(data["eisenstein"])))
+        phi = _file_matrix(prec, data["phi"])
         nd = None
         if data.get("normal_decomp") is not None:
             raw = data["normal_decomp"]
             nd = NormalDecomposition(
                 d=_file_int(raw["d"]),
-                change_of_basis=tuple(
-                    tuple(TruncatedSeries.from_coeffs(prec, [_file_int(c) for c in entry])
-                          for entry in row)
-                    for row in raw["change_of_basis"]
-                ),
+                change_of_basis=_file_matrix(prec, raw["change_of_basis"]),
             )
     except (KeyError, TypeError, IndexError) as err:
         raise ValueError(f"malformed module file: {err!r}") from None

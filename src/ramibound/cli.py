@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 failed assertion, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -297,6 +298,7 @@ def cmd_heights(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process; each parse_args returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramibound",

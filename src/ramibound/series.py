@@ -10,12 +10,24 @@ with trivial Frobenius).
 Every value carries its precision (p, n, T) and binary operations
 refuse to mix precisions: Frobenius multiplies u-degrees by p, so a
 silently coerced truncation level is the dominant bug class here.
+
+A product costs what its operands need.  With nnz(x) = T - (zeros of x),
+a pair with nnz(a) * nnz(b) <= _SPARSE_K * T is multiplied over its nonzero
+(index, coefficient) pairs only.  Any denser pair is Kronecker-packed
+(Harvey, J. Symbolic Comput. 2009): each operand becomes one integer whose
+w-byte slots hold its coefficients, w = ceil(bit_length(T * (q-1)^2) / 8),
+the two integers are multiplied once, and the low T slots are read back and
+reduced mod q.  Slot k of the product is the convolution sum over i + j = k
+of at most T terms, each at most (q-1)^2, so it is below 2^(8w): no slot
+carries into the next, and every slot read back is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
+from operator import mul
 
 
 class PrecisionMismatchError(ValueError):
@@ -30,19 +42,39 @@ class BudgetExceededError(RuntimeError):
     """The candidate space exceeds the configured evaluation budget."""
 
 
+# Miller-Rabin on the first 13 prime bases is exact below _PRIME_LIMIT
+# (Sorenson & Webster, Math. Comp. 2017); larger p are refused.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic primality test by trial division (desk-scale inputs)."""
+    """Deterministic primality test: Miller-Rabin on fixed bases.
+
+    Raises ValueError for p >= 3317044064679887385961981, where those bases
+    no longer certify the answer."""
+    if p >= _PRIME_LIMIT:
+        raise ValueError(f"p = {p} is too large: primality is certified only "
+                         f"below {_PRIME_LIMIT}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -98,7 +130,7 @@ class Precision:
         return self.p**self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruncatedSeries:
     """An element of (Z/p^n)[u]/(u^T) with canonical residue coefficients."""
 
@@ -106,12 +138,11 @@ class TruncatedSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.prec.T:
-            raise ValueError(
-                f"expected {self.prec.T} coefficients, got {len(self.coeffs)}"
-            )
+        cs = self.coeffs
+        if len(cs) != self.prec.T:
+            raise ValueError(f"expected {self.prec.T} coefficients, got {len(cs)}")
         q = self.prec.modulus
-        if any(not (0 <= c < q) for c in self.coeffs):
+        if min(cs) < 0 or max(cs) >= q:
             raise ValueError(f"coefficients must be canonical residues in [0, {q})")
 
     # -- constructors --------------------------------------------------
@@ -174,15 +205,13 @@ class TruncatedSeries:
         self._require_same_prec(other)
         T = self.prec.T
         q = self.prec.modulus
-        out = [0] * T
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(T - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % q
-        return TruncatedSeries(self.prec, tuple(out))
+        a, b = self.coeffs, other.coeffs
+        za, zb = a.count(0), b.count(0)
+        if (T - za) * (T - zb) <= _SPARSE_K * T:
+            out = _mul_sparse(a, b, T) if za <= zb else _mul_sparse(b, a, T)
+        else:
+            out = _mul_packed(a, b, T, q)
+        return TruncatedSeries(self.prec, tuple([c % q for c in out]))
 
     def scale(self, c: int) -> "TruncatedSeries":
         """Multiply by an integer scalar."""
@@ -248,6 +277,37 @@ class TruncatedSeries:
         return poly_text(self.coeffs)
 
 
+# Products with nnz(a) * nnz(b) <= _SPARSE_K * T take the sparse route.
+# Timed on the same inputs at T = 11, 40 and 200, the sparse route is still
+# as fast at a ratio of 8 and loses from about 10 on (CHANGES.md).
+_SPARSE_K = 8
+
+
+def _mul_sparse(a, b, T):
+    """Unreduced truncated convolution over the nonzero pairs of a and b.
+
+    Only b, the operand with more zeros, is listed as (index, coefficient)
+    pairs; a is scanned in place."""
+    out = [0] * T
+    bs = list(compress(enumerate(b), b))
+    for i, x in compress(enumerate(a), a):
+        for j, y in bs:
+            if i + j >= T:
+                break
+            out[i + j] += x * y
+    return out
+
+
+def _mul_packed(a, b, T, q):
+    """Unreduced truncated convolution by Kronecker packing into w-byte slots."""
+    w = ((T * (q - 1) ** 2).bit_length() + 7) // 8
+    order = repeat("little")
+    x = int.from_bytes(b"".join(map(int.to_bytes, a, repeat(w), order)), "little")
+    y = int.from_bytes(b"".join(map(int.to_bytes, b, repeat(w), order)), "little")
+    raw = (x * y).to_bytes(2 * T * w, "little")
+    return [int.from_bytes(raw[k:k + w], "little") for k in range(0, T * w, w)]
+
+
 def frobenius(a: TruncatedSeries) -> TruncatedSeries:
     """Frobenius twist: sum a_i u^i  ->  sum a_i u^(p*i), truncated at the input T.
 
@@ -270,11 +330,9 @@ def invert_unit(a: TruncatedSeries) -> TruncatedSeries:
     inv0 = pow(c0, -1, q)
     out = [0] * a.prec.T
     out[0] = inv0
+    cs = a.coeffs
     for k in range(1, a.prec.T):
-        acc = 0
-        for j in range(k):
-            acc += a.coeffs[k - j] * out[j]
-        out[k] = (-inv0 * acc) % q
+        out[k] = (-inv0 * sum(map(mul, cs[k:0:-1], out))) % q
     return TruncatedSeries(a.prec, tuple(out))
 
 

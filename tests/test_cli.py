@@ -32,6 +32,33 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def test_parser_reused_across_calls(capsys):
+    # one process, one parser: a usage error and then a mix of subcommands
+    # print exactly what a freshly built parser prints for each call
+    calls = [
+        ("invariants", "--p", "2"),
+        ("invariants", "--p", "3", "--poly", "u^3+3", "--json"),
+        ("bound", "--p", "2", "--e", "4", "--tau", "3", "--iota", "1"),
+        ("invariants", "--p", "2", "--poly", "u^2+2u+2"),
+    ]
+
+    def outcome(argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _, _ in fresh] == ["SystemExit(2)", EXIT_OK, EXIT_OK, EXIT_OK]
+    assert [outcome(argv) for argv in calls] == fresh
+    assert cli.build_parser() is cli.build_parser()
+
+
 # -- the polynomial grammar ------------------------------------------------------
 
 def test_parse_polynomial():
@@ -285,6 +312,12 @@ def _float_phi_entry(data):
     return data
 
 
+def _text_phi_entry(data):
+    # "0100..." was once read character by character as the entry [0, 1, 0, 0, ...]
+    data["phi"][0][0] = "".join(map(str, data["phi"][0][0]))
+    return data
+
+
 @pytest.mark.parametrize("malform", [
     lambda data: {},
     lambda data: [1],
@@ -296,8 +329,11 @@ def _float_phi_entry(data):
     lambda data: {**data, "p": "2.0"},
     lambda data: {**data, "eisenstein": ["2", " 2"]},
     _float_phi_entry,
+    _text_phi_entry,
+    lambda data: {**data, "eisenstein": "22"},
 ], ids=["empty-object", "list", "no-change-of-basis", "null-phi-entry", "float-T",
-        "float-h", "bool-n", "text-p", "padded-text", "float-phi-entry"])
+        "float-h", "bool-n", "text-p", "padded-text", "float-phi-entry", "text-phi-entry",
+        "text-eisenstein"])
 def test_cmd_heights_malformed_module_file(capsys, tmp_path, malform):
     M = build_bt_module(Precision(2, 1, 12), EisensteinPolynomial(2, (2, 2)),
                         d=1, h=2, seed=3)
@@ -317,6 +353,16 @@ def test_cmd_heights_float_field_in_golden_module_file(capsys, tmp_path):
     code, out, err = run(capsys, "heights", "--module-file", str(path))
     assert code == EXIT_USAGE and out == ""
     assert err == "error: malformed module file: 40.9 is not an integer\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--poly", "u^2+2u+2"),
+    ("bound", "--e", "2", "--tau", "1", "--iota", "1"),
+])
+def test_cmd_refuses_prime_beyond_certified_range(capsys, argv):
+    code, out, err = run(capsys, *argv, "--p", "3317044064679887385961981")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: p = 3317044064679887385961981 is too large")
 
 
 def test_cmd_heights_needs_something(capsys):

@@ -1,9 +1,12 @@
 """Truncated-ring arithmetic: frozen examples plus algebraic properties."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramibound import series
 from ramibound.series import (
     Precision,
     PrecisionError,
@@ -65,6 +68,29 @@ def test_is_prime():
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
 
 
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if trial(n)]
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers; 3215031751 is a strong pseudoprime to bases 2, 3, 5, 7
+    for n in (561, 41041, 3215031751):
+        assert not is_prime(n)
+    # the least strong pseudoprime to every prime base up to 37: base 41 decides it
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(99999999999973) and is_prime(2**61 - 1)
+
+
+def test_is_prime_refuses_beyond_certified_range():
+    limit = 3317044064679887385961981
+    for n in (limit, 2**89 - 1):
+        with pytest.raises(ValueError, match="certified only below"):
+            is_prime(n)
+
+
 def test_int_valuation():
     assert int_valuation(12, 2) == 2
     assert int_valuation(-8, 2) == 3
@@ -120,6 +146,61 @@ def test_mul_one_and_zero(a):
 def test_mul_matches_brute_force(pair):
     a, b = pair
     assert a * b == brute_mul(a.prec, a, b)
+
+
+def _operand(rng, prec, nnz):
+    cs = [0] * prec.T
+    for i in rng.sample(range(prec.T), nnz):
+        cs[i] = rng.randrange(1, prec.modulus)
+    return TruncatedSeries(prec, tuple(cs))
+
+
+@pytest.mark.parametrize("p, n", [(2, 8), (3, 3), (7, 4), (10007, 2)])
+@pytest.mark.parametrize("T", [40, 200])
+def test_mul_routes_match_brute_force_at_real_sizes(monkeypatch, p, n, T):
+    # both product routes, and the density switch between them, against the
+    # schoolbook oracle at the sizes the Breuil-module checks use
+    routes = {"sparse": 0, "packed": 0}
+    for name in routes:
+        kernel = getattr(series, f"_mul_{name}")
+
+        def counted(*args, kernel=kernel, name=name):
+            routes[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(series, f"_mul_{name}", counted)
+    prec = Precision(p, n, T)
+    rng = random.Random(f"mul-{p}-{n}-{T}")
+    K = series._SPARSE_K
+    shapes = [(T, T), (T, 3), (1, T), (T, K), (T - 1, K), (T, K + 1), (T // 2, 2 * K)]
+    expected = {"sparse": 0, "packed": 0}
+    for na, nb in shapes:
+        expected["sparse" if na * nb <= K * T else "packed"] += 1
+        a, b = _operand(rng, prec, na), _operand(rng, prec, nb)
+        assert a * b == brute_mul(prec, a, b)
+    # (T, K) and (T // 2, 2K) sit exactly on the switch, (T, K + 1) just past it
+    assert routes == expected and expected["packed"] == 2
+    # all-maximal coefficients fill every packed slot as far as it can go
+    top = TruncatedSeries(prec, (prec.modulus - 1,) * T)
+    assert top * top == brute_mul(prec, top, top)
+
+
+def test_invert_and_prepare_at_real_size():
+    prec = Precision(2, 8, 200)
+    rng = random.Random("invert-prepare-2-8-200")
+    for _ in range(3):
+        cs = [rng.randrange(prec.modulus) for _ in range(prec.T)]
+        cs[0] |= 1
+        a = TruncatedSeries(prec, tuple(cs))
+        assert a * invert_unit(a) == TruncatedSeries.one(prec)
+        cs[0] = 4 * rng.randrange(64)
+        cs[1] = 4 * rng.randrange(64)
+        cs[2] |= 1
+        b = TruncatedSeries(prec, tuple(cs))
+        w = weierstrass_prep(b)
+        _check_weierstrass_shape(w, prec)
+        assert w.degree == 2
+        assert (w.unit * w.wpoly).scale(prec.p**w.content) == b
 
 
 @given(series_triples())
