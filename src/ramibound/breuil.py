@@ -494,6 +494,12 @@ def module_to_json(M: BreuilModule) -> dict:
     return out
 
 
+# Largest header values a module file may carry, checked before anything is
+# allocated: n bounds the coefficient modulus p^n, and each of the at most
+# 2h^2 entries of a file is padded to T coefficients.
+MODULE_FILE_LIMITS = {"n": 64, "T": 1024, "h": 16}
+
+
 def _file_int(x) -> int:
     """An integer field of a module file: a JSON integer or a string of
     decimal digits.  Floats, booleans and other text are malformed rather
@@ -513,12 +519,21 @@ def _file_list(x) -> list:
     return x
 
 
-def _file_matrix(prec: Precision, rows) -> tuple:
-    """A matrix of series: a list of rows, each a list of coefficient lists."""
+def _file_matrix(prec: Precision, h: int, name: str, rows) -> tuple:
+    """An h x h matrix of series: a list of h rows, each a list of h
+    coefficient lists of at most T entries.  The shape and the entry
+    lengths are checked before any entry is padded to T."""
+    entries = [[_file_list(entry) for entry in _file_list(row)] for row in _file_list(rows)]
+    if len(entries) != h or any(len(row) != h for row in entries):
+        raise ValueError(f"malformed module file: {name} is not {h}x{h}")
+    for row in entries:
+        for entry in row:
+            if len(entry) > prec.T:
+                raise ValueError(f"malformed module file: a {name} entry has "
+                                 f"{len(entry)} coefficients, more than T = {prec.T}")
     return tuple(
-        tuple(TruncatedSeries.from_coeffs(prec, [_file_int(c) for c in _file_list(entry)])
-              for entry in _file_list(row))
-        for row in _file_list(rows)
+        tuple(TruncatedSeries.from_coeffs(prec, [_file_int(c) for c in entry]) for entry in row)
+        for row in entries
     )
 
 
@@ -526,19 +541,26 @@ def module_from_json(data: dict) -> BreuilModule:
     """Inverse of module_to_json; accepts integers serialized as strings.
 
     A missing key, an entry of the wrong shape, a row or entry that is not
-    a list, or a number that is not an integer raises ValueError."""
+    a list, a number that is not an integer, an entry longer than T, or a
+    header n, T or h above its MODULE_FILE_LIMITS cap raises ValueError.
+    The caps are checked before anything is allocated."""
     try:
-        prec = Precision(_file_int(data["p"]), _file_int(data["n"]), _file_int(data["T"]))
-        h = _file_int(data["h"])
+        p, n, T, h = (_file_int(data[key]) for key in ("p", "n", "T", "h"))
+        for key, value in (("n", n), ("T", T), ("h", h)):
+            if value > MODULE_FILE_LIMITS[key]:
+                raise ValueError(f"malformed module file: {key} = {value} exceeds "
+                                 f"the limit of {MODULE_FILE_LIMITS[key]}")
+        prec = Precision(p, n, T)
         eis = EisensteinPolynomial(
             prec.p, tuple(_file_int(c) for c in _file_list(data["eisenstein"])))
-        phi = _file_matrix(prec, data["phi"])
+        phi = _file_matrix(prec, h, "phi", data["phi"])
         nd = None
         if data.get("normal_decomp") is not None:
             raw = data["normal_decomp"]
             nd = NormalDecomposition(
                 d=_file_int(raw["d"]),
-                change_of_basis=_file_matrix(prec, raw["change_of_basis"]),
+                change_of_basis=_file_matrix(prec, h, "change_of_basis",
+                                             raw["change_of_basis"]),
             )
     except (KeyError, TypeError, IndexError) as err:
         raise ValueError(f"malformed module file: {err!r}") from None

@@ -9,9 +9,10 @@
 
 Polynomial text is a sum of terms `c*u^k` (the `*` may be omitted, `u`
 alone means `u^1`, a bare integer is the constant term) joined by `+` or
-`-`.  JSON output carries a versioned `schema` field and renders every
-integer as a decimal string so consumers never overflow; infinite values
-print as "inf".
+`-`.  An Eisenstein polynomial has degree at most MAX_POLY_DEGREE, checked
+before its coefficients are allocated.  JSON output carries a versioned
+`schema` field and renders every integer as a decimal string so consumers
+never overflow; infinite values print as "inf".
 
 Exit codes: 0 success, 1 failed assertion, 2 usage or parse error,
 3 candidate budget exceeded.
@@ -44,6 +45,10 @@ from .series import poly_text
 
 SCHEMA = 1
 EXIT_OK, EXIT_ASSERTION, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
+
+# Largest Eisenstein degree accepted from --poly, checked before the
+# coefficient tuple is allocated; every pinned run uses degree 8 or less.
+MAX_POLY_DEGREE = 256
 
 
 class PolyParseError(ValueError):
@@ -109,6 +114,8 @@ def eisenstein_from_text(p: int, text: str) -> EisensteinPolynomial:
     e = max(parsed)
     if e < 1:
         raise PolyParseError("a constant is not a valid Eisenstein polynomial", 0, text)
+    if e > MAX_POLY_DEGREE:
+        raise PolyParseError(f"degree {e} exceeds the limit of {MAX_POLY_DEGREE}", 0, text)
     if parsed.get(e) != 1:
         raise PolyParseError(f"leading coefficient of u^{e} must be 1", 0, text)
     coeffs = tuple(parsed.get(i, 0) for i in range(e))

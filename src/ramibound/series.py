@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
-from operator import mul
+from operator import mul, sub
 
 
 class PrecisionMismatchError(ValueError):
@@ -350,46 +350,58 @@ class WeierstrassFactorization:
 def weierstrass_prep(a: TruncatedSeries) -> WeierstrassFactorization:
     """Factor a as p^c * U * W with W a Weierstrass polynomial and U a unit.
 
-    The correction terms are lifted digit by digit up the p-adic filtration:
-    reduce mod p, read off the degree d and the unit part there, then solve
-    q*u^d + v*w = error  (mod p) once per p-digit, with deg(w) < d.  This
-    terminates after n - c - 1 corrections at fixed finite precision; Newton
-    iteration is deliberately avoided."""
+    b = a / p^c is lifted digit by digit up the p-adic filtration; Newton
+    iteration is deliberately avoided.  Mod p, d is the u-order of b, and
+    U = v = (b / u^d) mod p, W = u^d.  Each of the n - c - 1 lifting steps
+    works on raw residue lists and reads only what it uses:
+      - err = b - U*W, as one shifted row of U per nonzero coefficient of W
+        (at most d + 1 rows of T); the step's digit is err / p^(k+1) mod p;
+      - w_low, the d low coefficients of v^-1 * digit, by a d x d triangular
+        convolution with v^-1 mod (p, u^d), which invert_unit computes once
+        at Precision(p, 1, d);
+      - u_digit = (digit - v*w_low) / u^d, as d shifted rows of v;
+    and W, U gain p^(k+1) * w_low and p^(k+1) * u_digit.  Every coefficient
+    stays below p^(n-c) <= p^n, so no reduction mod p^n is needed, and the
+    two series are built once, at the end.  The lift costs O(n*d*T), and
+    the inverse O(d^2)."""
     prec = a.prec
     if a.is_zero():
         raise ValueError("cannot prepare the zero series")
     c = a.content_p()
-    sub_n = prec.n - c
-
-    # b = a / p^c, canonical lift to the full working precision
-    pc = prec.p**c
-    b = TruncatedSeries(prec, tuple(x // pc for x in a.coeffs))
-
-    b_modp = [x % prec.p for x in b.coeffs]
-    d = next((i for i, x in enumerate(b_modp) if x), None)
+    p, T = prec.p, prec.T
+    pc = p**c
+    b = [x // pc for x in a.coeffs]
+    d = next((i for i, x in enumerate(b) if x % p), None)
     if d is None:
         raise PrecisionError("content-stripped reduction mod p vanishes below u^T")
 
-    # v = (b / u^d) mod p and its inverse over F_p[u]/(u^T)
-    p1 = Precision(prec.p, 1, prec.T)
-    v = TruncatedSeries.from_coeffs(p1, b_modp[d:])
-    v_inv = invert_unit(v)
+    v = [x % p for x in b[d:]]  # (b / u^d) mod p, less its top d coefficients (zero)
+    v_inv = invert_unit(TruncatedSeries.from_coeffs(Precision(p, 1, d), v)).coeffs if d else ()
+    unit = v + [0] * d
+    w = [0] * d + [1]
 
-    w = TruncatedSeries.monomial(prec, d)
-    unit = TruncatedSeries.from_coeffs(prec, v.coeffs)
-
-    for k in range(sub_n - 1):
-        err = b - unit * w
-        pk = prec.p ** (k + 1)
-        if any(x % pk for x in err.coeffs):
+    for k in range(prec.n - c - 1):
+        pk = p ** (k + 1)
+        err = b[:d] + list(map(sub, b[d:], unit))  # the row of the leading u^d
+        for j in range(d):
+            if w[j]:
+                err[j:] = map(sub, err[j:], map(w[j].__mul__, unit))
+        if any(map(pk.__rmod__, err)):
             raise AssertionError("digit lifting lost a p-digit")  # unreachable
-        digit = TruncatedSeries.from_coeffs(p1, [x // pk for x in err.coeffs])
-        if digit.is_zero():
+        digit = [x // pk % p for x in err]
+        if not any(digit):
             continue
-        # solve u_digit*u^d + v*w_low = digit over F_p[u]/(u^T), deg(w_low) < d
-        w_low = TruncatedSeries.from_coeffs(p1, (v_inv * digit).coeffs[:d])
-        u_digit = (digit - v * w_low).shift_down(d)
-        w = w + TruncatedSeries.from_coeffs(prec, w_low.coeffs).scale(pk)
-        unit = unit + TruncatedSeries.from_coeffs(prec, u_digit.coeffs).scale(pk)
+        # solve u_digit*u^d + v*w_low = digit mod p, deg(w_low) < d
+        w_low = [sum(map(mul, v_inv[i::-1], digit)) % p for i in range(d)]
+        r = digit  # becomes digit - v*w_low in place
+        for j, x in enumerate(w_low):
+            if x:
+                r[j:j + T - d] = map(sub, r[j:j + T - d], map(x.__mul__, v))
+        if any(x % p for x in r[:d]):
+            raise ValueError(f"series is not divisible by u^{d}")
+        unit[: T - d] = [u + x % p * pk for u, x in zip(unit, r[d:])]
+        w[:d] = [y + x * pk for y, x in zip(w, w_low)]
 
-    return WeierstrassFactorization(content=c, degree=d, wpoly=w, unit=unit)
+    wpoly = TruncatedSeries(prec, tuple(w) + (0,) * (T - d - 1))
+    return WeierstrassFactorization(content=c, degree=d, wpoly=wpoly,
+                                    unit=TruncatedSeries(prec, tuple(unit)))

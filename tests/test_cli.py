@@ -1,9 +1,13 @@
 """The command-line surface: text formats, exit codes, JSON schema."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramibound import cli, eisenstein, suites
 from ramibound.breuil import build_bt_module, module_to_json
@@ -12,6 +16,7 @@ from ramibound.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_POLY_DEGREE,
     PolyParseError,
     eisenstein_from_text,
     parse_polynomial,
@@ -94,6 +99,79 @@ def test_eisenstein_from_text_errors():
         eisenstein_from_text(2, "2*u^2+2")
     with pytest.raises(PolyParseError, match="constant"):
         eisenstein_from_text(2, "6")
+
+
+@st.composite
+def coefficient_lists(draw):
+    """Sparse coefficients up to the degree cap; the leading one positive,
+    since the grammar has no sign before the first term."""
+    terms = draw(st.dictionaries(st.integers(0, MAX_POLY_DEGREE),
+                                 st.integers(-10**6, 10**6), max_size=5))
+    coeffs = [0] * (max(terms, default=0) + 1)
+    for k, c in terms.items():
+        coeffs[k] = c
+    top = max((k for k, c in terms.items() if c), default=None)
+    if top is not None:
+        coeffs[top] = abs(coeffs[top])
+    return coeffs
+
+
+@settings(max_examples=200)
+@given(coefficient_lists())
+def test_parse_polynomial_reads_poly_text_back(coeffs):
+    nonzero = {k: c for k, c in enumerate(coeffs) if c}
+    assert parse_polynomial(poly_text(coeffs)) == (nonzero or {0: 0})
+
+
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses a --poly value like "-u"
+            code = exc.code
+    return code, err.getvalue()
+
+
+_POLY_CHARS = st.one_of(st.sampled_from(list("u^+-*0123456789 ")), st.characters())
+_POLY_PIECES = st.sampled_from(["u^2", "u^4", "u^257", "u", "2u", "2*u^3", "2", "4",
+                                "6", "+", "-", " ", "^", "*"])
+_POLY_TERMS = st.tuples(
+    st.sampled_from(["u", "u^2", "u^3", "u^4", "u^257"]),
+    st.lists(st.tuples(st.sampled_from("+-"),
+                       st.sampled_from(["2", "4", "6", "3", "2u", "4*u^2", "u"])), max_size=3),
+).map(lambda t: t[0] + "".join(sign + term for sign, term in t[1]))
+_POLY_TEXT = st.one_of(
+    st.text(_POLY_CHARS, max_size=40),
+    st.lists(_POLY_PIECES, max_size=10).map("".join).filter(lambda t: len(t) <= 40),
+    _POLY_TERMS,
+)
+
+
+@settings(max_examples=300)
+@given(_POLY_TEXT)
+def test_cli_on_arbitrary_poly_text_exits_0_or_2(text):
+    code, err = _exit_code(["invariants", "--p", "2", "--poly", text, "--json"])
+    assert code in (EXIT_OK, EXIT_USAGE)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--p", "2"),
+    ("bound", "--p", "2"),
+    ("verify", "--suite", "prop2", "--p", "2", "--n", "1"),
+])
+@pytest.mark.parametrize("degree", [MAX_POLY_DEGREE + 1, 10**9])
+def test_cmd_refuses_poly_degree_beyond_cap(capsys, argv, degree):
+    # rejection only: the degree is refused before its coefficient tuple exists
+    code, out, err = run(capsys, *argv, "--poly", f"u^{degree}+2")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"parse error: degree {degree} exceeds the limit of "
+                          f"{MAX_POLY_DEGREE}")
+
+
+def test_eisenstein_from_text_accepts_the_degree_cap():
+    assert eisenstein_from_text(2, f"u^{MAX_POLY_DEGREE}+2").e == MAX_POLY_DEGREE
 
 
 # -- invariants ---------------------------------------------------------------------
@@ -318,6 +396,12 @@ def _text_phi_entry(data):
     return data
 
 
+def _long_change_of_basis_entry(data):
+    # an entry longer than T once loaded truncated to its first T coefficients
+    data["normal_decomp"]["change_of_basis"][1][0] += [1]
+    return data
+
+
 @pytest.mark.parametrize("malform", [
     lambda data: {},
     lambda data: [1],
@@ -331,9 +415,15 @@ def _text_phi_entry(data):
     _float_phi_entry,
     _text_phi_entry,
     lambda data: {**data, "eisenstein": "22"},
+    _long_change_of_basis_entry,
+    lambda data: {**data, "phi": data["phi"] + data["phi"][:1]},
+    lambda data: {**data, "T": 10**9},
+    lambda data: {**data, "h": 10**9},
+    lambda data: {**data, "n": 10**9},
 ], ids=["empty-object", "list", "no-change-of-basis", "null-phi-entry", "float-T",
         "float-h", "bool-n", "text-p", "padded-text", "float-phi-entry", "text-phi-entry",
-        "text-eisenstein"])
+        "text-eisenstein", "long-change-of-basis-entry", "extra-phi-row",
+        "huge-T", "huge-h", "huge-n"])
 def test_cmd_heights_malformed_module_file(capsys, tmp_path, malform):
     M = build_bt_module(Precision(2, 1, 12), EisensteinPolynomial(2, (2, 2)),
                         d=1, h=2, seed=3)
@@ -353,6 +443,19 @@ def test_cmd_heights_float_field_in_golden_module_file(capsys, tmp_path):
     code, out, err = run(capsys, "heights", "--module-file", str(path))
     assert code == EXIT_USAGE and out == ""
     assert err == "error: malformed module file: 40.9 is not an integer\n"
+
+
+def test_cmd_heights_long_entry_in_golden_module_file(capsys, tmp_path):
+    # three extra coefficients on phi[0][0] once loaded truncated: h4 = 1, exit 0
+    source = Path(__file__).parent / "golden" / "modules" / "extension_n1.json"
+    data = json.loads(source.read_text(encoding="utf-8"))
+    data["phi"][0][0] += [1, 1, 1]
+    path = tmp_path / "extension_n1.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "heights", "--module-file", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err == ("error: malformed module file: a phi entry has 11 coefficients, "
+                   "more than T = 8\n")
 
 
 @pytest.mark.parametrize("argv", [

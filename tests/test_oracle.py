@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from ramibound import oracle
 from ramibound.eisenstein import EisensteinPolynomial
 from ramibound.oracle import (
     BudgetExceededError,
@@ -111,6 +112,32 @@ def test_lemma4_requires_p_dividing_e():
     cfg = default_config(eis, 1)
     with pytest.raises(ValueError, match="divides"):
         lemma4_check(cfg, (1,), 2)
+
+
+@pytest.mark.parametrize("p, e, n, eligible", [(2, 4, 2, 192), (2, 2, 3, 16), (3, 3, 2, 486)])
+def test_tied_cylinders_leave_the_depth_to_their_prefix(p, e, n, eligible):
+    # (a) a tail digit l of a tied cylinder has p*l >= p*len(prefix) > t*, so it
+    # cannot touch a coefficient up to u^t*; (b) hence every witness that
+    # lemma4_check accepts (p*deg C < t*) is a cylinder's zero-tail representative
+    q = p**n
+    accepted = 0
+    for eis in eisenstein_grid(p, e, n):
+        cfg = default_config(eis, n)
+        t_star, cylinders, _ = oracle._walk(cfg)
+        res = prop2_max_t(cfg)
+        assert res.t_star == t_star
+        assert all(p * len(prefix) > t_star for prefix, free in cylinders if free > 0)
+        split = [(prefix, tail) for prefix, free in cylinders
+                 for tail in product(range(q), repeat=free)]
+        assert [prefix + tail for prefix, tail in split] == [w.coeffs for w in res.witnesses]
+        for prefix, tail in split:
+            try:
+                lemma4_check(cfg, prefix + tail, t_star, strict=False)
+            except ValueError:
+                continue
+            assert not any(tail), (eis, prefix, tail)
+            accepted += 1
+    assert accepted == eligible
 
 
 # -- low-degree multipliers -----------------------------------------------------------

@@ -12,6 +12,7 @@ from ramibound.series import (
     PrecisionError,
     PrecisionMismatchError,
     TruncatedSeries,
+    WeierstrassFactorization,
     frobenius,
     int_valuation,
     invert_unit,
@@ -379,3 +380,101 @@ def test_weierstrass_round_trip_dense():
                 assert (w.unit * w.wpoly).scale(prec.p**w.content) == a
                 count += 1
     assert count == 63
+
+
+def _weierstrass_prep_reference(a):
+    # the object-level lifting that the raw-residue route replaced: every
+    # step inverts over all T coefficients and multiplies whole series
+    prec = a.prec
+    if a.is_zero():
+        raise ValueError("cannot prepare the zero series")
+    c = a.content_p()
+    pc = prec.p**c
+    b = TruncatedSeries(prec, tuple(x // pc for x in a.coeffs))
+    b_modp = [x % prec.p for x in b.coeffs]
+    d = next((i for i, x in enumerate(b_modp) if x), None)
+    if d is None:
+        raise PrecisionError("content-stripped reduction mod p vanishes below u^T")
+    p1 = Precision(prec.p, 1, prec.T)
+    v = TruncatedSeries.from_coeffs(p1, b_modp[d:])
+    v_inv = invert_unit(v)
+    w = TruncatedSeries.monomial(prec, d)
+    unit = TruncatedSeries.from_coeffs(prec, v.coeffs)
+    for k in range(prec.n - c - 1):
+        err = b - unit * w
+        pk = prec.p ** (k + 1)
+        if any(x % pk for x in err.coeffs):
+            raise AssertionError("digit lifting lost a p-digit")
+        digit = TruncatedSeries.from_coeffs(p1, [x // pk for x in err.coeffs])
+        if digit.is_zero():
+            continue
+        w_low = TruncatedSeries.from_coeffs(p1, (v_inv * digit).coeffs[:d])
+        u_digit = (digit - v * w_low).shift_down(d)
+        w = w + TruncatedSeries.from_coeffs(prec, w_low.coeffs).scale(pk)
+        unit = unit + TruncatedSeries.from_coeffs(prec, u_digit.coeffs).scale(pk)
+    return WeierstrassFactorization(content=c, degree=d, wpoly=w, unit=unit)
+
+
+def _prep_outcome(prep, a):
+    try:
+        r = prep(a)
+    except Exception as err:  # the two routes must raise alike
+        return type(err), str(err)
+    return r.content, r.degree, r.wpoly, r.unit
+
+
+def _assert_prep_matches_reference(a):
+    assert _prep_outcome(weierstrass_prep, a) == _prep_outcome(_weierstrass_prep_reference, a)
+
+
+@st.composite
+def prep_inputs(draw):
+    """Series of a chosen shape p^c * (p-divisible below u^d, a unit digit at
+    u^d, anything above), or with every coefficient divisible by p, or zero."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n, T = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    prec = Precision(p, n, T)
+    q = prec.modulus
+    kind = draw(st.sampled_from(("shaped", "divisible", "zero")))
+    if kind == "zero":
+        return TruncatedSeries.zero(prec)
+    if kind == "divisible":
+        cs = draw(st.lists(st.integers(0, q // p - 1), min_size=T, max_size=T))
+        return TruncatedSeries.from_coeffs(prec, [p * x for x in cs])
+    c, d = draw(st.integers(0, n - 1)), draw(st.integers(0, T - 1))
+    rest = draw(st.lists(st.integers(0, q - 1), min_size=T, max_size=T))
+    lead = draw(st.integers(1, p - 1))
+    cs = [p * x if i < d else x * p + lead if i == d else x for i, x in enumerate(rest)]
+    return TruncatedSeries.from_coeffs(prec, [p**c * x for x in cs])
+
+
+@settings(max_examples=300)
+@given(prep_inputs())
+def test_weierstrass_prep_matches_object_level_reference(a):
+    _assert_prep_matches_reference(a)
+
+
+@pytest.mark.parametrize("prec, coeffs", [
+    (Precision(3, 4, 6), (1, 5, 0, 2, 80, 7)),     # d = 0
+    (Precision(2, 5, 8), (0, 0, 16, 16, 0, 0, 0, 16)),  # c = n - 1, d = 2
+    (Precision(5, 3, 3), (10, 5, 1)),              # T = d + 1
+    (Precision(7, 3, 2), (49, 7)),                 # T = d + 1 at content 1
+    (Precision(2, 3, 1), (6,)),                    # T = 1
+    (Precision(2, 6, 5), (4, 8, 12, 60, 2)),       # every coefficient divisible by p
+    (Precision(3, 2, 4), (0, 0, 0, 0)),            # zero raises alike
+], ids=["d-zero", "content-n-minus-1", "T-is-d-plus-1", "T-is-d-plus-1-content",
+        "T-one", "all-divisible-by-p", "zero"])
+def test_weierstrass_prep_reference_corners(prec, coeffs):
+    _assert_prep_matches_reference(TruncatedSeries.from_coeffs(prec, coeffs))
+
+
+def test_weierstrass_prep_matches_reference_at_real_size():
+    prec = Precision(2, 8, 200)
+    q, rng = prec.modulus, random.Random("prep-reference-2-8-200")
+    for k in range(6):
+        d, c = (2, 0) if k < 3 else (rng.randrange(8), rng.randrange(4))
+        cs = [rng.randrange(q) for _ in range(prec.T)]
+        cs[:d] = [2 * x % q for x in cs[:d]]
+        cs[d] |= 1
+        _assert_prep_matches_reference(
+            TruncatedSeries.from_coeffs(prec, [2**c * x for x in cs]))
