@@ -39,17 +39,18 @@ class BoundTrace:
     e: int
     tau: int
     iota: int
-    epsilon: int
     variant: str
     pairs: tuple[tuple[int, int], ...]
+
+    @property
+    def epsilon(self) -> int:
+        """0 when p does not divide e, else 1."""
+        return 0 if self.e % self.p else 1
 
     def __post_init__(self):
         _validate_bound_inputs(self.p, self.e, self.tau, self.iota)
         if self.variant not in ("standard", "modified"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        m = int_valuation(self.e, self.p)
-        if self.epsilon != (0 if m == 0 else 1):
-            raise ValueError("epsilon must be 0 exactly when p does not divide e")
         if not self.pairs:
             raise ValueError("trace must contain at least the starting pair")
         t0 = (self.tau * self.e + self.iota) // (self.p - 1)
@@ -116,9 +117,7 @@ def compute_s(p: int, e: int, tau: int, iota: int, variant: str = "standard") ->
     _validate_bound_inputs(p, e, tau, iota)
     if variant not in ("standard", "modified"):
         raise ValueError(f"unknown variant {variant!r}")
-    m = int_valuation(e, p)
-    eps = 0 if m == 0 else 1
-    step = tau + eps
+    step = tau + (0 if e % p else 1)  # tau + epsilon
     pairs = [((tau * e + iota) // (p - 1), 0)]
     while True:
         t, s = pairs[-1]
@@ -126,8 +125,7 @@ def compute_s(p: int, e: int, tau: int, iota: int, variant: str = "standard") ->
         if (drop <= step) if variant == "standard" else (drop < step):
             break
         pairs.append((t // p, s + step))
-    return BoundTrace(p=p, e=e, tau=tau, iota=iota, epsilon=eps,
-                      variant=variant, pairs=tuple(pairs))
+    return BoundTrace(p=p, e=e, tau=tau, iota=iota, variant=variant, pairs=tuple(pairs))
 
 
 def reference_log_bound(p: int, e: int) -> int:
@@ -160,17 +158,18 @@ class Example4Bound:
 
     p: int
     e: int
-    m: int
+
+    @property
+    def m(self) -> int:
+        """ord_p(e)."""
+        return int_valuation(self.e, self.p)
 
     def exact_value(self) -> int | None:
-        """Integer value when e is a power of p, else None."""
-        k, x = 0, self.e
-        while x % self.p == 0:
-            x //= self.p
-            k += 1
-        if x != 1:
+        """Integer value when e is a power of p (then log_p e = m), else None."""
+        m = self.m
+        if self.e != self.p**m:
             return None
-        return (k + self.m + 2) * (self.m + 2) - 1
+        return (2 * m + 2) * (m + 2) - 1
 
     def approx(self) -> float:
         return (math.log(self.e, self.p) + self.m + 2) * (self.m + 2) - 1
@@ -188,10 +187,9 @@ def bound_example4(p: int, e: int) -> Example4Bound:
     """Bound object for the ramified case p | e."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    m = int_valuation(e, p)
-    if m == 0:
+    if e % p:
         raise ValueError("this bound applies only when p divides e")
-    return Example4Bound(p=p, e=e, m=m)
+    return Example4Bound(p=p, e=e)
 
 
 def prop3_height_bounds(s: int, r: int) -> tuple[int, int]:

@@ -108,18 +108,22 @@ class BreuilModule:
     """Free module of rank h over (Z/p^n)[u]/(u^T) with semilinear map phi."""
 
     prec: Precision
-    h: int
     eis: EisensteinPolynomial
     phi: Matrix
     normal_decomp: NormalDecomposition | None = None
 
+    @property
+    def h(self) -> int:
+        return len(self.phi)
+
     def __post_init__(self):
-        if self.h < 1:
+        h = self.h
+        if h < 1:
             raise ValueError("rank must be >= 1")
         if self.eis.p != self.prec.p:
             raise ValueError("prime mismatch between module and Eisenstein polynomial")
-        if len(self.phi) != self.h or any(len(r) != self.h for r in self.phi):
-            raise ValueError(f"phi must be {self.h}x{self.h}")
+        if any(len(r) != h for r in self.phi):
+            raise ValueError(f"phi must be {h}x{h}")
         for row in self.phi:
             for entry in row:
                 if entry.prec != self.prec:
@@ -127,20 +131,16 @@ class BreuilModule:
         E_s = eisenstein_series(self.eis, self.prec)
         nd = self.normal_decomp
         if nd is not None:
-            if not 0 <= nd.d <= self.h:
-                raise ValueError(f"d = {nd.d} out of range [0, {self.h}]")
+            if not 0 <= nd.d <= h:
+                raise ValueError(f"d = {nd.d} out of range [0, {h}]")
             V = nd.change_of_basis
-            if len(V) != self.h or any(len(r) != self.h for r in V):
+            if len(V) != h or any(len(r) != h for r in V):
                 raise ValueError("change_of_basis has wrong shape")
             # det V is a unit iff V(0) is invertible mod p
             p = self.prec.p
-            if _rank_mod_p([[x.coeffs[0] % p for x in row] for row in V], p) < self.h:
+            if _rank_mod_p([[x.coeffs[0] % p for x in row] for row in V], p) < h:
                 raise ValueError("change_of_basis determinant is not a unit")
-            expect = tuple(
-                tuple(V[i][j] * E_s if j < nd.d else V[i][j] for j in range(self.h))
-                for i in range(self.h)
-            )
-            if expect != self.phi:
+            if _certified_phi(V, E_s, nd.d) != self.phi:
                 raise ValueError("normal decomposition certificate does not reproduce phi")
         elif self.prec.n == 1:
             # E = u^e over k[[u]]: the cokernel is killed by E iff every Smith
@@ -153,6 +153,11 @@ class BreuilModule:
                 "n > 1 module without a normal decomposition certificate; "
                 "general solvability is not available over this ring"
             )
+
+
+def _certified_phi(V: Matrix, E_s: TruncatedSeries, d: int) -> Matrix:
+    """V * diag(E, ..., E, 1, ..., 1) with d copies of E."""
+    return tuple(tuple(x * E_s if j < d else x for j, x in enumerate(row)) for row in V)
 
 
 # -- fractional elements and the semilinear map -------------------------------
@@ -314,26 +319,26 @@ class Prop1Verdict:
     """Generic-fiber classification of a map of n = 1 modules given by its
     matrix (columns: images of the source basis in the target basis).
 
-    closed_embedding: the cokernel is killed by a u-power.  epimorphism: the
+    closed_embedding: u^min_u_annihilator kills the cokernel.  epimorphism: the
     matrix is injective.  Both verdicts are certified at u-precision T only;
     a diagonal entry vanishing at precision could be a unit times u^(>=T)."""
 
-    closed_embedding: bool
     epimorphism: bool
     min_u_annihilator: int | None
     u_precision: int
+
+    @property
+    def closed_embedding(self) -> bool:
+        return self.min_u_annihilator is not None
 
 
 def prop1_classify(g: Matrix) -> Prop1Verdict:
     """Classify a module map via Smith reduction of its matrix."""
     rows, cols = len(g), len(g[0])
     finite = [a for a in snf_mod_uT(g) if a is not None]
-    coker_killed = len(finite) == rows
-    mono = len(finite) == cols
     return Prop1Verdict(
-        closed_embedding=coker_killed,
-        epimorphism=mono,
-        min_u_annihilator=max(finite, default=0) if coker_killed else None,
+        epimorphism=len(finite) == cols,
+        min_u_annihilator=max(finite, default=0) if len(finite) == rows else None,
         u_precision=g[0][0].prec.T,
     )
 
@@ -385,7 +390,7 @@ def example3_module(p: int, n: int) -> tuple[BreuilModule, FractionalElement]:
     eis = EisensteinPolynomial(p, (-p,) + (0,) * (p - 1))
     V = mat_identity(prec, 1)
     M = BreuilModule(
-        prec=prec, h=1, eis=eis,
+        prec=prec, eis=eis,
         phi=((eisenstein_series(eis, prec),),),
         normal_decomp=NormalDecomposition(d=1, change_of_basis=V),
     )
@@ -436,12 +441,8 @@ def build_bt_module(
         V[i] = [unit * x for x in V[i]]
 
     Vm = tuple(tuple(row) for row in V)
-    phi = tuple(
-        tuple(Vm[i][j] * E_s if j < d else Vm[i][j] for j in range(h))
-        for i in range(h)
-    )
     return BreuilModule(
-        prec=prec, h=h, eis=eis, phi=phi,
+        prec=prec, eis=eis, phi=_certified_phi(Vm, E_s, d),
         normal_decomp=NormalDecomposition(d=d, change_of_basis=Vm),
     )
 
@@ -468,7 +469,7 @@ def extension_module(M1: BreuilModule, M2: BreuilModule, seed: int) -> BreuilMod
     zero = TruncatedSeries.zero(prec)
     top = tuple(M1.phi[i] + X[i] for i in range(M1.h))
     bottom = tuple((zero,) * M1.h + M2.phi[i] for i in range(M2.h))
-    return BreuilModule(prec=prec, h=M1.h + M2.h, eis=M1.eis, phi=top + bottom)
+    return BreuilModule(prec=prec, eis=M1.eis, phi=top + bottom)
 
 
 # -- JSON round-trip -------------------------------------------------------------
@@ -541,9 +542,10 @@ def module_from_json(data: dict) -> BreuilModule:
     """Inverse of module_to_json; accepts integers serialized as strings.
 
     A missing key, an entry of the wrong shape, a row or entry that is not
-    a list, a number that is not an integer, an entry longer than T, or a
-    header n, T or h above its MODULE_FILE_LIMITS cap raises ValueError.
-    The caps are checked before anything is allocated."""
+    a list, a number that is not an integer, an entry longer than T, an
+    eisenstein list of T or more coefficients, or a header n, T or h above
+    its MODULE_FILE_LIMITS cap raises ValueError.  The caps are checked
+    before anything is allocated."""
     try:
         p, n, T, h = (_file_int(data[key]) for key in ("p", "n", "T", "h"))
         for key, value in (("n", n), ("T", T), ("h", h)):
@@ -551,8 +553,11 @@ def module_from_json(data: dict) -> BreuilModule:
                 raise ValueError(f"malformed module file: {key} = {value} exceeds "
                                  f"the limit of {MODULE_FILE_LIMITS[key]}")
         prec = Precision(p, n, T)
-        eis = EisensteinPolynomial(
-            prec.p, tuple(_file_int(c) for c in _file_list(data["eisenstein"])))
+        eis_coeffs = _file_list(data["eisenstein"])
+        if len(eis_coeffs) >= T:  # E has degree len(eis_coeffs), and T must exceed it
+            raise ValueError(f"malformed module file: eisenstein has {len(eis_coeffs)} "
+                             f"coefficients, at least T = {T}")
+        eis = EisensteinPolynomial(prec.p, tuple(_file_int(c) for c in eis_coeffs))
         phi = _file_matrix(prec, h, "phi", data["phi"])
         nd = None
         if data.get("normal_decomp") is not None:
@@ -564,4 +569,4 @@ def module_from_json(data: dict) -> BreuilModule:
             )
     except (KeyError, TypeError, IndexError) as err:
         raise ValueError(f"malformed module file: {err!r}") from None
-    return BreuilModule(prec=prec, h=h, eis=eis, phi=phi, normal_decomp=nd)
+    return BreuilModule(prec=prec, eis=eis, phi=phi, normal_decomp=nd)

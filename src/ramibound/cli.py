@@ -9,10 +9,11 @@
 
 Polynomial text is a sum of terms `c*u^k` (the `*` may be omitted, `u`
 alone means `u^1`, a bare integer is the constant term) joined by `+` or
-`-`.  An Eisenstein polynomial has degree at most MAX_POLY_DEGREE, checked
-before its coefficients are allocated.  JSON output carries a versioned
-`schema` field and renders every integer as a decimal string so consumers
-never overflow; infinite values print as "inf".
+`-`; the first term may carry a `-`.  An Eisenstein polynomial has degree
+at most MAX_POLY_DEGREE, checked before its coefficients are allocated.
+JSON output carries a versioned `schema` field and renders every integer
+as a decimal string so consumers never overflow; infinite values print as
+"inf".
 
 Exit codes: 0 success, 1 failed assertion, 2 usage or parse error,
 3 candidate budget exceeded.
@@ -80,13 +81,11 @@ def parse_polynomial(text: str) -> dict[int, int]:
                 raise PolyParseError("empty polynomial", pos, text)
             break
         sign = 1
-        if not first:
-            ch = text[pos]
-            if ch == "+":
-                pass
-            elif ch == "-":
+        ch = text[pos]
+        if ch == "-" or not first:  # only a '-' may open the first term
+            if ch == "-":
                 sign = -1
-            else:
+            elif ch != "+":
                 raise PolyParseError(f"expected '+' or '-', found {ch!r}", pos, text)
             pos += 1
             while pos < n and text[pos].isspace():

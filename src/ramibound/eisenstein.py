@@ -113,10 +113,7 @@ class EisensteinPolynomial:
             if self.precision is None:
                 return UniformizerInvariants(m=m, tau=INF, iota=None, t_pi=INF)
             # residues mod p^N all vanish: the content is at least N - 1
-            return UniformizerInvariants(
-                m=m, tau=self.precision - 1, iota=None, t_pi=None,
-                tau_is_lower_bound=True,
-            )
+            return UniformizerInvariants(m=m, tau=self.precision - 1, iota=None, t_pi=None)
         return UniformizerInvariants(
             m=m, tau=best_v, iota=best_i,
             t_pi=(best_v * e + best_i) // (p - 1),
@@ -166,13 +163,16 @@ class UniformizerInvariants:
     tau is math.inf when E_1 vanishes exactly; iota is None whenever tau is
     not a finite exact value (0 by fiat when m = 0).  For residue-precision
     polynomials whose E_1 vanishes mod p^N, tau carries the certified lower
-    bound N - 1 and tau_is_lower_bound is set; t_pi is then undecidable."""
+    bound N - 1, t_pi is undecidable (None) and tau_is_lower_bound holds."""
 
     m: int
     tau: int | float
     iota: int | None
     t_pi: int | float | None
-    tau_is_lower_bound: bool = False
+
+    @property
+    def tau_is_lower_bound(self) -> bool:
+        return self.t_pi is None
 
 
 @dataclass(frozen=True)

@@ -105,9 +105,7 @@ def default_config(eis: EisensteinPolynomial, n: int,
 class WitnessReport:
     """One candidate attaining the maximal depth, with named re-checks."""
 
-    c: TruncatedSeries
     coeffs: tuple[int, ...]
-    t_achieved: int
     checks: dict[str, bool] = field(default_factory=dict)
 
 
@@ -116,9 +114,12 @@ class Prop2Result:
     t_star: int
     witnesses: list[WitnessReport]
     candidates_visited: int
-    space_size: int
     assertions: dict[str, bool]
     config: SearchConfig
+
+    @property
+    def space_size(self) -> int:
+        return self.config.space_size
 
 
 def _is_weierstrass(c: tuple[int, ...], p: int) -> bool:
@@ -218,14 +219,12 @@ def prop2_max_t(cfg: SearchConfig, strict: bool = True) -> Prop2Result:
         if kill > 1:
             checks["p-power-kill"] = twisted.scale(kill).in_ideal(best_t, n)
         all_ok = all_ok and all(checks.values())
-        witnesses.append(
-            WitnessReport(c=c_s, coeffs=c, t_achieved=best_t, checks=checks)
-        )
+        witnesses.append(WitnessReport(coeffs=c, checks=checks))
     assertions["witnesses-reverified"] = all_ok
 
     result = Prop2Result(
         t_star=best_t, witnesses=witnesses, candidates_visited=visited,
-        space_size=space, assertions=assertions, config=cfg,
+        assertions=assertions, config=cfg,
     )
     if strict and not all(assertions.values()):
         bad = [k for k, v in assertions.items() if not v]
@@ -285,7 +284,7 @@ def lemma4_check(cfg: SearchConfig, c: tuple[int, ...], t: int,
         "f3-valuations": vals_ok(),
         "t-le-ne": t <= n * e,
     }
-    report = WitnessReport(c=c_s, coeffs=c, t_achieved=t, checks=checks)
+    report = WitnessReport(coeffs=c, checks=checks)
     if strict and not all(checks.values()):
         bad = [k for k, v in checks.items() if not v]
         raise OracleViolationError(f"violated: {bad} for C = {c}, t = {t}")
@@ -351,11 +350,9 @@ class DescentTable:
     rows: list[DescentRow]
 
 
-def descent_minimal_s(p: int, eis: EisensteinPolynomial) -> DescentTable:
+def descent_minimal_s(eis: EisensteinPolynomial) -> DescentTable:
     """Build the stability table and assert it against the recursion bound."""
-    if eis.p != p:
-        raise ValueError("prime mismatch")
-    e = eis.e
+    p, e = eis.p, eis.e
     inv = eis.invariants()
     if math.isinf(inv.tau):
         found = tau_v_search(eis, digit_precision=2)
@@ -370,7 +367,7 @@ def descent_minimal_s(p: int, eis: EisensteinPolynomial) -> DescentTable:
     rows = []
     for a in range(e + 1):
         phi = ((TruncatedSeries.monomial(prec, a),),)
-        M = breuil.BreuilModule(prec=prec, h=1, eis=eis, phi=phi)
+        M = breuil.BreuilModule(prec=prec, eis=eis, phi=phi)
         j_max = 0
         while j_max <= e:
             x = breuil.FractionalElement(pole=j_max + 1, alphas=(one,))

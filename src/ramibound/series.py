@@ -339,12 +339,15 @@ def invert_unit(a: TruncatedSeries) -> TruncatedSeries:
 @dataclass(frozen=True)
 class WeierstrassFactorization:
     """a = p^content * unit * wpoly in (Z/p^n)[u]/(u^T), with wpoly monic of
-    the stated degree, its lower coefficients divisible by p, and unit a unit."""
+    degree `degree`, its lower coefficients divisible by p, and unit a unit."""
 
     content: int
-    degree: int
     wpoly: TruncatedSeries
     unit: TruncatedSeries
+
+    @property
+    def degree(self) -> int:
+        return self.wpoly.degree()
 
 
 def weierstrass_prep(a: TruncatedSeries) -> WeierstrassFactorization:
@@ -371,9 +374,7 @@ def weierstrass_prep(a: TruncatedSeries) -> WeierstrassFactorization:
     p, T = prec.p, prec.T
     pc = p**c
     b = [x // pc for x in a.coeffs]
-    d = next((i for i, x in enumerate(b) if x % p), None)
-    if d is None:
-        raise PrecisionError("content-stripped reduction mod p vanishes below u^T")
+    d = next(i for i, x in enumerate(b) if x % p)  # exists: c is the least valuation
 
     v = [x % p for x in b[d:]]  # (b / u^d) mod p, less its top d coefficients (zero)
     v_inv = invert_unit(TruncatedSeries.from_coeffs(Precision(p, 1, d), v)).coeffs if d else ()
@@ -403,5 +404,5 @@ def weierstrass_prep(a: TruncatedSeries) -> WeierstrassFactorization:
         w[:d] = [y + x * pk for y, x in zip(w, w_low)]
 
     wpoly = TruncatedSeries(prec, tuple(w) + (0,) * (T - d - 1))
-    return WeierstrassFactorization(content=c, degree=d, wpoly=wpoly,
+    return WeierstrassFactorization(content=c, wpoly=wpoly,
                                     unit=TruncatedSeries(prec, tuple(unit)))

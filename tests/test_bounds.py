@@ -55,17 +55,17 @@ def test_compute_s_input_validation():
 
 def test_trace_constructor_rejects_broken_chains():
     with pytest.raises(ValueError, match="recursion"):
-        BoundTrace(p=2, e=4, tau=3, iota=1, epsilon=1, variant="standard",
+        BoundTrace(p=2, e=4, tau=3, iota=1, variant="standard",
                    pairs=((13, 0), (5, 4)))
     with pytest.raises(ValueError, match="start"):
-        BoundTrace(p=2, e=4, tau=3, iota=1, epsilon=1, variant="standard",
+        BoundTrace(p=2, e=4, tau=3, iota=1, variant="standard",
                    pairs=((12, 0),))
     with pytest.raises(ValueError, match="stalled"):
         # (5,0) -> (2,3) keeps t+s constant: legal only for the modified variant
-        BoundTrace(p=2, e=2, tau=2, iota=1, epsilon=1, variant="standard",
+        BoundTrace(p=2, e=2, tau=2, iota=1, variant="standard",
                    pairs=((5, 0), (2, 3)))
     # the same stalled step is exactly what the modified variant produces
-    trace = BoundTrace(p=2, e=2, tau=2, iota=1, epsilon=1, variant="modified",
+    trace = BoundTrace(p=2, e=2, tau=2, iota=1, variant="modified",
                        pairs=((5, 0), (2, 3)))
     assert trace.s == 5
     assert compute_s(2, 2, 2, 1, variant="modified").pairs == ((5, 0), (2, 3))
@@ -148,6 +148,24 @@ def test_example4_values():
     assert bound_example4(2, 6).exact_value() is None
     with pytest.raises(ValueError):
         bound_example4(3, 4)
+
+
+def test_derived_epsilon_and_m_match_their_definitions():
+    # epsilon is 1 exactly when p | e, and Example 4's m is ord_p(e), over
+    # every table of both variants at p in {2, 3, 5} and e <= 60
+    tables = 0
+    for p in (2, 3, 5):
+        for e in range(1, 61):
+            divides = e % p == 0
+            for tau, iota in admissible_pairs(p, e):
+                for variant in ("standard", "modified"):
+                    trace = compute_s(p, e, tau, iota, variant)
+                    assert trace.epsilon == (1 if divides else 0)
+                    tables += 1
+            if divides:
+                m = max(k for k in range(7) if e % p**k == 0)
+                assert bound_example4(p, e).m == m
+    assert tables > 5000
 
 
 def test_example4_exceeds_every_admissible_s():

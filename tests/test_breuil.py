@@ -46,7 +46,7 @@ def rank1_module(p, n, T, eis, a=None):
     else:
         phi = ((TruncatedSeries.monomial(prec, a),),)
         nd = None
-    return BreuilModule(prec=prec, h=1, eis=eis, phi=phi, normal_decomp=nd)
+    return BreuilModule(prec=prec, eis=eis, phi=phi, normal_decomp=nd)
 
 
 E22 = EisensteinPolynomial(2, (-2, 0))
@@ -59,7 +59,7 @@ def test_build_examples():
     eis = EisensteinPolynomial(2, (2, 2))
     one, zero = TruncatedSeries.one(prec), TruncatedSeries.zero(prec)
     # etale line: phi = (1)
-    M = BreuilModule(prec=prec, h=1, eis=eis, phi=((one,),),
+    M = BreuilModule(prec=prec, eis=eis, phi=((one,),),
                      normal_decomp=NormalDecomposition(0, mat_identity(prec, 1)))
     assert M.phi[0][0] == one
     # multiplicative line: phi = (E)
@@ -87,14 +87,14 @@ def test_uncertified_n2_construction_is_refused():
     prec = Precision(2, 2, 8)
     E_s = eisenstein_series(E22, prec)
     with pytest.raises(ValueError, match="certificate"):
-        BreuilModule(prec=prec, h=1, eis=E22, phi=((E_s,),))
+        BreuilModule(prec=prec, eis=E22, phi=((E_s,),))
 
 
 def test_bad_certificate_is_refused():
     prec = Precision(2, 2, 8)
     one = TruncatedSeries.one(prec)
     with pytest.raises(ValueError, match="reproduce"):
-        BreuilModule(prec=prec, h=1, eis=E22, phi=((one,),),
+        BreuilModule(prec=prec, eis=E22, phi=((one,),),
                      normal_decomp=NormalDecomposition(1, mat_identity(prec, 1)))
 
 
@@ -125,11 +125,41 @@ def test_det_unit_certificate_agrees_with_mat_det():
                     for i in range(h))
         cert = NormalDecomposition(d, V)
         if unit:
-            BreuilModule(prec=prec, h=h, eis=eis, phi=phi, normal_decomp=cert)
+            BreuilModule(prec=prec, eis=eis, phi=phi, normal_decomp=cert)
         else:
             with pytest.raises(ValueError, match="not a unit"):
-                BreuilModule(prec=prec, h=h, eis=eis, phi=phi, normal_decomp=cert)
+                BreuilModule(prec=prec, eis=eis, phi=phi, normal_decomp=cert)
     assert seen == {True, False}
+
+
+def test_derived_rank_and_closed_embedding_match_their_definitions():
+    # closed_embedding holds exactly when every row gets a finite Smith exponent
+    rng = random.Random("derived-closed-embedding")
+    seen = set()
+    for _ in range(200):
+        p = rng.choice([2, 3])
+        prec = Precision(p, 1, rng.randint(2, 8))
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        g = tuple(tuple(TruncatedSeries.from_coeffs(
+            prec, [rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(prec.T)])
+            for _ in range(cols)) for _ in range(rows))
+        finite = sum(a is not None for a in snf_mod_uT(g))
+        assert prop1_classify(g).closed_embedding == (finite == rows)
+        seen.add(finite == rows)
+    assert seen == {True, False}
+    # the rank is the size of phi: seeded builds, their extensions and file loads
+    for seed in range(20):
+        rng = random.Random(seed)
+        p = rng.choice([2, 3])
+        prec = Precision(p, 1, 20)
+        eis = EisensteinPolynomial(p, (p, p))
+        hs = [rng.randint(1, 3), rng.randint(1, 3)]
+        M1, M2 = (build_bt_module(prec, eis, d=rng.randint(0, h), h=h, seed=seed + k,
+                                  max_entry_degree=2) for k, h in enumerate(hs))
+        ext = extension_module(M1, M2, seed=seed)
+        assert (M1.h, M2.h, ext.h) == (hs[0], hs[1], sum(hs)) == tuple(
+            len(M.phi) for M in (M1, M2, ext))
+        assert module_from_json(module_to_json(ext)).h == sum(hs)
 
 
 def test_n1_cokernel_gate():
@@ -167,7 +197,7 @@ def test_cokernel_gate_matches_brute_force_span(p, T):
         brute = all(t in images for t in targets)
         phi = tuple(tuple(TruncatedSeries.from_coeffs(prec, a) for a in row) for row in A)
         try:
-            BreuilModule(prec=prec, h=2, eis=eis, phi=phi)
+            BreuilModule(prec=prec, eis=eis, phi=phi)
             accepted = True
         except ValueError:
             accepted = False
@@ -243,7 +273,7 @@ def test_h4_examples():
     # one E-column, one unit column, V = identity
     E_s = eisenstein_series(eis, prec)
     one, zero = TruncatedSeries.one(prec), TruncatedSeries.zero(prec)
-    M = BreuilModule(prec=prec, h=2, eis=eis, phi=((E_s, zero), (zero, one)),
+    M = BreuilModule(prec=prec, eis=eis, phi=((E_s, zero), (zero, one)),
                      normal_decomp=NormalDecomposition(1, mat_identity(prec, 2)))
     assert h4(M) == 1
 

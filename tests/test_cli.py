@@ -3,13 +3,14 @@
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramibound import cli, eisenstein, suites
+from ramibound import breuil, cli, eisenstein, suites
 from ramibound.breuil import build_bt_module, module_to_json
 from ramibound.cli import (
     EXIT_ASSERTION,
@@ -24,6 +25,8 @@ from ramibound.cli import (
 )
 from ramibound.eisenstein import EisensteinPolynomial
 from ramibound.series import Precision
+
+GOLDEN_MODULES = Path(__file__).parent / "golden" / "modules"
 
 
 def run(capsys, *argv):
@@ -82,8 +85,7 @@ def test_parse_polynomial_positions():
     with pytest.raises(PolyParseError) as err:
         parse_polynomial("")
     assert err.value.pos == 0
-    with pytest.raises(PolyParseError):
-        parse_polynomial("-u")  # terms are unsigned; signs join terms
+    assert parse_polynomial("-u") == {1: -1}  # one '-' may open the first term
 
 
 def test_poly_text_round_trip():
@@ -103,16 +105,12 @@ def test_eisenstein_from_text_errors():
 
 @st.composite
 def coefficient_lists(draw):
-    """Sparse coefficients up to the degree cap; the leading one positive,
-    since the grammar has no sign before the first term."""
+    """Sparse coefficients up to the degree cap, of either sign."""
     terms = draw(st.dictionaries(st.integers(0, MAX_POLY_DEGREE),
                                  st.integers(-10**6, 10**6), max_size=5))
     coeffs = [0] * (max(terms, default=0) + 1)
     for k, c in terms.items():
         coeffs[k] = c
-    top = max((k for k, c in terms.items() if c), default=None)
-    if top is not None:
-        coeffs[top] = abs(coeffs[top])
     return coeffs
 
 
@@ -196,6 +194,14 @@ def test_cmd_invariants_finite(capsys):
     assert parse_polynomial(payload["E1"]) == {1: 2}
 
 
+def test_cmd_invariants_prints_text_it_reads_back(capsys):
+    # E1 = -2u opens with a '-', which the grammar accepts before the first term
+    code, payload, _ = run_json(capsys, "invariants", "--p", "2", "--poly", "u^2-2u+2")
+    assert code == EXIT_OK and payload["E1"] == "-2*u"
+    assert [parse_polynomial(payload[k]) for k in ("poly", "E0", "E1")] == [
+        {2: 1, 1: -2, 0: 2}, {2: 1, 0: 2}, {1: -2}]
+
+
 def test_cmd_invariants_fiat_case(capsys):
     code, payload, _ = run_json(capsys, "invariants", "--p", "5", "--poly", "u^3+5")
     assert code == EXIT_OK
@@ -207,6 +213,8 @@ def test_cmd_invariants_rejects_bad_input(capsys):
     assert code == EXIT_USAGE and "ord_p" in err
     code, _, err = run(capsys, "invariants", "--p", "2", "--poly", "u^2 %")
     assert code == EXIT_USAGE and "^" in err  # caret marks the position
+    code, _, err = run(capsys, "invariants", "--p", "2", "--poly=-u^2+2")
+    assert code == EXIT_USAGE and "leading coefficient of u^2 must be 1" in err
 
 
 # -- bound ---------------------------------------------------------------------------
@@ -456,6 +464,79 @@ def test_cmd_heights_long_entry_in_golden_module_file(capsys, tmp_path):
     assert code == EXIT_USAGE and out == ""
     assert err == ("error: malformed module file: a phi entry has 11 coefficients, "
                    "more than T = 8\n")
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_cmd_heights_refuses_long_eisenstein_list_up_front(capsys, tmp_path, monkeypatch,
+                                                           extra):
+    # rejection only: an eisenstein list of T or more coefficients is refused
+    # before the polynomial is built (it once failed later, in the series layer)
+    def no_polynomial(*args):
+        raise AssertionError("EisensteinPolynomial built")
+
+    monkeypatch.setattr(breuil, "EisensteinPolynomial", no_polynomial)
+    data = json.loads((GOLDEN_MODULES / "extension_n1.json").read_text(encoding="utf-8"))
+    data["eisenstein"] = [3] + [0] * (data["T"] - 1 + extra)
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "heights", "--module-file", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err == (f"error: malformed module file: eisenstein has {8 + extra} "
+                   f"coefficients, at least T = 8\n")
+
+
+def _json_paths(node, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutated(data, path, value, drop):
+    """data with the node at path replaced by value, or dropped when drop is
+    set and the node is a key of an object."""
+    if not path:
+        return value
+    data = json.loads(json.dumps(data))
+    *head, last = path
+    parent = data
+    for key in head:
+        parent = parent[key]
+    if drop and isinstance(parent, dict):
+        del parent[last]
+    else:
+        parent[last] = value
+    return data
+
+
+_GOLDEN_MODULE_FILES = {
+    name: json.loads((GOLDEN_MODULES / name).read_text(encoding="utf-8"))
+    for name in ("extension_n1.json", "corner_u3_e2.json")
+}
+_JSON_VALUES = st.one_of(
+    st.integers(-3, 40), st.floats(), st.booleans(), st.none(), st.text(max_size=4),
+    st.lists(st.integers(-3, 9), max_size=3),
+)
+
+
+@st.composite
+def module_file_mutations(draw):
+    data = _GOLDEN_MODULE_FILES[draw(st.sampled_from(sorted(_GOLDEN_MODULE_FILES)))]
+    path = draw(st.sampled_from(list(_json_paths(data))))
+    return _mutated(data, path, draw(_JSON_VALUES), draw(st.booleans()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(module_file_mutations())
+def test_cli_on_mutated_module_files_exits_0_or_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "module.json"
+        path.write_text(json.dumps(data))
+        code, err = _exit_code(["heights", "--module-file", str(path), "--json"])
+    assert code in (EXIT_OK, EXIT_USAGE)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

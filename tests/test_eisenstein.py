@@ -262,6 +262,25 @@ def test_substituted_tau_lower_bound_marker():
     assert inv.iota is None and inv.t_pi is None
 
 
+def test_tau_lower_bound_iff_every_e1_residue_vanishes():
+    # on substitutes mod p^N with p | e, tau is only a lower bound exactly
+    # when every E1 residue (exponents i not divisible by p) vanishes; the
+    # m = 0 fiat value is never one
+    rng = random.Random("tau-lower-bound")
+    seen = set()
+    for _ in range(400):
+        p = rng.choice((2, 3))
+        e = rng.choice((2, 3, 4, 6))
+        N = rng.randint(2, 3)
+        cs = [rng.randrange(p**2) for _ in range(e)]
+        cs[1] = p * rng.randrange(p) + rng.randrange(1, p)  # a unit
+        out = substitute(random_eisenstein(rng, p, e), UniformizerChange(p, 2, tuple(cs)), N)
+        vanish = all(out.coeffs[i] % p**N == 0 for i in range(1, e) if i % p)
+        assert out.invariants().tau_is_lower_bound == (vanish and e % p == 0)
+        seen.add((vanish, e % p == 0))
+    assert seen == {(True, True), (False, True), (True, False), (False, False)}
+
+
 # -- tau search ----------------------------------------------------------------------------
 
 def test_tau_search_examples():

@@ -3,11 +3,11 @@
 Each case runs one `ramibound` invocation with `--json` and compares its
 exit code, its JSON output (minus the `runtime_s` timing) and its standard
 error, byte for byte, with a file in tests/golden/.  After a deliberate
-change of behaviour, regenerate the files with
+change of behaviour, regenerate the records it touches with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME ...
 
-and review the diff.  The module files under tests/golden/modules/ are
+(every record when no NAME is given) and review the diff.  The module files under tests/golden/modules/ are
 uncertified n = 1 modules: an extension (h4 = 1) and a matrix with a u^3
 corner whose cokernel E = u^2 + 2 does not kill, which the CLI refuses.
 """
@@ -70,6 +70,10 @@ def test_golden_cli_output(name):
 
 
 if __name__ == "__main__":
-    for name, argv in CASES.items():
-        (GOLDEN / f"{name}.json").write_text(record(argv), encoding="utf-8")
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden records: {', '.join(unknown)}")
+    for name in names:
+        (GOLDEN / f"{name}.json").write_text(record(CASES[name]), encoding="utf-8")
         print(f"wrote {name}.json", file=sys.stderr)

@@ -166,14 +166,14 @@ def test_weierstrass_poly_generator():
 # -- rank-1 stability tables ------------------------------------------------------------
 
 def test_descent_examples():
-    table = descent_minimal_s(2, E22)
+    table = descent_minimal_s(E22)
     rows = {r.a: (r.j_max, r.s_required) for r in table.rows}
     assert rows[2] == (2, 1)
     assert rows[0] == (0, 0)
     assert rows[1] == (1, 1)
     assert table.s_v == 5 and table.t0 == 5
 
-    table = descent_minimal_s(3, EisensteinPolynomial(3, (3, 3, 0)))
+    table = descent_minimal_s(EisensteinPolynomial(3, (3, 3, 0)))
     rows = {r.a: (r.j_max, r.s_required) for r in table.rows}
     assert rows[0] == (0, 0)
     assert rows[1] == (0, 0)  # j = 1 needs (p-1)*1 <= a

@@ -412,7 +412,7 @@ def _weierstrass_prep_reference(a):
         u_digit = (digit - v * w_low).shift_down(d)
         w = w + TruncatedSeries.from_coeffs(prec, w_low.coeffs).scale(pk)
         unit = unit + TruncatedSeries.from_coeffs(prec, u_digit.coeffs).scale(pk)
-    return WeierstrassFactorization(content=c, degree=d, wpoly=w, unit=unit)
+    return WeierstrassFactorization(content=c, wpoly=w, unit=unit)
 
 
 def _prep_outcome(prep, a):
@@ -466,6 +466,25 @@ def test_weierstrass_prep_matches_object_level_reference(a):
         "T-one", "all-divisible-by-p", "zero"])
 def test_weierstrass_prep_reference_corners(prec, coeffs):
     _assert_prep_matches_reference(TruncatedSeries.from_coeffs(prec, coeffs))
+
+
+def test_weierstrass_degree_is_the_u_order_of_the_stripped_reduction():
+    # degree is the u-order of (a / p^c) mod p, c the least valuation of a
+    # coefficient: the first coefficient not divisible by p^(c+1)
+    rng = random.Random("prep-degree")
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7))
+        prec = Precision(p, rng.randint(1, 5), rng.randint(1, 30))
+        q = prec.modulus
+        cs = [rng.randrange(q) if rng.random() < 0.4 else 0 for _ in range(prec.T)]
+        cs = [x * p ** rng.randint(0, 2) for x in cs]
+        a = TruncatedSeries.from_coeffs(prec, cs)
+        if a.is_zero():
+            continue
+        c = min(int_valuation(x, p) for x in a.coeffs if x)
+        d = next(i for i, x in enumerate(a.coeffs) if x % p ** (c + 1))
+        w = weierstrass_prep(a)
+        assert (w.content, w.degree) == (c, d)
 
 
 def test_weierstrass_prep_matches_reference_at_real_size():
