@@ -512,6 +512,22 @@ def _file_int(x) -> int:
     return int(x)
 
 
+def _file_object(x, name: str) -> dict:
+    """A JSON object of a module file: the document or its normal_decomp."""
+    if not isinstance(x, dict):
+        raise ValueError(f"malformed module file: {name} must be an object")
+    return x
+
+
+def _file_key(obj: dict, key: str, where: str | None = None):
+    """The value of a required key; where names the enclosing object when it
+    is not the document itself."""
+    if key not in obj:
+        place = f" in {where}" if where else ""
+        raise ValueError(f'malformed module file: missing key "{key}"{place}')
+    return obj[key]
+
+
 def _file_list(x) -> list:
     """A list field of a module file.  Text is malformed rather than read
     character by character."""
@@ -541,32 +557,31 @@ def _file_matrix(prec: Precision, h: int, name: str, rows) -> tuple:
 def module_from_json(data: dict) -> BreuilModule:
     """Inverse of module_to_json; accepts integers serialized as strings.
 
-    A missing key, an entry of the wrong shape, a row or entry that is not
-    a list, a number that is not an integer, an entry longer than T, an
-    eisenstein list of T or more coefficients, or a header n, T or h above
-    its MODULE_FILE_LIMITS cap raises ValueError.  The caps are checked
-    before anything is allocated."""
-    try:
-        p, n, T, h = (_file_int(data[key]) for key in ("p", "n", "T", "h"))
-        for key, value in (("n", n), ("T", T), ("h", h)):
-            if value > MODULE_FILE_LIMITS[key]:
-                raise ValueError(f"malformed module file: {key} = {value} exceeds "
-                                 f"the limit of {MODULE_FILE_LIMITS[key]}")
-        prec = Precision(p, n, T)
-        eis_coeffs = _file_list(data["eisenstein"])
-        if len(eis_coeffs) >= T:  # E has degree len(eis_coeffs), and T must exceed it
-            raise ValueError(f"malformed module file: eisenstein has {len(eis_coeffs)} "
-                             f"coefficients, at least T = {T}")
-        eis = EisensteinPolynomial(prec.p, tuple(_file_int(c) for c in eis_coeffs))
-        phi = _file_matrix(prec, h, "phi", data["phi"])
-        nd = None
-        if data.get("normal_decomp") is not None:
-            raw = data["normal_decomp"]
-            nd = NormalDecomposition(
-                d=_file_int(raw["d"]),
-                change_of_basis=_file_matrix(prec, h, "change_of_basis",
-                                             raw["change_of_basis"]),
-            )
-    except (KeyError, TypeError, IndexError) as err:
-        raise ValueError(f"malformed module file: {err!r}") from None
+    A document or normal_decomp that is not an object, a missing key, an
+    entry of the wrong shape, a row or entry that is not a list, a number
+    that is not an integer, an entry longer than T, an eisenstein list of T
+    or more coefficients, or a header n, T or h above its MODULE_FILE_LIMITS
+    cap raises ValueError naming what is wrong.  The caps are checked before
+    anything is allocated."""
+    data = _file_object(data, "the top level")
+    p, n, T, h = (_file_int(_file_key(data, key)) for key in ("p", "n", "T", "h"))
+    for key, value in (("n", n), ("T", T), ("h", h)):
+        if value > MODULE_FILE_LIMITS[key]:
+            raise ValueError(f"malformed module file: {key} = {value} exceeds "
+                             f"the limit of {MODULE_FILE_LIMITS[key]}")
+    prec = Precision(p, n, T)
+    eis_coeffs = _file_list(_file_key(data, "eisenstein"))
+    if len(eis_coeffs) >= T:  # E has degree len(eis_coeffs), and T must exceed it
+        raise ValueError(f"malformed module file: eisenstein has {len(eis_coeffs)} "
+                         f"coefficients, at least T = {T}")
+    eis = EisensteinPolynomial(prec.p, tuple(_file_int(c) for c in eis_coeffs))
+    phi = _file_matrix(prec, h, "phi", _file_key(data, "phi"))
+    nd = None
+    if data.get("normal_decomp") is not None:
+        raw = _file_object(data["normal_decomp"], "normal_decomp")
+        nd = NormalDecomposition(
+            d=_file_int(_file_key(raw, "d", "normal_decomp")),
+            change_of_basis=_file_matrix(prec, h, "change_of_basis",
+                                         _file_key(raw, "change_of_basis", "normal_decomp")),
+        )
     return BreuilModule(prec=prec, eis=eis, phi=phi, normal_decomp=nd)

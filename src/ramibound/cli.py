@@ -51,6 +51,10 @@ EXIT_OK, EXIT_ASSERTION, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 # coefficient tuple is allocated; every pinned run uses degree 8 or less.
 MAX_POLY_DEGREE = 256
 
+# What shrinks the work, or raises its limit, for each command whose search
+# can exceed its budget (exit 3).
+BUDGET_FLAGS = {"bound": "lower --search-prec", "verify": "raise --budget or lower --n"}
+
 
 class PolyParseError(ValueError):
     """Parse failure with the offending position in the input text."""
@@ -372,7 +376,7 @@ def main(argv=None) -> int:
             print(f"  - {violation}", file=sys.stderr)
         return EXIT_USAGE
     except oracle.BudgetExceededError as err:
-        print(f"budget exceeded: {err}", file=sys.stderr)
+        print(f"budget exceeded: {err}; {BUDGET_FLAGS[args.command]}", file=sys.stderr)
         return EXIT_BUDGET
     except oracle.OracleViolationError as err:
         print(f"assertion failed: {err}", file=sys.stderr)

@@ -21,19 +21,23 @@ charpoly is taken mod p^N with a division-free (Berkowitz) recurrence, since
 Z/p^N admits no safe division.  One kernel returns its residues; substitute
 wraps them in an EisensteinPolynomial.
 
-Exhaustive enumeration of digit-truncated changes gives a certified upper
-bound for the minimal tau over all uniformizers.  The search calls the
-kernel once per digit vector and works on the raw residues: it checks inline
-that each charpoly is Eisenstein (raising what the constructor would), reads
-(tau, iota) off the E_1 residues, and builds objects for the witness only.
-A search over more than TAU_SEARCH_CAP digit vectors raises
+Exhaustive search over digit-truncated changes gives a certified upper
+bound for the minimal tau over all uniformizers.  Its result is that of a
+lexicographic walk over the digit vectors, but it calls the kernel once per
+key class: the winning key has tau <= m + 1, so it is read off the residues
+mod p^(m+2), which fix c_0 mod p^(m+1) and the other digits mod p^(m+2);
+once the digits reach p^(m+2), one class per orbit under scaling by units
+(c_1 = 1) is enough.  The search works on the raw residues: it checks
+inline that each charpoly is Eisenstein (raising what the constructor
+would), reads (tau, iota) off the E_1 residues, and builds objects for the
+witness only.  A search over more than TAU_SEARCH_CAP digit vectors raises
 BudgetExceededError before the first charpoly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from operator import add, mul
 
@@ -278,7 +282,9 @@ class TauSearchResult:
     all uniformizers, and never exceeds ceiling = m + 1 (witnessed by the
     pair pi, pi + p).  certified_exact is set only when the minimum is
     attained at the unconditional floor (tau = 1, or the m = 0 fiat value)
-    or matches a caller-supplied lower bound."""
+    or matches a caller-supplied lower bound.  candidates counts the digit
+    vectors searched; charpolys counts the key classes visited, one kernel
+    call each (the orbit route re-checks its witness with one call more)."""
 
     tau: int
     iota: int | None
@@ -286,6 +292,7 @@ class TauSearchResult:
     certified_exact: bool
     ceiling: int
     candidates: int
+    charpolys: int = field(compare=False)
 
 
 def tau_v_search(
@@ -295,11 +302,21 @@ def tau_v_search(
 ) -> TauSearchResult:
     """Minimize (tau, iota) over all changes with digits mod p^digit_precision.
 
-    Enumeration is lexicographic over the digit vectors (c_0, ..., c_{e-1}),
-    so the reported witness is deterministic.  Substituting at p-adic
-    precision m + 3 decides every tau value up to the ceiling m + 1 exactly.
-    More than TAU_SEARCH_CAP vectors, (p - 1) * p^(dp*e - 1), raise
-    BudgetExceededError before any is visited."""
+    The result is that of a lexicographic enumeration of the digit vectors
+    (c_0, ..., c_{e-1}): the least (tau, iota) and the first vector attaining
+    it.  Substituting at p-adic precision m + 3 decides every tau value up to
+    the ceiling m + 1 exactly.  More than TAU_SEARCH_CAP vectors,
+    (p - 1) * p^(dp*e - 1), raise BudgetExceededError before any is visited.
+
+    The search visits key classes instead of vectors.  With L = m + 2, the
+    winning key has tau <= m + 1 and is read off the charpoly mod p^L, which
+    depends only on c_0 mod p^(L-1) and the other digits mod p^L; the least
+    member of a class comes first in digit order.  So c_0 runs below
+    p^(L-1).  Once digit_precision >= L, scaling pi~ by a unit v of Z_p
+    scales a_i by v^(e-i) and keeps (tau, iota); every orbit of classes
+    holds one with c_1 = 1, so only those are visited, and the witness is
+    the least class in the orbits of the minimizers.  Its charpoly is
+    recomputed and must reach the minimum."""
     if E.precision is not None:
         raise ValueError("tau search requires exact integer coefficients")
     if digit_precision < 1:
@@ -309,7 +326,7 @@ def tau_v_search(
         return TauSearchResult(
             tau=1, iota=0,
             witness=UniformizerChange.identity(p, e, digit_precision),
-            certified_exact=True, ceiling=m + 1, candidates=0,
+            certified_exact=True, ceiling=m + 1, candidates=0, charpolys=0,
         )
     # p^k > TAU_SEARCH_CAP once k reaches its bit length, so a huge
     # exponent is refused without computing the power
@@ -317,8 +334,8 @@ def tau_v_search(
     if exponent >= TAU_SEARCH_CAP.bit_length() or (p - 1) * p**exponent > TAU_SEARCH_CAP:
         size = (p - 1) * p**exponent if exponent < 64 else f"{p - 1}*{p}^{exponent}"
         raise BudgetExceededError(
-            f"the tau search would visit {size} candidates, "
-            f"over the cap of {TAU_SEARCH_CAP}"
+            f"the tau search at digit precision {digit_precision} would visit "
+            f"{size} candidates, over the cap of {TAU_SEARCH_CAP}"
         )
     count = (p - 1) * p**exponent  # every digit vector with c_1 a unit
     N = m + 3
@@ -329,24 +346,43 @@ def tau_v_search(
     # residue reads N*e, above every key, since tau <= N - 1 mod p^N
     e1 = [i for i in range(1, e) if i % p]
     weight = [N * e] + [int_valuation(a, p) * e for a in range(1, q)]
-    digits = range(p**digit_precision)
-    units = [c for c in digits if c % p]  # c_1 must be a unit
-    # the vectors x = (c_0 p, c_1, ..., c_{e-1}) in the lexicographic digit order
-    c0p = range(0, p * len(digits), p)
-    best_key, best_x, best_res = N * e, None, None
-    for x in product(c0p, units, *[digits] * (e - 2)):
+
+    def key_of(res):
+        return min([weight[res[i]] + i for i in e1])
+
+    R = p**(m + 2)  # p^L
+    orbit = digit_precision >= m + 2
+    digits = range(min(p**digit_precision, R))
+    c1s = (1,) if orbit else [c for c in digits if c % p]  # c_1 must be a unit
+    # one vector x = (c_0 p, c_1, ..., c_{e-1}) per class, in the
+    # lexicographic digit order: c_0 below p^(L-1), and on the orbit route
+    # c_1 = 1 and the other digits below p^L
+    c0ps = range(0, min(p**(digit_precision + 1), R), p)
+    best_key, ties, best_res, charpolys = N * e, [], None, 0
+    for charpolys, x in enumerate(product(c0ps, c1s, *[digits] * (e - 2)), 1):
         res = _charpoly_residues(coeffs, x, q)
         if res[0] % (p * p) == 0 or any(map(p.__rmod__, res)):
             raise EisensteinValidationError(_eisenstein_violations(p, res, N))
-        key = min([weight[res[i]] + i for i in e1])
+        key = key_of(res)
         if key < best_key:  # strict: the first minimizer in digit order
-            best_key, best_x, best_res = key, x, res
+            best_key, ties, best_res = key, [x], res
+        elif key == best_key and orbit:
+            ties.append(x)
     if best_key // e > m + 1:
         raise AssertionError("tau ceiling m + 1 violated; pi and pi + p were enumerated")
-    inv = EisensteinPolynomial(p, tuple(best_res), precision=N).invariants()
+    x, res = ties[0], best_res
+    if orbit:
+        # the first digit vector of the class v*r is its residues: v r_0 mod
+        # R (p times v c_0 mod p^(L-1)), then v, then v r_i mod R
+        units = [v for v in range(1, R) if v % p]
+        x = min((v * r[0] % R, v, *[v * c % R for c in r[2:]]) for r in ties for v in units)
+        res = _charpoly_residues(coeffs, x, q)
+        if key_of(res) != best_key:
+            raise AssertionError("the witness's key differs from the minimum of its orbit")
+    inv = EisensteinPolynomial(p, tuple(res), precision=N).invariants()
     certified = inv.tau == 1 or (lower_bound is not None and inv.tau == lower_bound)
     return TauSearchResult(
         tau=inv.tau, iota=inv.iota,
-        witness=UniformizerChange(p, digit_precision, (best_x[0] // p, *best_x[1:])),
-        certified_exact=certified, ceiling=m + 1, candidates=count,
+        witness=UniformizerChange(p, digit_precision, (x[0] // p, *x[1:])),
+        certified_exact=certified, ceiling=m + 1, candidates=count, charpolys=charpolys,
     )

@@ -188,7 +188,8 @@ def prop2_max_t(cfg: SearchConfig, strict: bool = True) -> Prop2Result:
     space = cfg.space_size
     if space > cfg.budget:
         raise BudgetExceededError(
-            f"{space} candidates exceed the budget of {cfg.budget}"
+            f"the prop2 search at n = {n} would visit {space} candidates, "
+            f"over the budget of {cfg.budget}"
         )
     best_t, cylinders, visited = _walk(cfg)
     if visited != space:

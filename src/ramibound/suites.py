@@ -143,6 +143,9 @@ def _random_eisenstein(rng: random.Random, p: int, n: int, e: int) -> Eisenstein
 
 
 def _seeded_module(rng: random.Random, p: int, n_max: int):
+    """A seeded module and the d it was built with.  The requested d is the
+    independent side of h4-matches-decomposition; M.normal_decomp.d is what
+    the build recorded, so reading it instead would weaken that check."""
     n_i = rng.randint(1, n_max)
     h = rng.randint(1, 3)
     d = rng.randint(0, h)

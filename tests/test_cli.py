@@ -256,6 +256,13 @@ def test_cmd_bound_search_over_the_cap(capsys, monkeypatch):
     assert err.startswith("budget exceeded:") and "8388608 candidates" in err
 
 
+def test_cmd_bound_search_over_the_cap_names_the_work_and_the_flag(capsys):
+    code, out, err = run(capsys, "bound", "--p", "2", "--poly", "u^8-2", "--search-prec", "3")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == ("budget exceeded: the tau search at digit precision 3 would visit "
+                   "8388608 candidates, over the cap of 1000000; lower --search-prec\n")
+
+
 # -- verify ----------------------------------------------------------------------------
 
 def test_cmd_verify_example3(capsys):
@@ -282,6 +289,15 @@ def test_cmd_verify_budget_exceeded(capsys):
     code, _, err = run(capsys, "verify", "--suite", "prop2", "--p", "2",
                        "--e", "4", "--n", "2", "--budget", "10")
     assert code == EXIT_BUDGET and "budget" in err
+
+
+@pytest.mark.parametrize("suite", ["prop2", "lemma4", "cor5"])
+def test_cmd_verify_budget_error_names_the_work_and_the_flag(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--p", "2",
+                         "--e", "4", "--n", "2", "--budget", "10")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == ("budget exceeded: the prop2 search at n = 2 would visit 768 candidates, "
+                   "over the budget of 10; raise --budget or lower --n\n")
 
 
 def test_cmd_verify_failure_exit_code(capsys, monkeypatch):
@@ -483,6 +499,24 @@ def test_cmd_heights_refuses_long_eisenstein_list_up_front(capsys, tmp_path, mon
     assert code == EXIT_USAGE and out == ""
     assert err == (f"error: malformed module file: eisenstein has {8 + extra} "
                    f"coefficients, at least T = 8\n")
+
+
+@pytest.mark.parametrize("malform, message", [
+    (lambda data: [data], "the top level must be an object"),
+    (lambda data: {**data, "normal_decomp": 3}, "normal_decomp must be an object"),
+    (lambda data: {k: v for k, v in data.items() if k != "phi"}, 'missing key "phi"'),
+    (lambda data: {**data, "normal_decomp": {"d": 1}},
+     'missing key "change_of_basis" in normal_decomp'),
+], ids=["top-level-list", "int-normal-decomp", "no-phi", "no-change-of-basis"])
+def test_cmd_heights_names_what_is_wrong_with_the_module_file(capsys, tmp_path, malform,
+                                                               message):
+    # these shapes once printed the repr of a KeyError or TypeError
+    data = json.loads((GOLDEN_MODULES / "extension_n1.json").read_text(encoding="utf-8"))
+    path = tmp_path / "extension_n1.json"
+    path.write_text(json.dumps(malform(data)))
+    code, out, err = run(capsys, "heights", "--module-file", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: malformed module file: {message}\n"
 
 
 def _json_paths(node, path=()):

@@ -20,7 +20,7 @@ from ramibound.eisenstein import (
     substitute,
     tau_v_search,
 )
-from ramibound.series import BudgetExceededError
+from ramibound.series import BudgetExceededError, int_valuation
 
 
 # -- independent oracles -----------------------------------------------------------
@@ -354,18 +354,33 @@ def reference_tau_search(eis, dp, lower_bound=None):
     return eisenstein.TauSearchResult(
         tau=tau, iota=iota, witness=UniformizerChange(p, dp, cs),
         certified_exact=tau == 1 or tau == lower_bound, ceiling=m + 1, candidates=visited,
+        charpolys=visited,
     )
 
 
-# (p, e, digit precision) with p | e; each shape enumerates at most 2500 changes
-TAU_SHAPES = [(2, 2, 1), (2, 2, 2), (2, 4, 1), (2, 4, 2), (2, 6, 1), (3, 3, 1),
-              (3, 3, 2), (3, 6, 1), (5, 5, 1)]
+# (p, e, digit precision) with p | e; each shape enumerates at most 2500
+# changes.  The e = 2 shapes at dp >= 3 = m + 2 take the orbit route.
+TAU_SHAPES = [(2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 4, 1),
+              (2, 4, 2), (2, 6, 1), (3, 3, 1), (3, 3, 2), (3, 6, 1), (5, 5, 1)]
+
+
+def tau_search_charpolys(p, e, dp):
+    """Closed-form count of the key classes tau_v_search visits (m >= 1):
+    c_0 below p^(m+1), and past dp = m + 2 one orbit per class (c_1 = 1,
+    the other digits mod p^(m+2))."""
+    m = int_valuation(e, p)
+    if dp >= m + 2:
+        return p**(m + 1) * p**((m + 2) * (e - 2))
+    return p**min(dp, m + 1) * (p - 1) * p**(dp - 1) * p**(dp * (e - 2))
 
 
 def test_tau_search_agrees_with_per_candidate_route():
     rng = random.Random(31)
     cases = [(EisensteinPolynomial(2, (-2, 0, 0, 0)), 2),  # E1 = 0: u^4 - 2
-             (EisensteinPolynomial(3, (3, 0, 0)), 1)]
+             (EisensteinPolynomial(3, (3, 0, 0)), 1),
+             # (3, 3, 3): 13122 changes, 243 classes
+             (EisensteinPolynomial(3, (3, 0, 0)), 3),
+             (EisensteinPolynomial(3, (-6, 0, 9)), 3)]
     for _ in range(50):
         p, e, dp = rng.choice(TAU_SHAPES)
         cases.append((random_eisenstein(rng, p, e, spread=9), dp))
@@ -379,6 +394,44 @@ def test_tau_search_agrees_with_per_candidate_route():
             assert found.certified_exact and found.ceiling == 1
             continue
         assert found == reference_tau_search(eis, dp, lower)
+        assert found.charpolys == tau_search_charpolys(eis.p, eis.e, dp)
+
+
+@pytest.mark.parametrize("dp", [3, 4, 5])
+def test_tau_search_witness_is_the_least_class_of_the_tied_orbits(monkeypatch, dp):
+    # a kernel whose key depends on the orbit only, through t = c_0 / c_1
+    # mod 4: tau = 1 exactly when t = 3.  The first such digit vector is
+    # (1, 3); the classes with c_1 = 1 alone would give (3, 1)
+    def orbit_kernel(coeffs, x, q):
+        t = x[0] // 2 * pow(x[1], -1, 4) % 4
+        return [2, 2 if t == 3 else 4]
+
+    monkeypatch.setattr(eisenstein, "_charpoly_residues", orbit_kernel)
+    eis = EisensteinPolynomial(2, (2, 0))
+    found = tau_v_search(eis, dp)
+    assert found.witness.cs == (1, 3) and (found.tau, found.iota) == (1, 1)
+    assert found == reference_tau_search(eis, dp)
+
+
+def test_tau_search_rechecks_its_witness(monkeypatch):
+    # a kernel without the scaling invariance: only (c_0, c_1) = (3, 1)
+    # reaches tau = 1, and the least class of its orbit, (1, 3), does not
+    monkeypatch.setattr(eisenstein, "_charpoly_residues",
+                        lambda coeffs, x, q: [2, 2 if x[:2] == (6, 1) else 4])
+    with pytest.raises(AssertionError, match="witness's key differs"):
+        tau_v_search(EisensteinPolynomial(2, (2, 0)), 3)
+
+
+def test_tau_search_charpolys_closed_form():
+    # class counts on both routes, with searches too large for the
+    # per-candidate route: dp = 4 at (3, 3) is 354294 changes, (2, 4, 4) 32768
+    for p, coeffs, dp, classes in [(3, (3, 0, 0), 3, 243), (3, (3, 0, 0), 4, 243),
+                                   (2, (-2, 0, 0, 0), 4, 2048), (2, (2, 2, 0, 2), 3, 2048),
+                                   (2, (-2, 0), 5, 4), (5, (5, 0, 0, 0, 0), 1, 2500)]:
+        eis = EisensteinPolynomial(p, coeffs)
+        found = tau_v_search(eis, dp)
+        assert found.charpolys == classes == tau_search_charpolys(p, eis.e, dp)
+        assert found.candidates == (p - 1) * p**(dp * eis.e - 1)
 
 
 @pytest.mark.parametrize("bad", [
