@@ -10,13 +10,16 @@
 Polynomial text is a sum of terms `c*u^k` (the `*` may be omitted, `u`
 alone means `u^1`, a bare integer is the constant term) joined by `+` or
 `-`; the first term may carry a `-`.  An Eisenstein polynomial has degree
-at most MAX_POLY_DEGREE, checked before its coefficients are allocated.
+at most MAX_POLY_DEGREE, checked before its coefficients are allocated;
+so has the cascade polynomial u^p - p of the example3 and lemma2 suites,
+so they refuse p > MAX_POLY_DEGREE.  A prop2, lemma4 or cor5 search, or
+grid sweep, over more than --budget candidates is refused before any work.
 JSON output carries a versioned `schema` field and renders every integer
 as a decimal string so consumers never overflow; infinite values print as
 "inf".
 
-Exit codes: 0 success, 1 failed assertion, 2 usage or parse error,
-3 candidate budget exceeded.
+Exit codes: 0 success, 1 failed assertion, 2 usage or parse error (an
+input out of range included), 3 candidate budget exceeded.
 """
 
 from __future__ import annotations
@@ -264,6 +267,10 @@ def cmd_verify(args) -> int:
         if value is not None and value < 1:
             print(f"error: --{flag} must be >= 1, got {value}", file=sys.stderr)
             return EXIT_USAGE
+    if suite in ("example3", "lemma2") and args.p > MAX_POLY_DEGREE:
+        print(f"error: --p {args.p} gives the cascade polynomial u^p - p of degree "
+              f"{args.p}, over the limit of {MAX_POLY_DEGREE}", file=sys.stderr)
+        return EXIT_USAGE
     poly = None
     if args.poly is not None:
         poly = eisenstein_from_text(args.p, args.poly).coeffs

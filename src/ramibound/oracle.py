@@ -18,19 +18,22 @@ order.
 
 The walk runs on raw residues; every reported witness is then re-verified
 through TruncatedSeries arithmetic, so the fast path never silently vouches
-for itself.  The tests check the walk against a plain brute-force scan.
+for itself.  Witnesses carry only coefficients; their re-checks fold into
+witnesses-reverified, and a strict failure names the first failing witness
+and check.  The tests check the walk against a plain brute-force scan.
 
 Expected invariants of the surrounding theory are asserted on every run
 (t <= n*e, t <= tau*e + iota when tau is finite, the p-power kill of the
 twisted witness; lemma4_check adds the Weierstrass witness profile when
 p | e); any violation raises OracleViolationError, which would falsify the
-implementation rather than the theory.
+implementation rather than the theory.  check_budget refuses an oversized
+search, or sweep over a grid, before any power of p is computed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from . import breuil
@@ -101,12 +104,12 @@ def default_config(eis: EisensteinPolynomial, n: int,
     return SearchConfig(eis=eis, n=n, budget=budget)
 
 
-@dataclass
+@dataclass(slots=True)
 class WitnessReport:
-    """One candidate attaining the maximal depth, with named re-checks."""
+    """A witness by its coefficients; only lemma4_check attaches checks."""
 
     coeffs: tuple[int, ...]
-    checks: dict[str, bool] = field(default_factory=dict)
+    checks: dict[str, bool] | None = None
 
 
 @dataclass
@@ -122,15 +125,60 @@ class Prop2Result:
         return self.config.space_size
 
 
-def _is_weierstrass(c: tuple[int, ...], p: int) -> bool:
-    deg = None
-    for i in range(len(c) - 1, -1, -1):
-        if c[i]:
-            deg = i
-            break
-    if deg is None or c[deg] != 1:
-        return False
-    return all(c[i] % p == 0 for i in range(deg))
+def weierstrass_degree(c: tuple[int, ...], p: int) -> int | None:
+    """deg C when C is monic with every lower coefficient divisible by p,
+    else None (the zero polynomial included)."""
+    deg = next((i for i in range(len(c) - 1, -1, -1) if c[i]), None)
+    if deg is None or c[deg] != 1 or any(x % p for x in c[:deg]):
+        return None
+    return deg
+
+
+# Sizes of at most this many bits are computed and printed in decimal.
+_EXACT_BITS = 256
+
+
+def _oversize(p: int, k: int, size, text: str, budget: int) -> str | None:
+    """How to print a count over the budget, or None when it is within.
+
+    The count is at least p^k / 4 >= 2^(k*(bitlen(p) - 1) - 2); once that
+    bound settles the comparison and the count is too long for decimal, it
+    is printed as `text` without calling size()."""
+    if k * (p.bit_length() - 1) - 2 > max(budget.bit_length(), _EXACT_BITS):
+        return text
+    count = size()
+    if count <= budget:
+        return None
+    return str(count) if count.bit_length() <= _EXACT_BITS else text
+
+
+def check_budget(p: int, e: int, n: int, budget: int, sweep: bool = False) -> None:
+    """Refuse a prop2 search at (p, e, n) over more than budget candidates,
+    and with sweep=True one over every polynomial of eisenstein_grid(p, e, n),
+    by raising BudgetExceededError before any work.
+
+    One search visits (q - 1) * q^d candidates, q = p^n and d = n*e // p;
+    the grid holds (p - 1) * p^(n*e - 1) polynomials.  The single search
+    is checked first, so its message is the one a sweep of oversized
+    searches reports."""
+    d = n * e // p
+    space = _oversize(p, n * (d + 1), lambda: (p**n - 1) * p**(n * d),
+                      f"({p}^{n} - 1)*{p}^{n * d}", budget)
+    if space is not None:
+        raise BudgetExceededError(
+            f"the prop2 search at n = {n} would visit {space} candidates, "
+            f"over the budget of {budget}"
+        )
+    if not sweep:
+        return
+    total = _oversize(p, n * (e + d + 1),
+                      lambda: (p - 1) * p**(n * e - 1) * (p**n - 1) * p**(n * d),
+                      f"{p - 1}*{p}^{n * e - 1}*({p}^{n} - 1)*{p}^{n * d}", budget)
+    if total is not None:
+        raise BudgetExceededError(
+            f"the prop2 sweep over the degree-{e} grid at n = {n} would visit "
+            f"{total} candidates, over the budget of {budget}"
+        )
 
 
 def _walk(cfg: SearchConfig):
@@ -185,12 +233,8 @@ def prop2_max_t(cfg: SearchConfig, strict: bool = True) -> Prop2Result:
     raising, so suite drivers can tally individual failures."""
     p, e, n = cfg.p, cfg.e, cfg.n
     q = p**n
+    check_budget(p, e, n, cfg.budget)
     space = cfg.space_size
-    if space > cfg.budget:
-        raise BudgetExceededError(
-            f"the prop2 search at n = {n} would visit {space} candidates, "
-            f"over the budget of {cfg.budget}"
-        )
     best_t, cylinders, visited = _walk(cfg)
     if visited != space:
         raise OracleViolationError(
@@ -202,26 +246,26 @@ def prop2_max_t(cfg: SearchConfig, strict: bool = True) -> Prop2Result:
     if not math.isinf(inv.tau):
         assertions["t-le-taue-iota"] = best_t <= inv.tau * e + inv.iota
 
-    # re-verify every witness through the series ring, independent of the walk
+    # re-verify each witness in the series ring, independent of the walk (T > t*)
     prec = _series_scope(cfg)
     E_s = breuil.eisenstein_series(cfg.eis, prec)
     witnesses = []
     kill = p ** (1 if inv.m == 0 else (inv.tau + 1 if not math.isinf(inv.tau) else 0))
-    all_ok = True
+    first_failure = ""
     # the walk is lexicographic, so the expanded witnesses come out sorted
     for c in (prefix + tail for prefix, free in cylinders
               for tail in product(range(q), repeat=free)):
-        c_s = TruncatedSeries.from_coeffs(prec, c)
-        twisted = frobenius(c_s)
+        twisted = frobenius(TruncatedSeries.from_coeffs(prec, c))
         prod = E_s * twisted
-        checks = {"depth-reverified": prod.in_ideal(best_t, n)}
-        if best_t + 1 <= prec.T:
-            checks["depth-maximal"] = not prod.in_ideal(best_t + 1, n)
+        checks = {"depth-reverified": prod.in_ideal(best_t, n),
+                  "depth-maximal": not prod.in_ideal(best_t + 1, n)}
         if kill > 1:
             checks["p-power-kill"] = twisted.scale(kill).in_ideal(best_t, n)
-        all_ok = all_ok and all(checks.values())
-        witnesses.append(WitnessReport(coeffs=c, checks=checks))
-    assertions["witnesses-reverified"] = all_ok
+        if not first_failure and not all(checks.values()):
+            failed = next(name for name, ok in checks.items() if not ok)
+            first_failure = f"; first failing witness C = {c}: {failed}"
+        witnesses.append(WitnessReport(coeffs=c))
+    assertions["witnesses-reverified"] = not first_failure
 
     result = Prop2Result(
         t_star=best_t, witnesses=witnesses, candidates_visited=visited,
@@ -229,7 +273,7 @@ def prop2_max_t(cfg: SearchConfig, strict: bool = True) -> Prop2Result:
     )
     if strict and not all(assertions.values()):
         bad = [k for k, v in assertions.items() if not v]
-        raise OracleViolationError(f"violated: {bad} for E = {cfg.eis}, n = {n}")
+        raise OracleViolationError(f"violated: {bad} for E = {cfg.eis}, n = {n}{first_failure}")
     return result
 
 
@@ -247,11 +291,11 @@ def lemma4_check(cfg: SearchConfig, c: tuple[int, ...], t: int,
     if e % p != 0:
         raise ValueError("the Weierstrass profile applies only when p divides e")
     c = tuple(x % q for x in c)
-    if not _is_weierstrass(c, p):
+    d = weierstrass_degree(c, p)
+    if d is None:
         raise ValueError("witness is not a Weierstrass polynomial mod p^n")
-    if c[0] % q == 0:
+    if c[0] == 0:
         raise ValueError("constant term vanishes mod p^n")
-    d = max(i for i, x in enumerate(c) if x)
     if p * d >= t:
         raise ValueError(f"need p*deg(C) = {p * d} < t = {t}")
 
@@ -296,9 +340,9 @@ def cor5_check(p: int, n: int, e2: tuple[int, ...], c: tuple[int, ...], t: int) 
     """One instance of: membership of E_2 * twist(C) in (u^t, p^n) forces
     deg(E_2) >= t, for Weierstrass E_2 of degree below e and C from the
     staircase family.  Returns the truth of the implication."""
-    if not _is_weierstrass(e2, p):
+    l = weierstrass_degree(e2, p)
+    if l is None:
         raise ValueError("E_2 must be a Weierstrass polynomial")
-    l = max(i for i, x in enumerate(e2) if x)
     T = max(l + p * (len(c) - 1), t) + 1
     prec = Precision(p, n, T)
     e2_s = TruncatedSeries.from_coeffs(prec, e2)
@@ -381,7 +425,7 @@ def descent_minimal_s(eis: EisensteinPolynomial) -> DescentTable:
         ok = (
             j_max == a // (p - 1)
             and (s_required == 0) == (j_max == 0)
-            and breuil.verify_inclusion_p_s(M, [gen], s_required)
+            and (s_required == 0 or breuil.verify_inclusion_p_s(M, [gen], 1))
             and j_max <= t0
             and s_required <= s_v
         )

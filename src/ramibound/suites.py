@@ -4,6 +4,10 @@ Each suite walks a family of instances, tallies named assertions, and
 returns a plain report dict; the CLI serializes the report and exits
 nonzero when any tally shows a failure.  Suites are deterministic: every
 random object is derived from a seed string containing the parameters.
+
+Each fact is tallied once: a Prop 2 witness carries only coefficients, its
+re-checks folded into one witnesses-reverified tally per polynomial.  A grid
+sweep over budget is refused before it is built.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ import time
 
 from . import breuil, oracle
 from .bounds import prop3_height_bounds
-from .eisenstein import EisensteinPolynomial
-from .series import Precision, TruncatedSeries, frobenius, int_valuation
+from .eisenstein import EisensteinPolynomial, EisensteinValidationError
+from .series import Precision, TruncatedSeries, frobenius, int_valuation, is_prime
 
 
 def _tally(assertions: dict, name: str, ok: bool):
@@ -33,12 +37,25 @@ def _finish(suite: str, config: dict, assertions: dict, started: float) -> dict:
     }
 
 
-def _family(p: int, n: int, poly=None, e: int | None = None):
+def _family(p: int, n: int, poly=None, e: int | None = None,
+            budget: int = oracle.DEFAULT_BUDGET):
+    """One polynomial, or the degree-e grid once its sweep fits the budget."""
     if poly is not None:
         return [EisensteinPolynomial(p, tuple(poly))]
     if e is not None:
+        if not is_prime(p):
+            raise EisensteinValidationError([f"p = {p} is not prime"])
+        oracle.check_budget(p, e, n, budget, sweep=True)
         return list(oracle.eisenstein_grid(p, e, n))
     raise ValueError("need either an explicit polynomial or a degree to sweep")
+
+
+def _prop2_tallied(eis, n, budget, assertions: dict) -> oracle.Prop2Result:
+    res = oracle.prop2_max_t(oracle.default_config(eis, n, budget=budget),
+                             strict=False)
+    for name, ok in res.assertions.items():
+        _tally(assertions, name, ok)
+    return res
 
 
 def suite_prop2(p: int, n: int, poly=None, e: int | None = None,
@@ -46,14 +63,8 @@ def suite_prop2(p: int, n: int, poly=None, e: int | None = None,
     """Maximal-depth search over every candidate family member."""
     started = time.perf_counter()
     assertions: dict = {}
-    polys = _family(p, n, poly, e)
-    t_stars = []
-    for eis in polys:
-        res = oracle.prop2_max_t(oracle.default_config(eis, n, budget=budget),
-                                 strict=False)
-        t_stars.append(res.t_star)
-        for name, ok in res.assertions.items():
-            _tally(assertions, name, ok)
+    polys = _family(p, n, poly, e, budget)
+    t_stars = [_prop2_tallied(eis, n, budget, assertions).t_star for eis in polys]
     config = {"p": p, "n": n, "polynomials": len(polys), "budget": budget}
     if len(polys) == 1:
         config["poly"] = str(polys[0])
@@ -61,35 +72,33 @@ def suite_prop2(p: int, n: int, poly=None, e: int | None = None,
     return _finish("prop2", config, assertions, started)
 
 
-def _staircase_family(suite: str, p: int, n: int, poly=None, e: int | None = None):
+def _staircase_family(suite: str, p: int, n: int, poly, e, budget):
     """The family of a Weierstrass staircase suite, which needs p | e: with
-    p not dividing e it would check nothing, so that is refused up front."""
+    p not dividing e it would check nothing, so that is refused up front.
+    A p that is not prime is left to _family, which refuses it."""
     degree = len(poly) if poly is not None else e
-    if degree is not None and degree % p:
+    if degree is not None and is_prime(p) and degree % p:
         raise ValueError(f"{suite} needs p | e, got p = {p}, e = {degree} (p ∤ e)")
-    return _family(p, n, poly, e)
+    return _family(p, n, poly, e, budget)
 
 
 def _eligible_witnesses(eis, n, budget, assertions: dict):
-    """Prop2 witnesses satisfying the Weierstrass staircase hypotheses.
-
-    Tallies the prop2 assertions and every eligible witness's Lemma 4
-    checks into `assertions`, so a suite built on them cannot pass while
-    its hypotheses fail."""
-    res = oracle.prop2_max_t(oracle.default_config(eis, n, budget=budget),
-                             strict=False)
-    for name, ok in res.assertions.items():
-        _tally(assertions, name, ok)
+    """Lemma 4 on the prop2 witnesses C that are Weierstrass of degree d with
+    p*d < t*.  Every witness meets the other hypotheses (c_0 != 0 mod p^n,
+    p | e, and E_0 * twist(C) is E * twist(C) on exponents divisible by p),
+    and lemma4_check raises should one fail.  Tallies the prop2 assertions
+    and Lemma 4's checks but t-le-ne, prop2's t* <= n*e once more."""
+    res = _prop2_tallied(eis, n, budget, assertions)
     eligible = []
     for w in res.witnesses:
-        try:
-            report = oracle.lemma4_check(res.config, w.coeffs, res.t_star,
-                                         strict=False)
-        except ValueError:
+        d = oracle.weierstrass_degree(w.coeffs, eis.p)
+        if d is None or eis.p * d >= res.t_star:
             continue
+        report = oracle.lemma4_check(res.config, w.coeffs, res.t_star, strict=False)
         for name, ok in report.checks.items():
-            _tally(assertions, name, ok)
-        eligible.append((w.coeffs, report))
+            if name != "t-le-ne":
+                _tally(assertions, name, ok)
+        eligible.append(report)
     return res, eligible
 
 
@@ -98,7 +107,7 @@ def suite_lemma4(p: int, n: int, poly=None, e: int | None = None,
     """Degree and valuation staircase of eligible witnesses (p | e only)."""
     started = time.perf_counter()
     assertions: dict = {}
-    polys = _staircase_family("lemma4", p, n, poly, e)
+    polys = _staircase_family("lemma4", p, n, poly, e, budget)
     eligible_total = 0
     for eis in polys:
         _, eligible = _eligible_witnesses(eis, n, budget, assertions)
@@ -115,17 +124,17 @@ def suite_cor5(p: int, n: int, poly=None, e: int | None = None,
     witness are reported as in lemma4."""
     started = time.perf_counter()
     assertions: dict = {}
-    polys = _staircase_family("cor5", p, n, poly, e)
+    polys = _staircase_family("cor5", p, n, poly, e, budget)
     scanned = 0
     for eis in polys:
         res, eligible = _eligible_witnesses(eis, n, budget, assertions)
-        for coeffs, report in eligible:
+        for report in eligible:
             if not all(report.checks.values()):
                 continue
             for l in range(eis.e):
                 for e2 in oracle.weierstrass_polys(p, n, l):
                     scanned += 1
-                    ok = oracle.cor5_check(p, n, e2, coeffs, res.t_star)
+                    ok = oracle.cor5_check(p, n, e2, report.coeffs, res.t_star)
                     _tally(assertions, "membership-forces-degree", ok)
     config = {"p": p, "n": n, "polynomials": len(polys),
               "instances": scanned, "budget": budget}
@@ -176,7 +185,10 @@ def suite_lemma1(p: int, n: int, seeds: int = 200) -> dict:
         phi_deg = max((entry.degree() or 0) for row in M.phi for entry in row)
         cap = (prec.T - 1 - phi_deg) // prec.p
         if cap < 2:
-            raise AssertionError("u-precision budget left no sampling room")
+            raise ValueError(
+                f"lemma1 at p = {p}: u-precision {prec.T} leaves no sampling room "
+                f"beyond a map of degree {phi_deg}; lower --p"
+            )
         accepted_here = 0
         for k in range(LEMMA1_TRIES):
             t = rng.randint(1, 2)
@@ -223,14 +235,11 @@ def suite_lemma2(p: int, n: int, e_max: int = 8) -> dict:
         else:
             eis = EisensteinPolynomial(p, (p, p) + (0,) * (e - 2))
         try:
-            table = oracle.descent_minimal_s(eis)
+            oracle.descent_minimal_s(eis)  # asserts every row of the table
+            ok = True
         except oracle.OracleViolationError:
-            _tally(assertions, "stability-closed-form", False)
-            continue
-        _tally(assertions, "stability-closed-form", True)
-        for row in table.rows:
-            _tally(assertions, "stable-pole-inclusion",
-                   row.s_required <= 1 and row.j_max == row.a // (p - 1))
+            ok = False
+        _tally(assertions, "stability-closed-form", ok)
     config = {"p": p, "n": n, "e_max": e_max}
     return _finish("lemma2", config, assertions, started)
 

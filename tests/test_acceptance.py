@@ -111,9 +111,7 @@ def test_criterion_5_exhaustive_depth_oracle():
                     else:
                         assert res.t_star <= min(inv.tau * e + inv.iota, n * e)
                     witnesses += len(res.witnesses)
-                    assert all(
-                        all(w.checks.values()) for w in res.witnesses
-                    )
+                    assert res.assertions["witnesses-reverified"]
                     for w in res.witnesses:
                         try:
                             report = oracle.lemma4_check(res.config, w.coeffs,

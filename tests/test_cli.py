@@ -300,6 +300,66 @@ def test_cmd_verify_budget_error_names_the_work_and_the_flag(capsys, suite):
                    "over the budget of 10; raise --budget or lower --n\n")
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    # sizes compared by exponent, so no power of p is computed or printed in full
+    (["prop2", "--p", "2", "--poly", "u^2-2", "--n", "3000"], EXIT_BUDGET,
+     "would visit (2^3000 - 1)*2^9000000 candidates"),
+    (["prop2", "--p", "2", "--poly", "u^2-2", "--n", "100000"], EXIT_BUDGET,
+     "would visit (2^100000 - 1)*2^10000000000 candidates"),
+    # a sweep is refused before its grid is built
+    (["prop2", "--p", "2", "--e", "12", "--n", "3"], EXIT_BUDGET,
+     "the prop2 search at n = 3 would visit 126100789566373888 candidates"),
+    (["prop2", "--p", "1000000007", "--e", "2", "--n", "1"], EXIT_BUDGET,
+     "the prop2 search at n = 1 would visit 1000000006 candidates"),
+    (["prop2", "--p", "10007", "--e", "3", "--n", "1"], EXIT_BUDGET,
+     "the prop2 sweep over the degree-3 grid at n = 1 would visit 10026025310921764"),
+    (["lemma4", "--p", "2", "--e", "4", "--n", "3"], EXIT_BUDGET,
+     "the prop2 sweep over the degree-4 grid at n = 3 would visit 3758096384"),
+    (["prop2", "--p", "2", "--e", "1000000000", "--n", "1"], EXIT_BUDGET,
+     "would visit (2^1 - 1)*2^500000000 candidates"),
+    (["prop2", "--p", "0", "--e", "2", "--n", "1"], EXIT_USAGE, "p = 0 is not prime"),
+    (["lemma4", "--p", "0", "--e", "2", "--n", "1"], EXIT_USAGE, "p = 0 is not prime"),
+    # families the suites cannot hold
+    (["lemma1", "--p", "17", "--n", "1"], EXIT_USAGE,
+     "error: lemma1 at p = 17: u-precision 40 leaves no sampling room"),
+    (["lemma1", "--p", "23", "--n", "1"], EXIT_USAGE, "lower --p"),
+    (["example3", "--p", "1000000007", "--n", "1"], EXIT_USAGE,
+     "error: --p 1000000007 gives the cascade polynomial u^p - p of degree 1000000007, "
+     "over the limit of 256"),
+    (["lemma2", "--p", "1000000007", "--n", "1"], EXIT_USAGE, "cascade polynomial"),
+    (["example3", "--p", "257", "--n", "1"], EXIT_USAGE, "over the limit of 256"),
+], ids=["n3000", "n100000", "e12-n3", "p1e9", "p10007-sweep", "lemma4-sweep", "e1e9",
+        "p0", "lemma4-p0", "lemma1-p17", "lemma1-p23", "example3-p1e9", "lemma2-p1e9", "example3-p257"])
+def test_cmd_verify_refuses_what_it_cannot_hold_at_once(capsys, argv, code, message):
+    got, out, err = run(capsys, "verify", "--suite", *argv)
+    assert (got, out) == (code, "")
+    assert message in err and "Traceback" not in err
+
+
+def test_cmd_verify_sweep_budget_is_exact(capsys, monkeypatch):
+    # the (2, 4, 3) sweep visits 2048 * 1835008 = 3758096384 candidates: one
+    # fewer in the budget refuses it, that many reaches the grid
+    class Reached(Exception):
+        pass
+
+    def grid(p, e, n):
+        raise Reached
+
+    monkeypatch.setattr(suites.oracle, "eisenstein_grid", grid)
+    argv = ["verify", "--suite", "prop2", "--p", "2", "--e", "4", "--n", "3", "--budget"]
+    code, _, err = run(capsys, *argv, "3758096383")
+    assert code == EXIT_BUDGET and "3758096384 candidates" in err
+    with pytest.raises(Reached):
+        cli.main(argv + ["3758096384"])
+
+
+@pytest.mark.parametrize("p,n", [(11, 3), (13, 1)])
+def test_cmd_verify_lemma1_primes_up_to_13(capsys, p, n):
+    code, payload, _ = run_json(capsys, "verify", "--suite", "lemma1",
+                                "--p", str(p), "--n", str(n))
+    assert code == EXIT_OK and payload["ok"] is True
+
+
 def test_cmd_verify_failure_exit_code(capsys, monkeypatch):
     def failing_suite(p, n):
         return {"suite": "example3", "config": {}, "ok": False,

@@ -71,6 +71,11 @@ def test_golden_cli_output(name):
     assert record(CASES[name]) == expected
 
 
+def test_golden_records_match_the_cases():
+    # no orphan record that no case checks, and no case without its record
+    assert {path.stem for path in GOLDEN.glob("*.json")} == set(CASES)
+
+
 if __name__ == "__main__":
     names = sys.argv[1:] or list(CASES)
     unknown = [name for name in names if name not in CASES]

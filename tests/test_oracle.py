@@ -2,24 +2,30 @@
 and the full small-parameter grid against a brute-force reference scan."""
 
 import random
+import re
 import tracemalloc
 from itertools import product
 
 import pytest
 
-from ramibound import oracle
+from ramibound import oracle, suites
 from ramibound.eisenstein import EisensteinPolynomial
 from ramibound.oracle import (
     BudgetExceededError,
+    OracleViolationError,
     SearchConfig,
+    WitnessReport,
+    check_budget,
     cor5_check,
     default_config,
     descent_minimal_s,
     eisenstein_grid,
     lemma4_check,
     prop2_max_t,
+    weierstrass_degree,
     weierstrass_polys,
 )
+from ramibound.series import TruncatedSeries
 
 E22 = EisensteinPolynomial(2, (-2, 0))       # tau infinite
 E221 = EisensteinPolynomial(2, (2, 2))       # tau = 1, iota = 1
@@ -62,6 +68,19 @@ def test_prop2_u4_minus_2_at_n3_pinned_with_small_peak():
     assert peak < 10 * 2**20  # only the cylinders tied at the best depth are kept
 
 
+def test_prop2_witness_list_peak_memory():
+    # 16384 witnesses; each keeps its coefficient tuple and no map of checks
+    cfg = default_config(EisensteinPolynomial(2, (2, 2, 0, 0)), 3)
+    tracemalloc.start()
+    try:
+        r = prop2_max_t(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.t_star == 5 and len(r.witnesses) == 16384
+    assert peak < 4.5 * 2**20
+
+
 def test_prop2_determinism():
     a = prop2_max_t(default_config(E22, 2))
     b = prop2_max_t(default_config(E22, 2))
@@ -76,9 +95,63 @@ def test_prop2_budget_guard():
 
 def test_prop2_witnesses_reverified_through_the_ring():
     r = prop2_max_t(default_config(E22, 2))
-    for w in r.witnesses:
-        assert w.checks["depth-reverified"]
-        assert w.checks.get("depth-maximal", True)
+    assert r.assertions["witnesses-reverified"] is True
+
+
+def test_prop2_reverification_catches_a_wrong_twist(monkeypatch):
+    # the walk reads raw residues and never twists, so a twist that also
+    # multiplies by u leaves t* and the witnesses alone, but every product
+    # then lies one step deeper and depth-maximal fails on every witness
+    cfg = default_config(E22, 2)
+    good = prop2_max_t(cfg)
+    real = oracle.frobenius
+    monkeypatch.setattr(oracle, "frobenius",
+                        lambda s: real(s) * TruncatedSeries.monomial(s.prec, 1))
+    bad = prop2_max_t(cfg, strict=False)
+    assert (bad.t_star, bad.witnesses) == (good.t_star, good.witnesses)
+    assert bad.assertions["witnesses-reverified"] is False
+    first = good.witnesses[0].coeffs
+    with pytest.raises(OracleViolationError,
+                       match=re.escape(f"first failing witness C = {first}: depth-maximal")):
+        prop2_max_t(cfg)
+
+
+def test_prop2_witnesses_carry_coefficients_only():
+    r = prop2_max_t(default_config(E22, 2))
+    assert all(type(w) is WitnessReport and w.checks is None for w in r.witnesses)
+    assert not hasattr(r.witnesses[0], "__dict__")
+
+
+@pytest.mark.parametrize("p, e, n", [(2, 2, 1), (2, 4, 2), (3, 3, 2), (5, 2, 3), (2, 2, 40),
+                                     (7, 3, 30), (1009, 2, 2), (2, 500, 3), (1009, 60, 1),
+                                     (1009, 100, 1)])
+@pytest.mark.parametrize("budget", [1, 10, 767, 768, 10**8, 2**300, 2**600])
+def test_check_budget_matches_the_closed_forms(p, e, n, budget):
+    # the exponent shortcut never changes a verdict: compare with the sizes
+    d = n * e // p
+    space = (p**n - 1) * p**(n * d)
+    total = (p - 1) * p**(n * e - 1) * space
+    if space > budget:
+        with pytest.raises(BudgetExceededError, match="the prop2 search at"):
+            check_budget(p, e, n, budget, sweep=True)
+    elif total > budget:
+        check_budget(p, e, n, budget)
+        with pytest.raises(BudgetExceededError, match="the prop2 sweep over"):
+            check_budget(p, e, n, budget, sweep=True)
+    else:
+        check_budget(p, e, n, budget, sweep=True)
+
+
+def test_check_budget_prints_huge_sizes_as_powers():
+    with pytest.raises(BudgetExceededError,
+                       match=re.escape("would visit (2^3000 - 1)*2^9000000 candidates")):
+        check_budget(2, 2, 3000, 10**8)
+    with pytest.raises(BudgetExceededError,
+                       match=re.escape("would visit 1008*1009^99*(1009^1 - 1)*1009^0 candidates")):
+        check_budget(1009, 100, 1, 10**8, sweep=True)
+    with pytest.raises(BudgetExceededError, match="would visit 3758096384 candidates"):
+        check_budget(2, 4, 3, 10**8, sweep=True)
+    check_budget(2, 4, 3, 3758096384, sweep=True)
 
 
 def test_config_validation():
@@ -118,7 +191,9 @@ def test_lemma4_requires_p_dividing_e():
 def test_tied_cylinders_leave_the_depth_to_their_prefix(p, e, n, eligible):
     # (a) a tail digit l of a tied cylinder has p*l >= p*len(prefix) > t*, so it
     # cannot touch a coefficient up to u^t*; (b) hence every witness that
-    # lemma4_check accepts (p*deg C < t*) is a cylinder's zero-tail representative
+    # lemma4_check accepts (p*deg C < t*) is a cylinder's zero-tail representative;
+    # (c) the lemma4 suite, which chooses witnesses by Lemma 4's hypotheses
+    # instead of by this exception filter, finds exactly the same count
     q = p**n
     accepted = 0
     for eis in eisenstein_grid(p, e, n):
@@ -138,6 +213,8 @@ def test_tied_cylinders_leave_the_depth_to_their_prefix(p, e, n, eligible):
             assert not any(tail), (eis, prefix, tail)
             accepted += 1
     assert accepted == eligible
+    report = suites.suite_lemma4(p, n, e=e)
+    assert report["ok"] and report["config"]["eligible_witnesses"] == eligible
 
 
 # -- low-degree multipliers -----------------------------------------------------------
@@ -150,6 +227,15 @@ def test_cor5_examples():
         assert cor5_check(2, 2, e2, (2, 1), 4)
     # degenerate t = 0 is vacuous
     assert cor5_check(2, 2, (0, 1), (2, 1), 0)
+
+
+def test_weierstrass_degree():
+    assert weierstrass_degree((2, 1, 0), 2) == 1
+    assert weierstrass_degree((1,), 2) == 0
+    assert weierstrass_degree((0, 4, 1), 2) == 2
+    assert weierstrass_degree((1, 1), 2) is None  # constant term not divisible by p
+    assert weierstrass_degree((2, 3), 2) is None  # not monic
+    assert weierstrass_degree((0, 0), 2) is None  # zero
 
 
 def test_cor5_rejects_non_weierstrass():
@@ -187,6 +273,12 @@ def test_eisenstein_grid_counts():
     assert len(list(eisenstein_grid(2, 2, 2))) == 8
     assert len(list(eisenstein_grid(2, 4, 2))) == 128
     assert len(list(eisenstein_grid(3, 3, 2))) == 486
+
+
+@pytest.mark.parametrize("p, e, n", [(2, 2, 2), (2, 4, 2), (3, 3, 2), (5, 2, 1)])
+def test_grid_size_closed_form(p, e, n):
+    # the count check_budget multiplies the per-search space by
+    assert len(list(eisenstein_grid(p, e, n))) == (p - 1) * p**(n * e - 1)
 
 
 @pytest.mark.parametrize("e,n", [(0, 1), (2, 0), (-1, 2)])
