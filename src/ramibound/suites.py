@@ -7,7 +7,19 @@ random object is derived from a seed string containing the parameters.
 
 Each fact is tallied once: a Prop 2 witness carries only coefficients, its
 re-checks folded into one witnesses-reverified tally per polynomial.  A grid
-sweep over budget is refused before it is built.
+sweep over budget is refused before it is built; the budget counts the whole
+grid.
+
+A grid sweep searches once per residue class.  The depth of E * twist(C) in
+(u^t, p^n) reads E only mod p^n, but eisenstein_grid enumerates E mod
+p^(n+1), so the prop2, lemma4 and cor5 sweeps group the grid by the key
+(E mod p^n, tau, iota).  The key is exact: prop2_max_t reads E through its
+coefficients mod p^n (the walk and the series E_s) and through (tau, iota)
+(t-le-taue-iota and the p-power-kill exponent, with m fixed by p and e);
+lemma4_check reads E_0 mod p^n; cor5_check does not read E.  The first
+member of each class in grid order is searched, and its results are tallied
+once per member, so every count and the order of the tally names are those
+of the per-polynomial loop.
 """
 
 from __future__ import annotations
@@ -21,9 +33,9 @@ from .eisenstein import EisensteinPolynomial, EisensteinValidationError
 from .series import Precision, TruncatedSeries, frobenius, int_valuation, is_prime
 
 
-def _tally(assertions: dict, name: str, ok: bool):
+def _tally(assertions: dict, name: str, ok: bool, count: int = 1):
     slot = assertions.setdefault(name, {"pass": 0, "fail": 0})
-    slot["pass" if ok else "fail"] += 1
+    slot["pass" if ok else "fail"] += count
 
 
 def _finish(suite: str, config: dict, assertions: dict, started: float) -> dict:
@@ -50,11 +62,24 @@ def _family(p: int, n: int, poly=None, e: int | None = None,
     raise ValueError("need either an explicit polynomial or a degree to sweep")
 
 
-def _prop2_tallied(eis, n, budget, assertions: dict) -> oracle.Prop2Result:
+def _classes(polys, n: int) -> list[tuple[EisensteinPolynomial, int]]:
+    """(representative, size) per key (E mod p^n, tau, iota), in order of
+    first appearance; the representative is the first member."""
+    classes: dict = {}
+    for eis in polys:
+        q = eis.p**n
+        inv = eis.invariants()
+        key = (tuple(a % q for a in eis.coeffs), inv.tau, inv.iota)
+        rep, size = classes.get(key, (eis, 0))
+        classes[key] = (rep, size + 1)
+    return list(classes.values())
+
+
+def _prop2_tallied(eis, n, budget, assertions: dict, count: int) -> oracle.Prop2Result:
     res = oracle.prop2_max_t(oracle.default_config(eis, n, budget=budget),
                              strict=False)
     for name, ok in res.assertions.items():
-        _tally(assertions, name, ok)
+        _tally(assertions, name, ok, count)
     return res
 
 
@@ -64,7 +89,8 @@ def suite_prop2(p: int, n: int, poly=None, e: int | None = None,
     started = time.perf_counter()
     assertions: dict = {}
     polys = _family(p, n, poly, e, budget)
-    t_stars = [_prop2_tallied(eis, n, budget, assertions).t_star for eis in polys]
+    t_stars = [_prop2_tallied(eis, n, budget, assertions, size).t_star
+               for eis, size in _classes(polys, n)]
     config = {"p": p, "n": n, "polynomials": len(polys), "budget": budget}
     if len(polys) == 1:
         config["poly"] = str(polys[0])
@@ -82,13 +108,13 @@ def _staircase_family(suite: str, p: int, n: int, poly, e, budget):
     return _family(p, n, poly, e, budget)
 
 
-def _eligible_witnesses(eis, n, budget, assertions: dict):
+def _eligible_witnesses(eis, n, budget, assertions: dict, count: int):
     """Lemma 4 on the prop2 witnesses C that are Weierstrass of degree d with
     p*d < t*.  Every witness meets the other hypotheses (c_0 != 0 mod p^n,
     p | e, and E_0 * twist(C) is E * twist(C) on exponents divisible by p),
-    and lemma4_check raises should one fail.  Tallies the prop2 assertions
-    and Lemma 4's checks but t-le-ne, prop2's t* <= n*e once more."""
-    res = _prop2_tallied(eis, n, budget, assertions)
+    and lemma4_check raises should one fail.  Tallies, count times, the prop2
+    assertions and Lemma 4's checks but t-le-ne, prop2's t* <= n*e once more."""
+    res = _prop2_tallied(eis, n, budget, assertions, count)
     eligible = []
     for w in res.witnesses:
         d = oracle.weierstrass_degree(w.coeffs, eis.p)
@@ -97,7 +123,7 @@ def _eligible_witnesses(eis, n, budget, assertions: dict):
         report = oracle.lemma4_check(res.config, w.coeffs, res.t_star, strict=False)
         for name, ok in report.checks.items():
             if name != "t-le-ne":
-                _tally(assertions, name, ok)
+                _tally(assertions, name, ok, count)
         eligible.append(report)
     return res, eligible
 
@@ -109,9 +135,9 @@ def suite_lemma4(p: int, n: int, poly=None, e: int | None = None,
     assertions: dict = {}
     polys = _staircase_family("lemma4", p, n, poly, e, budget)
     eligible_total = 0
-    for eis in polys:
-        _, eligible = _eligible_witnesses(eis, n, budget, assertions)
-        eligible_total += len(eligible)
+    for eis, size in _classes(polys, n):
+        _, eligible = _eligible_witnesses(eis, n, budget, assertions, size)
+        eligible_total += size * len(eligible)
     config = {"p": p, "n": n, "polynomials": len(polys),
               "eligible_witnesses": eligible_total, "budget": budget}
     return _finish("lemma4", config, assertions, started)
@@ -126,16 +152,16 @@ def suite_cor5(p: int, n: int, poly=None, e: int | None = None,
     assertions: dict = {}
     polys = _staircase_family("cor5", p, n, poly, e, budget)
     scanned = 0
-    for eis in polys:
-        res, eligible = _eligible_witnesses(eis, n, budget, assertions)
+    for eis, size in _classes(polys, n):
+        res, eligible = _eligible_witnesses(eis, n, budget, assertions, size)
         for report in eligible:
             if not all(report.checks.values()):
                 continue
             for l in range(eis.e):
                 for e2 in oracle.weierstrass_polys(p, n, l):
-                    scanned += 1
+                    scanned += size
                     ok = oracle.cor5_check(p, n, e2, report.coeffs, res.t_star)
-                    _tally(assertions, "membership-forces-degree", ok)
+                    _tally(assertions, "membership-forces-degree", ok, size)
     config = {"p": p, "n": n, "polynomials": len(polys),
               "instances": scanned, "budget": budget}
     return _finish("cor5", config, assertions, started)

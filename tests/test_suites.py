@@ -70,7 +70,9 @@ def _fail_first_lemma4_degree(monkeypatch):
         return report
 
     monkeypatch.setattr(oracle, "lemma4_check", patched)
-    return "lemma4-degree", 1, 21  # one of the 8 witnesses (3 instances each) left out
+    # the first call checks the witness of the first class, u^2 + 2 and
+    # u^2 + 6, so both members' witnesses (3 instances each) are left out
+    return "lemma4-degree", 2, 18
 
 
 @pytest.mark.parametrize("fail", [_fail_prop2_reverification, _fail_first_lemma4_degree],
@@ -120,7 +122,10 @@ def test_staircase_suites_run_lemma4_once_per_eligible_witness(monkeypatch):
 
     monkeypatch.setattr(oracle, "lemma4_check", counted)
     report = suites.suite_lemma4(2, 2, e=4)
-    assert report["ok"] and len(calls) == report["config"]["eligible_witnesses"] == 192
+    # Lemma 4 runs once per eligible witness of each of the 12 classes of the
+    # 128 polynomials; its tallies still count every polynomial's witnesses
+    assert report["ok"] and len(calls) == 16
+    assert report["config"]["eligible_witnesses"] == 192
     # t-le-ne is tallied once per polynomial, by prop2, not again per witness
     assert report["assertions"]["t-le-ne"] == {"pass": 128, "fail": 0}
     assert report["assertions"]["lemma4-degree"] == {"pass": 192, "fail": 0}
@@ -161,3 +166,120 @@ def test_staircase_eligibility_stops_short_of_p_deg_equal_t(monkeypatch):
     after = suites.suite_lemma4(2, 2, poly=(-2, 0))
     assert after["ok"] and after["config"]["eligible_witnesses"] == \
         before["config"]["eligible_witnesses"] == 1
+
+
+# The grids on which grouped sweeps are checked against the per-polynomial
+# loop, as (p, e, n); every one has p | e, so lemma4 and cor5 run on each.
+SMALL_GRIDS = [(2, 2, 2), (2, 4, 2), (2, 2, 3), (3, 3, 2)]
+
+
+def _reference_sweep(suite, p, e, n, budget=oracle.DEFAULT_BUDGET):
+    """The sweep as a plain loop that searches every polynomial of the grid."""
+    assertions: dict = {}
+
+    def tally(name, ok):
+        slot = assertions.setdefault(name, {"pass": 0, "fail": 0})
+        slot["pass" if ok else "fail"] += 1
+
+    polys = list(oracle.eisenstein_grid(p, e, n))
+    eligible_total = scanned = 0
+    for eis in polys:
+        res = oracle.prop2_max_t(oracle.default_config(eis, n, budget=budget),
+                                 strict=False)
+        for name, ok in res.assertions.items():
+            tally(name, ok)
+        if suite == "prop2":
+            continue
+        for w in res.witnesses:
+            d = oracle.weierstrass_degree(w.coeffs, p)
+            if d is None or p * d >= res.t_star:
+                continue
+            report = oracle.lemma4_check(res.config, w.coeffs, res.t_star, strict=False)
+            for name, ok in report.checks.items():
+                if name != "t-le-ne":
+                    tally(name, ok)
+            eligible_total += 1
+            if suite == "cor5" and all(report.checks.values()):
+                for l in range(e):
+                    for e2 in oracle.weierstrass_polys(p, n, l):
+                        scanned += 1
+                        tally("membership-forces-degree",
+                              oracle.cor5_check(p, n, e2, report.coeffs, res.t_star))
+    config = {"p": p, "n": n, "polynomials": len(polys)}
+    if suite == "lemma4":
+        config["eligible_witnesses"] = eligible_total
+    if suite == "cor5":
+        config["instances"] = scanned
+    config["budget"] = budget
+    ok = bool(assertions) and all(v["fail"] == 0 for v in assertions.values())
+    return {"suite": suite, "config": config, "assertions": assertions, "ok": ok}
+
+
+@pytest.mark.parametrize("grid", SMALL_GRIDS, ids=str)
+@pytest.mark.parametrize("suite", ["prop2", "lemma4", "cor5"])
+def test_grouped_sweeps_match_the_per_polynomial_loop(suite, grid):
+    p, e, n = grid
+    grouped = suites.SUITES[suite](p, n, e=e)
+    del grouped["runtime_s"]
+    expected = _reference_sweep(suite, p, e, n)
+    assert grouped == expected
+    # dict equality ignores order, but the report prints tallies in order
+    assert list(grouped["assertions"]) == list(expected["assertions"])
+    assert list(grouped["config"]) == list(expected["config"])
+
+
+def _class_members(p, e, n):
+    """The grid's polynomials grouped by the sweep key (E mod p^n, tau, iota)."""
+    q = p**n
+    members: dict = {}
+    for eis in oracle.eisenstein_grid(p, e, n):
+        inv = eis.invariants()
+        key = (tuple(a % q for a in eis.coeffs), inv.tau, inv.iota)
+        members.setdefault(key, []).append(eis)
+    return list(members.values())
+
+
+def _search_profile(eis, n):
+    """What a sweep reads off one search: t*, witnesses, assertions and the
+    Lemma 4 report of every eligible witness."""
+    res = oracle.prop2_max_t(oracle.default_config(eis, n), strict=False)
+    lemma4 = []
+    for w in res.witnesses:
+        d = oracle.weierstrass_degree(w.coeffs, eis.p)
+        if d is not None and eis.p * d < res.t_star:
+            report = oracle.lemma4_check(res.config, w.coeffs, res.t_star, strict=False)
+            lemma4.append((report.coeffs, report.checks))
+    return res.t_star, [w.coeffs for w in res.witnesses], res.assertions, lemma4
+
+
+@pytest.mark.parametrize("grid", SMALL_GRIDS, ids=str)
+def test_sweep_key_fixes_every_search_result(grid):
+    p, e, n = grid
+    for members in _class_members(p, e, n):
+        first = _search_profile(members[0], n)
+        assert all(_search_profile(eis, n) == first for eis in members[1:])
+
+
+@pytest.mark.parametrize("grid,count", [((2, 2, 2), 3), ((2, 4, 2), 12), ((2, 2, 3), 10),
+                                        ((3, 3, 2), 22), ((3, 4, 2), 54)], ids=str)
+def test_sweep_class_counts(grid, count):
+    p, e, n = grid
+    polys = list(oracle.eisenstein_grid(p, e, n))
+    classes = suites._classes(polys, n)
+    assert len(classes) == count and sum(size for _, size in classes) == len(polys)
+    assert [rep for rep, _ in classes] == [m[0] for m in _class_members(p, e, n)]
+
+
+def test_sweep_key_needs_tau():
+    # u^2 + 2 and u^2 + 4u + 2 agree mod 4, but E_1 vanishes only in the
+    # first (tau infinite), so only the second asserts t <= tau*e + iota
+    plain, twisted = EisensteinPolynomial(2, (2, 0)), EisensteinPolynomial(2, (2, 4))
+    polys = list(oracle.eisenstein_grid(2, 2, 2))
+    assert plain in polys and twisted in polys
+    assert [a % 4 for a in plain.coeffs] == [a % 4 for a in twisted.coeffs]
+    found = [oracle.prop2_max_t(oracle.default_config(eis, 2), strict=False)
+             for eis in (plain, twisted)]
+    assert "t-le-taue-iota" not in found[0].assertions
+    assert "t-le-taue-iota" in found[1].assertions
+    reps = [rep for rep, _ in suites._classes(polys, 2)]
+    assert plain in reps and twisted in reps
