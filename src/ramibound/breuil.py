@@ -28,9 +28,10 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .eisenstein import EisensteinPolynomial
-from .series import Precision, PrecisionError, TruncatedSeries, frobenius
+from .series import Precision, PrecisionError, TruncatedSeries, dot, frobenius
 
 Matrix = tuple[tuple[TruncatedSeries, ...], ...]
 
@@ -46,22 +47,12 @@ def mat_identity(prec: Precision, h: int) -> Matrix:
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    h, k, w = len(A), len(B), len(B[0])
-    return tuple(
-        tuple(
-            sum((A[i][t] * B[t][j] for t in range(1, k)), A[i][0] * B[0][j])
-            for j in range(w)
-        )
-        for i in range(h)
-    )
+    cols = tuple(zip(*B))
+    return tuple(tuple(dot(row, col) for col in cols) for row in A)
 
 
 def mat_vec(A: Matrix, v: tuple[TruncatedSeries, ...]) -> tuple[TruncatedSeries, ...]:
-    k = len(v)
-    return tuple(
-        sum((A[i][t] * v[t] for t in range(1, k)), A[i][0] * v[0])
-        for i in range(len(A))
-    )
+    return tuple(dot(row, v) for row in A)
 
 
 def mat_det(A: Matrix) -> TruncatedSeries:
@@ -115,6 +106,11 @@ class BreuilModule:
     @property
     def h(self) -> int:
         return len(self.phi)
+
+    @cached_property
+    def phi_degree(self) -> int:
+        """Largest degree among the entries of phi; 0 when phi is zero."""
+        return max((entry.degree() or 0) for row in self.phi for entry in row)
 
     def __post_init__(self):
         h = self.h
@@ -217,10 +213,9 @@ def apply_phi(M: BreuilModule, x: FractionalElement) -> FractionalElement:
             f"allocate T >= {required_u_precision(p, x.pole, M.eis.e)}"
         )
     alpha_deg = max((a.degree() or 0) for a in x.alphas)
-    phi_deg = max((entry.degree() or 0) for row in M.phi for entry in row)
-    if p * alpha_deg + phi_deg >= T:
+    if p * alpha_deg + M.phi_degree >= T:
         raise PrecisionError(
-            f"numerator support would truncate: p*{alpha_deg} + {phi_deg} >= T = {T}"
+            f"numerator support would truncate: p*{alpha_deg} + {M.phi_degree} >= T = {T}"
         )
     twisted = tuple(frobenius(a) for a in x.alphas)
     nums = mat_vec(M.phi, twisted)

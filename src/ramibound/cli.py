@@ -12,8 +12,11 @@ alone means `u^1`, a bare integer is the constant term) joined by `+` or
 `-`; the first term may carry a `-`.  An Eisenstein polynomial has degree
 at most MAX_POLY_DEGREE, checked before its coefficients are allocated;
 so has the cascade polynomial u^p - p of the example3 and lemma2 suites,
-so they refuse p > MAX_POLY_DEGREE.  A prop2, lemma4 or cor5 search, or
-grid sweep, over more than --budget candidates is refused before any work.
+so they refuse p > MAX_POLY_DEGREE.  The lemma1 suite works at u-precision
+T = max(40, 2p + 1 + deg phi), so it too refuses p > MAX_POLY_DEGREE, and
+a p that is not prime, before any series is allocated.  A prop2, lemma4 or
+cor5 search, or grid sweep, over more than --budget candidates is refused
+before any work.
 JSON output carries a versioned `schema` field and renders every integer
 as a decimal string so consumers never overflow; infinite values print as
 "inf".
@@ -270,6 +273,10 @@ def cmd_verify(args) -> int:
     if suite in ("example3", "lemma2") and args.p > MAX_POLY_DEGREE:
         print(f"error: --p {args.p} gives the cascade polynomial u^p - p of degree "
               f"{args.p}, over the limit of {MAX_POLY_DEGREE}", file=sys.stderr)
+        return EXIT_USAGE
+    if suite == "lemma1" and args.p > MAX_POLY_DEGREE:
+        print(f"error: --p {args.p} gives lemma1 series of u-precision above 2p, "
+              f"over the limit of p <= {MAX_POLY_DEGREE}", file=sys.stderr)
         return EXIT_USAGE
     poly = None
     if args.poly is not None:

@@ -19,7 +19,9 @@ w-byte slots hold its coefficients, w = ceil(bit_length(T * (q-1)^2) / 8),
 the two integers are multiplied once, and the low T slots are read back and
 reduced mod q.  Slot k of the product is the convolution sum over i + j = k
 of at most T terms, each at most (q-1)^2, so it is below 2^(8w): no slot
-carries into the next, and every slot read back is exact.
+carries into the next, and every slot read back is exact.  dot(xs, ys)
+takes the same route per pair, adds the unreduced products up as integers
+and reduces mod q once, so a sum of h products builds one series.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
-from operator import mul, sub
+from operator import add, mul, sub
 
 
 class PrecisionMismatchError(ValueError):
@@ -203,14 +205,8 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_prec(other)
-        T = self.prec.T
         q = self.prec.modulus
-        a, b = self.coeffs, other.coeffs
-        za, zb = a.count(0), b.count(0)
-        if (T - za) * (T - zb) <= _SPARSE_K * T:
-            out = _mul_sparse(a, b, T) if za <= zb else _mul_sparse(b, a, T)
-        else:
-            out = _mul_packed(a, b, T, q)
+        out = _mul_raw(self.coeffs, other.coeffs, self.prec.T, q)
         return TruncatedSeries(self.prec, tuple([c % q for c in out]))
 
     def scale(self, c: int) -> "TruncatedSeries":
@@ -283,6 +279,15 @@ class TruncatedSeries:
 _SPARSE_K = 8
 
 
+def _mul_raw(a, b, T, q):
+    """Unreduced truncated convolution of residue tuples a and b, by the
+    sparse route when nnz(a) * nnz(b) <= _SPARSE_K * T and packed otherwise."""
+    za, zb = a.count(0), b.count(0)
+    if (T - za) * (T - zb) <= _SPARSE_K * T:
+        return _mul_sparse(a, b, T) if za <= zb else _mul_sparse(b, a, T)
+    return _mul_packed(a, b, T, q)
+
+
 def _mul_sparse(a, b, T):
     """Unreduced truncated convolution over the nonzero pairs of a and b.
 
@@ -319,6 +324,26 @@ def frobenius(a: TruncatedSeries) -> TruncatedSeries:
         if c:
             cs[p * i] = c
     return TruncatedSeries(a.prec, tuple(cs))
+
+
+def dot(xs, ys) -> TruncatedSeries:
+    """sum_i xs[i] * ys[i] over paired series of one precision.
+
+    The unreduced products are added up as integers and reduced mod p^n
+    once, so h pairs build one series rather than 2h - 1.  Raises
+    PrecisionMismatchError on mixed precisions, and ValueError on an empty
+    or unpaired input."""
+    if not xs or len(xs) != len(ys):
+        raise ValueError(f"dot needs paired nonempty inputs, got {len(xs)} and {len(ys)}")
+    prec = xs[0].prec
+    T, q = prec.T, prec.modulus
+    acc = None
+    for x, y in zip(xs, ys):
+        if x.prec != prec or y.prec != prec:
+            raise PrecisionMismatchError(f"precision mismatch: {prec} vs {x.prec}, {y.prec}")
+        out = _mul_raw(x.coeffs, y.coeffs, T, q)
+        acc = out if acc is None else list(map(add, acc, out))
+    return TruncatedSeries(prec, tuple([c % q for c in acc]))
 
 
 def invert_unit(a: TruncatedSeries) -> TruncatedSeries:

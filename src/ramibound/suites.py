@@ -180,16 +180,28 @@ def _random_eisenstein(rng: random.Random, p: int, n: int, e: int) -> Eisenstein
 def _seeded_module(rng: random.Random, p: int, n_max: int):
     """A seeded module and the d it was built with.  The requested d is the
     independent side of h4-matches-decomposition; M.normal_decomp.d is what
-    the build recorded, so reading it instead would weaken that check."""
+    the build recorded, so reading it instead would weaken that check.
+
+    The u-precision is T = max(40, 2p + 1 + deg phi), which leaves lemma1
+    room to sample numerators up to u^2 at any p.  deg phi is at most
+    4h + 2 + e <= 18 (2h elementary steps and a unit diagonal, each of
+    degree <= 2, then E), so a build at T = 40 truncates nothing and reads
+    the degree exactly; the build is repeated at the larger T only when
+    40 is too small, which happens for p >= 11 only."""
     n_i = rng.randint(1, n_max)
     h = rng.randint(1, 3)
     d = rng.randint(0, h)
     e = rng.randint(2, 4)
     eis = _random_eisenstein(rng, p, n_i, e)
-    prec = Precision(p, n_i, 40)
-    M = breuil.build_bt_module(prec, eis, d=d, h=h, seed=rng.randrange(2**30),
-                               max_entry_degree=2)
-    return M, d
+    seed = rng.randrange(2**30)
+
+    def build(T):
+        return breuil.build_bt_module(Precision(p, n_i, T), eis, d=d, h=h, seed=seed,
+                                      max_entry_degree=2)
+
+    M = build(40)
+    T = 2 * p + 1 + M.phi_degree
+    return (build(T) if T > 40 else M), d
 
 
 LEMMA1_TRIES = 8  # sampled elements per seeded module
@@ -202,19 +214,15 @@ def suite_lemma1(p: int, n: int, seeds: int = 200) -> dict:
     Samples mix a guaranteed-acceptance family (numerators divisible by a
     high enough power of u) with raw rejection sampling."""
     started = time.perf_counter()
+    if not is_prime(p):
+        raise EisensteinValidationError([f"p = {p} is not prime"])
     assertions: dict = {}
     for seed in range(seeds):
         rng = random.Random(f"lemma1-{p}-{n}-{seed}")
         M, _ = _seeded_module(rng, p, n)
         prec = M.prec
         E_s = breuil.eisenstein_series(M.eis, prec)
-        phi_deg = max((entry.degree() or 0) for row in M.phi for entry in row)
-        cap = (prec.T - 1 - phi_deg) // prec.p
-        if cap < 2:
-            raise ValueError(
-                f"lemma1 at p = {p}: u-precision {prec.T} leaves no sampling room "
-                f"beyond a map of degree {phi_deg}; lower --p"
-            )
+        cap = (prec.T - 1 - M.phi_degree) // prec.p  # >= 2 by the choice of T
         accepted_here = 0
         for k in range(LEMMA1_TRIES):
             t = rng.randint(1, 2)

@@ -1,12 +1,15 @@
 """Module construction gates, the semilinear map, Smith reduction, heights,
 and the inclusion exponents on the cascade family."""
 
+import json
 import random
 from itertools import combinations, product
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from ramibound import breuil
+from ramibound import breuil, suites
 from ramibound.breuil import (
     BreuilModule,
     FractionalElement,
@@ -21,6 +24,8 @@ from ramibound.breuil import (
     h3,
     h4,
     mat_identity,
+    mat_mul,
+    mat_vec,
     module_from_json,
     module_to_json,
     order,
@@ -30,7 +35,7 @@ from ramibound.breuil import (
     verify_inclusion_p_s,
 )
 from ramibound.eisenstein import EisensteinPolynomial
-from ramibound.series import Precision, PrecisionError, TruncatedSeries
+from ramibound.series import Precision, PrecisionError, TruncatedSeries, frobenius
 
 
 def S(prec, *coeffs):
@@ -215,7 +220,159 @@ def test_seeded_builds_have_unit_change_of_basis():
             build_bt_module(Precision(p, n, 8), eis, d=seed % (h + 1), h=h, seed=seed)
 
 
+# -- matrix products over the truncated ring ------------------------------------------
+
+def reference_mat_vec(A, v):
+    # the object-level chain: h products and h - 1 sums per entry
+    return tuple(
+        sum((A[i][t] * v[t] for t in range(1, len(v))), A[i][0] * v[0])
+        for i in range(len(A))
+    )
+
+
+def reference_mat_mul(A, B):
+    return tuple(
+        tuple(
+            sum((A[i][t] * B[t][j] for t in range(1, len(B))), A[i][0] * B[0][j])
+            for j in range(len(B[0]))
+        )
+        for i in range(len(A))
+    )
+
+
+def random_matrix(rng, prec, rows, cols):
+    """Seeded entries: zero, all-(q - 1), sparse or dense."""
+    q, T = prec.modulus, prec.T
+
+    def entry():
+        kind = rng.choice(["zero", "top", "sparse", "dense"])
+        if kind == "zero":
+            return TruncatedSeries.zero(prec)
+        if kind == "top":
+            return TruncatedSeries(prec, (q - 1,) * T)
+        cs = [0] * T
+        for i in (rng.sample(range(T), 2) if kind == "sparse" else range(T)):
+            cs[i] = rng.randrange(q)
+        return TruncatedSeries(prec, tuple(cs))
+
+    return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+
+
+@pytest.mark.parametrize("p, n", [(2, 8), (3, 3), (7, 4)])
+@pytest.mark.parametrize("T", [11, 40, 200])
+def test_mat_vec_and_mat_mul_match_object_level_sums(p, n, T):
+    prec = Precision(p, n, T)
+    rng = random.Random(f"mat-{p}-{n}-{T}")
+    top = TruncatedSeries(prec, (prec.modulus - 1,) * T)
+    for h in range(1, 5):
+        A, B = random_matrix(rng, prec, h, h), random_matrix(rng, prec, h, h)
+        v = random_matrix(rng, prec, 1, h)[0]
+        assert mat_vec(A, v) == reference_mat_vec(A, v)
+        assert mat_mul(A, B) == reference_mat_mul(A, B)
+        full = ((top,) * h,) * h
+        assert mat_vec(full, full[0]) == reference_mat_vec(full, full[0])
+        assert mat_mul(full, full) == reference_mat_mul(full, full)
+    # rectangular shapes, as an extension's off-diagonal block has
+    A, B = random_matrix(rng, prec, 2, 3), random_matrix(rng, prec, 3, 1)
+    assert mat_mul(A, B) == reference_mat_mul(A, B)
+
+
 # -- the semilinear map -------------------------------------------------------------
+
+def reference_apply_phi(M, x):
+    if x.is_zero():
+        return fractional(0, (TruncatedSeries.zero(M.prec),) * M.h)
+    twisted = tuple(frobenius(a) for a in x.alphas)
+    return fractional(M.prec.p * x.pole, reference_mat_vec(M.phi, twisted))
+
+
+def sampled_elements(rng, M, count):
+    """Elements of pole 1 or 2 whose numerators the map does not truncate."""
+    prec = M.prec
+    cap = (prec.T - 1 - M.phi_degree) // prec.p
+    for _ in range(count):
+        alphas = []
+        for _ in range(M.h):
+            cs = [0] * prec.T
+            for _ in range(rng.randint(1, 3)):
+                cs[rng.randint(0, cap)] = rng.randrange(prec.modulus)
+            alphas.append(TruncatedSeries(prec, tuple(cs)))
+        yield FractionalElement(pole=rng.randint(1, 2), alphas=tuple(alphas))
+
+
+def test_apply_phi_matches_object_level_route():
+    rng = random.Random("apply-phi-reference")
+    modules = []
+    # lemma1: the suite's seeded modules, T = 40 and widened past p = 13
+    for p, n in [(2, 1), (2, 3), (3, 2), (5, 2), (13, 1), (17, 2), (23, 1)]:
+        modules += [suites._seeded_module(rng, p, n)[0] for _ in range(6)]
+    # lemma2 and example3: the rank-1 cascade module with its own generator
+    for p in (2, 3, 5):
+        for level in range(1, 5):
+            M, gen = example3_module(p, level)
+            assert apply_phi(M, gen) == reference_apply_phi(M, gen)
+            modules.append(M)
+    # heights: block-triangular extensions of rank up to 4
+    for k in range(6):
+        prec = Precision(2 + k % 2, 1, 40)
+        eis = EisensteinPolynomial(prec.p, (prec.p, prec.p))
+        M1 = build_bt_module(prec, eis, d=k % 2, h=1 + k % 2, seed=k, max_entry_degree=2)
+        M2 = build_bt_module(prec, eis, d=1, h=2, seed=k + 10, max_entry_degree=2)
+        modules.append(extension_module(M1, M2, seed=k))
+    for M in modules:
+        for x in sampled_elements(rng, M, 4):
+            assert apply_phi(M, x) == reference_apply_phi(M, x)
+
+
+def largest_entry_degree(phi):
+    # the highest index of a nonzero coefficient, over every entry
+    return max(max((i for i, c in enumerate(x.coeffs) if c), default=0)
+               for row in phi for x in row)
+
+
+def test_phi_degree_is_the_largest_entry_degree():
+    builds = []
+    for seed in range(12):
+        p = 2 + seed % 2
+        prec = Precision(p, 1 + seed % 3, 40)
+        eis = EisensteinPolynomial(p, (p, p) + (0,) * (seed % 3))
+        h = 1 + seed % 4
+        builds.append(build_bt_module(prec, eis, d=seed % (h + 1), h=h, seed=seed,
+                                      max_entry_degree=2 + seed % 3))
+    modules = [rank1_module(2, 1, 12, E22, a) for a in range(3)] + builds
+    modules += [module_from_json(module_to_json(M)) for M in builds]
+    modules += [extension_module(M, M, seed=7) for M in builds if M.prec.n == 1]
+    modules += [example3_module(p, n)[0] for p in (2, 3, 5) for n in range(1, 5)]
+    golden = Path(__file__).parent / "golden" / "modules" / "extension_n1.json"
+    modules.append(module_from_json(json.loads(golden.read_text())))
+    for M in modules:
+        assert M.phi_degree == largest_entry_degree(M.phi)
+        assert "phi_degree" in vars(M)  # read once, then kept on the module
+    assert modules[0].phi_degree == 0  # phi = 1
+    assert len({M.phi_degree for M in modules}) >= 5
+    # no module has phi = 0, so the convention is read off the definition
+    zero = TruncatedSeries.zero(Precision(2, 1, 8))
+    assert BreuilModule.phi_degree.func(SimpleNamespace(phi=((zero, zero), (zero, zero)))) == 0
+
+
+@pytest.mark.parametrize("p, eis", [(2, E22), (3, EisensteinPolynomial(3, (3, 0)))])
+def test_apply_phi_truncation_guard_fires_exactly_at_T(p, eis):
+    T = 13
+    raised, passed = set(), set()
+    for a in range(eis.e + 1):  # phi = u^a at n = 1
+        M = rank1_module(p, 1, T, eis, a)
+        assert M.phi_degree == a
+        for k in range(T):
+            x = FractionalElement(pole=1, alphas=(TruncatedSeries.monomial(M.prec, k),))
+            if p * k + a >= T:
+                with pytest.raises(PrecisionError, match="numerator support would truncate"):
+                    apply_phi(M, x)
+                raised.add(p * k + a)
+            else:
+                assert apply_phi(M, x) == reference_apply_phi(M, x)
+                passed.add(p * k + a)
+    assert T in raised and T - 1 in passed
+
 
 def test_apply_phi_examples():
     M = rank1_module(2, 2, 12, E22)

@@ -320,20 +320,28 @@ def test_cmd_verify_budget_error_names_the_work_and_the_flag(capsys, suite):
     (["prop2", "--p", "0", "--e", "2", "--n", "1"], EXIT_USAGE, "p = 0 is not prime"),
     (["lemma4", "--p", "0", "--e", "2", "--n", "1"], EXIT_USAGE, "p = 0 is not prime"),
     # families the suites cannot hold
-    (["lemma1", "--p", "17", "--n", "1"], EXIT_USAGE,
-     "error: lemma1 at p = 17: u-precision 40 leaves no sampling room"),
-    (["lemma1", "--p", "23", "--n", "1"], EXIT_USAGE, "lower --p"),
+    (["lemma1", "--p", "257", "--n", "1"], EXIT_USAGE,
+     "error: --p 257 gives lemma1 series of u-precision above 2p, over the limit of p <= 256"),
     (["example3", "--p", "1000000007", "--n", "1"], EXIT_USAGE,
      "error: --p 1000000007 gives the cascade polynomial u^p - p of degree 1000000007, "
      "over the limit of 256"),
     (["lemma2", "--p", "1000000007", "--n", "1"], EXIT_USAGE, "cascade polynomial"),
     (["example3", "--p", "257", "--n", "1"], EXIT_USAGE, "over the limit of 256"),
 ], ids=["n3000", "n100000", "e12-n3", "p1e9", "p10007-sweep", "lemma4-sweep", "e1e9",
-        "p0", "lemma4-p0", "lemma1-p17", "lemma1-p23", "example3-p1e9", "lemma2-p1e9", "example3-p257"])
+        "p0", "lemma4-p0", "lemma1-p257", "example3-p1e9", "lemma2-p1e9", "example3-p257"])
 def test_cmd_verify_refuses_what_it_cannot_hold_at_once(capsys, argv, code, message):
     got, out, err = run(capsys, "verify", "--suite", *argv)
     assert (got, out) == (code, "")
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p", [17, 23], ids=["lemma1-p17", "lemma1-p23"])
+def test_cmd_verify_lemma1_primes_past_13_widen_T(capsys, p):
+    # T grows with p, so every seeded module leaves room to sample
+    code, payload, _ = run_json(capsys, "verify", "--suite", "lemma1",
+                                "--p", str(p), "--n", "1")
+    assert code == EXIT_OK and payload["ok"] is True
+    assert payload["assertions"]["module-sampled"] == {"pass": "200", "fail": "0"}
 
 
 def test_cmd_verify_sweep_budget_is_exact(capsys, monkeypatch):

@@ -45,6 +45,7 @@ CASES = {
     "cor5_p3_e3_n2": ["verify", "--suite", "cor5", "--p", "3", "--e", "3", "--n", "2"],
     "cor5_e2_n2": ["verify", "--suite", "cor5", "--p", "2", "--e", "2", "--n", "2"],
     "lemma1": ["verify", "--suite", "lemma1", "--p", "2", "--n", "2", "--seeds", "20"],
+    "lemma1_p17": ["verify", "--suite", "lemma1", "--p", "17", "--n", "1", "--seeds", "10"],
     "lemma2_p3": ["verify", "--suite", "lemma2", "--p", "3", "--n", "2"],
     "example3_n5": ["verify", "--suite", "example3", "--p", "2", "--n", "5"],
     "heights_suite": ["verify", "--suite", "heights", "--seeds", "10"],

@@ -13,6 +13,7 @@ from ramibound.series import (
     PrecisionMismatchError,
     TruncatedSeries,
     WeierstrassFactorization,
+    dot,
     frobenius,
     int_valuation,
     invert_unit,
@@ -156,11 +157,8 @@ def _operand(rng, prec, nnz):
     return TruncatedSeries(prec, tuple(cs))
 
 
-@pytest.mark.parametrize("p, n", [(2, 8), (3, 3), (7, 4), (10007, 2)])
-@pytest.mark.parametrize("T", [40, 200])
-def test_mul_routes_match_brute_force_at_real_sizes(monkeypatch, p, n, T):
-    # both product routes, and the density switch between them, against the
-    # schoolbook oracle at the sizes the Breuil-module checks use
+def count_routes(monkeypatch) -> dict:
+    """Count the calls of each product route from here on."""
     routes = {"sparse": 0, "packed": 0}
     for name in routes:
         kernel = getattr(series, f"_mul_{name}")
@@ -170,6 +168,15 @@ def test_mul_routes_match_brute_force_at_real_sizes(monkeypatch, p, n, T):
             return kernel(*args)
 
         monkeypatch.setattr(series, f"_mul_{name}", counted)
+    return routes
+
+
+@pytest.mark.parametrize("p, n", [(2, 8), (3, 3), (7, 4), (10007, 2)])
+@pytest.mark.parametrize("T", [40, 200])
+def test_mul_routes_match_brute_force_at_real_sizes(monkeypatch, p, n, T):
+    # both product routes, and the density switch between them, against the
+    # schoolbook oracle at the sizes the Breuil-module checks use
+    routes = count_routes(monkeypatch)
     prec = Precision(p, n, T)
     rng = random.Random(f"mul-{p}-{n}-{T}")
     K = series._SPARSE_K
@@ -202,6 +209,61 @@ def test_invert_and_prepare_at_real_size():
         _check_weierstrass_shape(w, prec)
         assert w.degree == 2
         assert (w.unit * w.wpoly).scale(prec.p**w.content) == b
+
+
+# -- dot -----------------------------------------------------------------------------
+
+def reference_dot(xs, ys):
+    # the object-level chain: h products and h - 1 sums, each reduced mod p^n
+    return sum((x * y for x, y in zip(xs[1:], ys[1:])), xs[0] * ys[0])
+
+
+def dot_operand(rng, prec):
+    """A zero, all-(q - 1), sparse or dense series, in seeded proportions."""
+    q, T = prec.modulus, prec.T
+    kind = rng.choice(["zero", "top", "sparse", "dense", "dense"])
+    if kind == "zero":
+        return TruncatedSeries.zero(prec)
+    if kind == "top":
+        return TruncatedSeries(prec, (q - 1,) * T)
+    if kind == "sparse":
+        return _operand(rng, prec, rng.randint(1, 3))
+    return TruncatedSeries(prec, tuple(rng.randrange(q) for _ in range(T)))
+
+
+DOT_PRECISIONS = [Precision(p, n, T) for p, n in [(2, 8), (3, 3), (7, 4)] for T in (11, 40, 200)]
+
+
+@pytest.mark.parametrize("prec", DOT_PRECISIONS, ids=lambda pr: f"{pr.p}^{pr.n}-T{pr.T}")
+def test_dot_matches_object_level_sum(monkeypatch, prec):
+    routes = count_routes(monkeypatch)
+    in_dot = {"sparse": 0, "packed": 0}
+    rng = random.Random(f"dot-{prec.p}-{prec.n}-{prec.T}")
+    top = TruncatedSeries(prec, (prec.modulus - 1,) * prec.T)
+    for h in range(1, 5):
+        cases = [([top] * h, [top] * h)]
+        cases += [([dot_operand(rng, prec) for _ in range(h)],
+                   [dot_operand(rng, prec) for _ in range(h)]) for _ in range(8)]
+        for xs, ys in cases:
+            want = reference_dot(xs, ys)
+            before = dict(routes)
+            assert dot(xs, ys) == want
+            for name in in_dot:
+                in_dot[name] += routes[name] - before[name]
+    assert in_dot["sparse"] and in_dot["packed"]
+
+
+def test_dot_refuses_mixed_precisions_and_unpaired_input():
+    a, b = S(Precision(2, 2, 4), 1, 1), S(Precision(2, 2, 5), 1, 1)
+    c = S(Precision(2, 3, 4), 1, 1)
+    with pytest.raises(PrecisionMismatchError):
+        dot([a], [b])
+    with pytest.raises(PrecisionMismatchError):
+        dot([a, c], [a, c])  # each pair agrees, the second not with the first
+    with pytest.raises(ValueError, match="paired nonempty"):
+        dot([], [])
+    with pytest.raises(ValueError, match="paired nonempty"):
+        dot([a, a], [a])
 
 
 @given(series_triples())

@@ -1,10 +1,12 @@
 """Report contract of the verification suites."""
 
+import random
+
 import pytest
 
 from ramibound import breuil, oracle, suites
-from ramibound.eisenstein import EisensteinPolynomial
-from ramibound.series import PrecisionError
+from ramibound.eisenstein import EisensteinPolynomial, EisensteinValidationError
+from ramibound.series import Precision, PrecisionError
 
 
 REPORT_KEYS = {"suite", "config", "assertions", "ok", "runtime_s"}
@@ -40,6 +42,43 @@ def test_suites_are_deterministic():
     a = suites.suite_heights(seeds=8)
     b = suites.suite_heights(seeds=8)
     assert a["assertions"] == b["assertions"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 11, 13, 17, 23, 251])
+def test_seeded_module_precision_grows_with_p(p):
+    # T = max(40, 2p + 1 + deg phi) gives lemma1 room for numerators up to
+    # u^2; a widened build is the T = 40 build with zeros appended
+    for seed in range(30):
+        rng = random.Random(f"seeded-{p}-{seed}")
+        M, _ = suites._seeded_module(rng, p, 2)
+        T = M.prec.T
+        assert T == max(40, 2 * p + 1 + M.phi_degree)
+        assert (T - 1 - M.phi_degree) // p >= 2
+        if 2 * p + 1 + 18 <= 40:  # deg phi <= 4h + 2 + e <= 18
+            assert T == 40
+        if T > 40:
+            rng = random.Random(f"seeded-{p}-{seed}")
+            narrow = build_at_40(rng, p)
+            assert [[x.coeffs for x in row] for row in M.phi] == [
+                [x.coeffs + (0,) * (T - 40) for x in row] for row in narrow.phi]
+
+
+def build_at_40(rng, p):
+    """_seeded_module's draws, built at T = 40 whatever p is."""
+    n_i = rng.randint(1, 2)
+    h = rng.randint(1, 3)
+    d = rng.randint(0, h)
+    e = rng.randint(2, 4)
+    eis = suites._random_eisenstein(rng, p, n_i, e)
+    return breuil.build_bt_module(Precision(p, n_i, 40), eis, d=d, h=h,
+                                  seed=rng.randrange(2**30), max_entry_degree=2)
+
+
+def test_lemma1_refuses_a_p_that_is_not_prime():
+    # at p = 0 and p = 1 no constant term has valuation 1, so the draw would not end
+    for p in (0, 1, 4, -3):
+        with pytest.raises(EisensteinValidationError, match="not prime"):
+            suites.suite_lemma1(p, 1, seeds=1)
 
 
 def test_family_requires_target():
