@@ -320,7 +320,6 @@ class Prop1Verdict:
 
     epimorphism: bool
     min_u_annihilator: int | None
-    u_precision: int
 
     @property
     def closed_embedding(self) -> bool:
@@ -334,7 +333,6 @@ def prop1_classify(g: Matrix) -> Prop1Verdict:
     return Prop1Verdict(
         epimorphism=len(finite) == cols,
         min_u_annihilator=max(finite, default=0) if len(finite) == rows else None,
-        u_precision=g[0][0].prec.T,
     )
 
 

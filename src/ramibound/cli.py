@@ -194,6 +194,12 @@ def cmd_invariants(args) -> int:
 def cmd_bound(args) -> int:
     p = args.p
     found = None
+    if args.poly is not None and (args.e, args.tau, args.iota) != (None, None, None):
+        print("error: pass either --poly or --e/--tau/--iota, not both", file=sys.stderr)
+        return EXIT_USAGE
+    if args.poly is None and args.search_prec is not None:
+        print("error: --search-prec needs --poly", file=sys.stderr)
+        return EXIT_USAGE
     if args.poly is not None:
         eis = eisenstein_from_text(p, args.poly)
         e = eis.e
@@ -283,16 +289,16 @@ def cmd_verify(args) -> int:
         poly = eisenstein_from_text(args.p, args.poly).coeffs
     kwargs: dict = {"p": args.p, "n": args.n}
     if suite in ("prop2", "lemma4", "cor5"):
-        if poly is None and args.e is None:
-            print("error: this suite needs --poly or --e", file=sys.stderr)
+        if (poly is None) == (args.e is None):
+            print("error: this suite needs exactly one of --poly or --e", file=sys.stderr)
             return EXIT_USAGE
         kwargs.update(poly=poly, e=args.e, budget=args.budget)
-    elif suite == "lemma1":
+    elif suite == "lemma1" and args.seeds is not None:
         kwargs["seeds"] = args.seeds
     elif suite == "lemma2" and args.e is not None:
         kwargs["e_max"] = args.e
     elif suite == "heights":
-        kwargs = {"seeds": args.seeds}
+        kwargs = {} if args.seeds is None else {"seeds": args.seeds}
     report = suites.SUITES[suite](**kwargs)
     _emit({"command": "verify", **report}, args.json)
     return EXIT_OK if report["ok"] else EXIT_ASSERTION
@@ -359,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--e", type=int)
     sp.add_argument("--poly")
     sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-    sp.add_argument("--seeds", type=int, default=200)
+    sp.add_argument("--seeds", type=int)
     common(sp)
     sp.set_defaults(func=cmd_verify)
 

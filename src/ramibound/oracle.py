@@ -242,7 +242,7 @@ def prop2_max_t(cfg: SearchConfig, strict: bool = True) -> Prop2Result:
         )
 
     inv = cfg.eis.invariants()
-    assertions = {"t-le-ne": best_t <= n * e, "no-cap-hit": best_t < cfg.t_max}
+    assertions = {"t-le-ne": best_t <= n * e}
     if not math.isinf(inv.tau):
         assertions["t-le-taue-iota"] = best_t <= inv.tau * e + inv.iota
 
@@ -267,14 +267,13 @@ def prop2_max_t(cfg: SearchConfig, strict: bool = True) -> Prop2Result:
         witnesses.append(WitnessReport(coeffs=c))
     assertions["witnesses-reverified"] = not first_failure
 
-    result = Prop2Result(
-        t_star=best_t, witnesses=witnesses, candidates_visited=visited,
-        assertions=assertions, config=cfg,
-    )
     if strict and not all(assertions.values()):
         bad = [k for k, v in assertions.items() if not v]
         raise OracleViolationError(f"violated: {bad} for E = {cfg.eis}, n = {n}{first_failure}")
-    return result
+    return Prop2Result(
+        t_star=best_t, witnesses=witnesses, candidates_visited=visited,
+        assertions=assertions, config=cfg,
+    )
 
 
 def lemma4_check(cfg: SearchConfig, c: tuple[int, ...], t: int,

@@ -28,7 +28,6 @@ import random
 import time
 
 from . import breuil, oracle
-from .bounds import prop3_height_bounds
 from .eisenstein import EisensteinPolynomial, EisensteinValidationError
 from .series import Precision, TruncatedSeries, frobenius, int_valuation, is_prime
 
@@ -292,19 +291,19 @@ def suite_example3(p: int, n: int) -> dict:
     return _finish("example3", {"p": p, "n": n}, assertions, started)
 
 
-def suite_heights(seeds: int = 50) -> dict:
-    """Height inequalities over seeded modules and block-triangular extensions."""
+def suite_heights(seeds: int = 200) -> dict:
+    """h4 against the d each module was built with, on seeded n = 1 modules
+    and on block-triangular extensions, whose phi has the Smith exponents of
+    both factors together.  h3 and order are not tallied: on the free
+    modules built here they are the rank and n times the rank."""
     started = time.perf_counter()
     assertions: dict = {}
     for seed in range(seeds // 2):
         rng = random.Random(f"heights-{seed}")
         p = rng.choice([2, 3])
         M, d = _seeded_module(rng, p, n_max=2)
-        _tally(assertions, "h3-le-order", breuil.h3(M) <= breuil.order(M))
-        if M.prec.n == 1 and M.prec.T > 2 * M.eis.e:
-            value = breuil.h4(M)
-            _tally(assertions, "h3-plus-h4-le-2h3", breuil.h3(M) + value <= 2 * breuil.h3(M))
-            _tally(assertions, "h4-matches-decomposition", value == M.h - d)
+        if M.prec.n == 1:
+            _tally(assertions, "h4-matches-decomposition", breuil.h4(M) == M.h - d)
     for seed in range(seeds):
         rng = random.Random(f"heights-ext-{seed}")
         p = rng.choice([2, 3])
@@ -312,20 +311,15 @@ def suite_heights(seeds: int = 50) -> dict:
         eis = _random_eisenstein(rng, p, 1, e)
         prec = Precision(p, 1, 40)
         h1, h2 = rng.randint(1, 2), rng.randint(1, 2)
-        M1 = breuil.build_bt_module(prec, eis, d=rng.randint(0, h1), h=h1,
-                                    seed=rng.randrange(2**30), max_entry_degree=2)
-        M2 = breuil.build_bt_module(prec, eis, d=rng.randint(0, h2), h=h2,
-                                    seed=rng.randrange(2**30), max_entry_degree=2)
+
+        def factor(h):
+            d = rng.randint(0, h)
+            return breuil.build_bt_module(prec, eis, d=d, h=h, seed=rng.randrange(2**30),
+                                          max_entry_degree=2), h - d
+
+        (M1, k1), (M2, k2) = factor(h1), factor(h2)
         M = breuil.extension_module(M1, M2, seed=rng.randrange(2**30))
-        _tally(assertions, "h3-subadditive",
-               breuil.h3(M) <= breuil.h3(M1) + breuil.h3(M2))
-        _tally(assertions, "h3-le-order", breuil.h3(M) <= breuil.order(M))
-    rng = random.Random("heights-prop3")
-    for s, r in [(0, 4), (5, 2), (1, 1)] + [
-        (rng.randrange(10), rng.randrange(10)) for _ in range(20)
-    ]:
-        _tally(assertions, "height-bound-arithmetic",
-               prop3_height_bounds(s, r) == ((2 * s + 1) * r, (4 * s + 2) * r))
+        _tally(assertions, "h4-matches-decomposition", breuil.h4(M) == k1 + k2)
     return _finish("heights", {"seeds": seeds}, assertions, started)
 
 

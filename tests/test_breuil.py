@@ -531,7 +531,6 @@ def test_prop1_examples():
     assert (v.closed_embedding, v.epimorphism, v.min_u_annihilator) == (True, True, 3)
     v = prop1_classify(((u, zero), (zero, zero)))
     assert not v.closed_embedding and v.min_u_annihilator is None
-    assert v.u_precision == 8
 
 
 def test_prop1_rectangular_maps():

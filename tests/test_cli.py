@@ -245,6 +245,16 @@ def test_cmd_bound_infinite_tau_needs_search(capsys):
     assert code == EXIT_USAGE and "search-prec" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--poly", "u^2+2u+2", "--e", "3", "--tau", "1", "--iota", "0"],
+    ["--e", "2", "--tau", "1", "--iota", "1", "--search-prec", "2"],
+], ids=["poly-and-explicit", "search-prec-without-poly"])
+def test_cmd_bound_refuses_flags_it_would_drop(capsys, argv):
+    code, out, err = run(capsys, "bound", "--p", "2", *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cmd_bound_search_over_the_cap(capsys, monkeypatch):
     # 2^23 changes of u^8 - 2 at digit precision 3: refused before any charpoly
     def no_enumeration(*args):
@@ -394,6 +404,7 @@ def test_cmd_verify_missing_args(capsys):
     ["--suite", "lemma2", "--p", "2", "--n", "1", "--e", "0"],
     ["--suite", "heights", "--seeds", "0"],
     ["--suite", "heights", "--poly", "u^2-2"],
+    ["--suite", "prop2", "--p", "2", "--poly", "u^2-2", "--e", "4", "--n", "1"],
     ["--suite", "example3", "--n", "2"],
     ["--suite", "prop2", "--p", "2", "--e", "2", "--n", "1", "--budget", "-5"],
     ["--suite", "prop2", "--p", "2", "--e", "2", "--n", "1", "--budget", "0"],

@@ -116,6 +116,23 @@ def test_prop2_reverification_catches_a_wrong_twist(monkeypatch):
         prop2_max_t(cfg)
 
 
+def test_prop2_reports_a_walk_that_reaches_the_cap(monkeypatch):
+    # t_max = n*e + 1, so a walk reaching it breaks t <= n*e, which
+    # t-le-ne alone reports
+    cfg = default_config(E22, 2)
+    real = oracle._walk
+
+    def capped(cfg):
+        _, cylinders, visited = real(cfg)
+        return cfg.t_max, cylinders, visited
+
+    monkeypatch.setattr(oracle, "_walk", capped)
+    res = prop2_max_t(cfg, strict=False)
+    assert res.t_star == cfg.t_max and res.assertions["t-le-ne"] is False
+    with pytest.raises(OracleViolationError, match="'t-le-ne'"):
+        prop2_max_t(cfg)
+
+
 def test_prop2_witnesses_carry_coefficients_only():
     r = prop2_max_t(default_config(E22, 2))
     assert all(type(w) is WitnessReport and w.checks is None for w in r.witnesses)
