@@ -10,13 +10,17 @@
 Polynomial text is a sum of terms `c*u^k` (the `*` may be omitted, `u`
 alone means `u^1`, a bare integer is the constant term) joined by `+` or
 `-`; the first term may carry a `-`.  An Eisenstein polynomial has degree
-at most MAX_POLY_DEGREE, checked before its coefficients are allocated;
-so has the cascade polynomial u^p - p of the example3 and lemma2 suites,
-so they refuse p > MAX_POLY_DEGREE.  The lemma1 suite works at u-precision
-T = max(40, 2p + 1 + deg phi), so it too refuses p > MAX_POLY_DEGREE, and
-a p that is not prime, before any series is allocated.  A prop2, lemma4 or
-cor5 search, or grid sweep, over more than --budget candidates is refused
-before any work.
+at most MAX_POLY_DEGREE, checked before its coefficients are allocated.
+
+verify passes a suite the flags given, and refuses (exit 2) any flag the
+suite does not read, and a missing --p or --n.  prop2, lemma4 and cor5
+read --p --n --budget and one of --poly or --e; lemma1 --p --n --seeds;
+lemma2 --p --n --e; example3 --p --n; heights --seeds.  Each suite bounds
+its input before any work: example3 and lemma2 build u^p - p, so refuse
+p > MAX_POLY_DEGREE, as lemma2 does an --e above it; lemma1 works at
+u-precision T = max(40, 2p + 1 + deg phi), so it too refuses such a p, and
+one that is not prime; a search, or grid sweep, over more than --budget
+candidates is refused.
 JSON output carries a versioned `schema` field and renders every integer
 as a decimal string so consumers never overflow; infinite values print as
 "inf".
@@ -44,6 +48,7 @@ from .bounds import (
     reference_log_bound,
 )
 from .eisenstein import (
+    MAX_POLY_DEGREE,
     EisensteinPolynomial,
     EisensteinValidationError,
     tau_v_search,
@@ -53,13 +58,12 @@ from .series import poly_text
 SCHEMA = 1
 EXIT_OK, EXIT_ASSERTION, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
-# Largest Eisenstein degree accepted from --poly, checked before the
-# coefficient tuple is allocated; every pinned run uses degree 8 or less.
-MAX_POLY_DEGREE = 256
-
 # What shrinks the work, or raises its limit, for each command whose search
 # can exceed its budget (exit 3).
 BUDGET_FLAGS = {"bound": "lower --search-prec", "verify": "raise --budget or lower --n"}
+
+# Every flag of verify that a suite may read, by the name of its parameter.
+VERIFY_FLAGS = ("p", "n", "e", "poly", "budget", "seeds")
 
 
 class PolyParseError(ValueError):
@@ -264,42 +268,23 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suite = args.suite
-    if suite != "heights" and (args.p is None or args.n is None):
-        print("error: this suite needs --p and --n", file=sys.stderr)
+    reads = suites.SUITE_FLAGS[args.suite]
+    given = {f: getattr(args, f) for f in VERIFY_FLAGS if getattr(args, f) is not None}
+    unread = [f"--{flag}" for flag in given if flag not in reads]
+    if unread:
+        print(f"error: --suite {args.suite} does not read {', '.join(unread)}",
+              file=sys.stderr)
         return EXIT_USAGE
-    if args.poly is not None and args.p is None:
-        print("error: --poly needs --p", file=sys.stderr)
+    if any(flag in reads and flag not in given for flag in ("p", "n")):
+        print(f"error: --suite {args.suite} needs --p and --n", file=sys.stderr)
         return EXIT_USAGE
     for flag in ("n", "e", "seeds", "budget"):
-        value = getattr(args, flag)
-        if value is not None and value < 1:
-            print(f"error: --{flag} must be >= 1, got {value}", file=sys.stderr)
+        if flag in given and given[flag] < 1:
+            print(f"error: --{flag} must be >= 1, got {given[flag]}", file=sys.stderr)
             return EXIT_USAGE
-    if suite in ("example3", "lemma2") and args.p > MAX_POLY_DEGREE:
-        print(f"error: --p {args.p} gives the cascade polynomial u^p - p of degree "
-              f"{args.p}, over the limit of {MAX_POLY_DEGREE}", file=sys.stderr)
-        return EXIT_USAGE
-    if suite == "lemma1" and args.p > MAX_POLY_DEGREE:
-        print(f"error: --p {args.p} gives lemma1 series of u-precision above 2p, "
-              f"over the limit of p <= {MAX_POLY_DEGREE}", file=sys.stderr)
-        return EXIT_USAGE
-    poly = None
-    if args.poly is not None:
-        poly = eisenstein_from_text(args.p, args.poly).coeffs
-    kwargs: dict = {"p": args.p, "n": args.n}
-    if suite in ("prop2", "lemma4", "cor5"):
-        if (poly is None) == (args.e is None):
-            print("error: this suite needs exactly one of --poly or --e", file=sys.stderr)
-            return EXIT_USAGE
-        kwargs.update(poly=poly, e=args.e, budget=args.budget)
-    elif suite == "lemma1" and args.seeds is not None:
-        kwargs["seeds"] = args.seeds
-    elif suite == "lemma2" and args.e is not None:
-        kwargs["e_max"] = args.e
-    elif suite == "heights":
-        kwargs = {} if args.seeds is None else {"seeds": args.seeds}
-    report = suites.SUITES[suite](**kwargs)
+    if "poly" in given:
+        given["poly"] = eisenstein_from_text(args.p, args.poly).coeffs
+    report = suites.SUITES[args.suite](**given)
     _emit({"command": "verify", **report}, args.json)
     return EXIT_OK if report["ok"] else EXIT_ASSERTION
 
@@ -360,12 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run one exhaustive verification suite")
     sp.add_argument("--suite", required=True, choices=sorted(suites.SUITES))
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--e", type=int)
-    sp.add_argument("--poly")
-    sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-    sp.add_argument("--seeds", type=int)
+    for flag in VERIFY_FLAGS:
+        sp.add_argument(f"--{flag}", type=str if flag == "poly" else int)
     common(sp)
     sp.set_defaults(func=cmd_verify)
 

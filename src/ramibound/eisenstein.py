@@ -48,6 +48,10 @@ INF = math.inf  # order sentinel only; never enters arithmetic
 # Largest digit-vector count (p - 1) * p^(dp*e - 1) tau_v_search enumerates.
 TAU_SEARCH_CAP = 10**6
 
+# Largest Eisenstein degree taken from outside input, checked before the
+# coefficient tuple is allocated; every pinned run uses degree 8 or less.
+MAX_POLY_DEGREE = 256
+
 
 class EisensteinValidationError(ValueError):
     """Raised with the complete list of violated Eisenstein conditions."""

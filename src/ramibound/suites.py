@@ -24,11 +24,12 @@ of the per-polynomial loop.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 
 from . import breuil, oracle
-from .eisenstein import EisensteinPolynomial, EisensteinValidationError
+from .eisenstein import MAX_POLY_DEGREE, EisensteinPolynomial, EisensteinValidationError
 from .series import Precision, TruncatedSeries, frobenius, int_valuation, is_prime
 
 
@@ -49,16 +50,22 @@ def _finish(suite: str, config: dict, assertions: dict, started: float) -> dict:
 
 
 def _family(p: int, n: int, poly=None, e: int | None = None,
-            budget: int = oracle.DEFAULT_BUDGET):
-    """One polynomial, or the degree-e grid once its sweep fits the budget."""
+            budget: int = oracle.DEFAULT_BUDGET, staircase: str | None = None):
+    """One polynomial, or the degree-e grid once its sweep fits the budget.
+    A Weierstrass staircase suite, named by staircase, needs p | e: with p
+    not dividing e it would check nothing, so that is refused up front (a p
+    that is not prime is refused with the grid, or by the polynomial)."""
+    if (poly is None) == (e is None):
+        raise ValueError("this suite needs exactly one of --poly or --e")
+    degree = e if poly is None else len(poly)
+    if staircase is not None and is_prime(p) and degree % p:
+        raise ValueError(f"{staircase} needs p | e, got p = {p}, e = {degree} (p ∤ e)")
     if poly is not None:
         return [EisensteinPolynomial(p, tuple(poly))]
-    if e is not None:
-        if not is_prime(p):
-            raise EisensteinValidationError([f"p = {p} is not prime"])
-        oracle.check_budget(p, e, n, budget, sweep=True)
-        return list(oracle.eisenstein_grid(p, e, n))
-    raise ValueError("need either an explicit polynomial or a degree to sweep")
+    if not is_prime(p):
+        raise EisensteinValidationError([f"p = {p} is not prime"])
+    oracle.check_budget(p, e, n, budget, sweep=True)
+    return list(oracle.eisenstein_grid(p, e, n))
 
 
 def _classes(polys, n: int) -> list[tuple[EisensteinPolynomial, int]]:
@@ -97,16 +104,6 @@ def suite_prop2(p: int, n: int, poly=None, e: int | None = None,
     return _finish("prop2", config, assertions, started)
 
 
-def _staircase_family(suite: str, p: int, n: int, poly, e, budget):
-    """The family of a Weierstrass staircase suite, which needs p | e: with
-    p not dividing e it would check nothing, so that is refused up front.
-    A p that is not prime is left to _family, which refuses it."""
-    degree = len(poly) if poly is not None else e
-    if degree is not None and is_prime(p) and degree % p:
-        raise ValueError(f"{suite} needs p | e, got p = {p}, e = {degree} (p ∤ e)")
-    return _family(p, n, poly, e, budget)
-
-
 def _eligible_witnesses(eis, n, budget, assertions: dict, count: int):
     """Lemma 4 on the prop2 witnesses C that are Weierstrass of degree d with
     p*d < t*.  Every witness meets the other hypotheses (c_0 != 0 mod p^n,
@@ -132,7 +129,7 @@ def suite_lemma4(p: int, n: int, poly=None, e: int | None = None,
     """Degree and valuation staircase of eligible witnesses (p | e only)."""
     started = time.perf_counter()
     assertions: dict = {}
-    polys = _staircase_family("lemma4", p, n, poly, e, budget)
+    polys = _family(p, n, poly, e, budget, staircase="lemma4")
     eligible_total = 0
     for eis, size in _classes(polys, n):
         _, eligible = _eligible_witnesses(eis, n, budget, assertions, size)
@@ -149,7 +146,7 @@ def suite_cor5(p: int, n: int, poly=None, e: int | None = None,
     witness are reported as in lemma4."""
     started = time.perf_counter()
     assertions: dict = {}
-    polys = _staircase_family("cor5", p, n, poly, e, budget)
+    polys = _family(p, n, poly, e, budget, staircase="cor5")
     scanned = 0
     for eis, size in _classes(polys, n):
         res, eligible = _eligible_witnesses(eis, n, budget, assertions, size)
@@ -213,6 +210,9 @@ def suite_lemma1(p: int, n: int, seeds: int = 200) -> dict:
     Samples mix a guaranteed-acceptance family (numerators divisible by a
     high enough power of u) with raw rejection sampling."""
     started = time.perf_counter()
+    if p > MAX_POLY_DEGREE:  # T > 2p coefficients per series
+        raise ValueError(f"--p {p} gives lemma1 series of u-precision above 2p, "
+                         f"over the limit of p <= {MAX_POLY_DEGREE}")
     if not is_prime(p):
         raise EisensteinValidationError([f"p = {p} is not prime"])
     assertions: dict = {}
@@ -249,10 +249,21 @@ def suite_lemma1(p: int, n: int, seeds: int = 200) -> dict:
     return _finish("lemma1", config, assertions, started)
 
 
-def suite_lemma2(p: int, n: int, e_max: int = 8) -> dict:
+def _cascade_cap(p: int):
+    """The cascade polynomial u^p - p is bounded like a --poly degree."""
+    if p > MAX_POLY_DEGREE:
+        raise ValueError(f"--p {p} gives the cascade polynomial u^p - p of degree "
+                         f"{p}, over the limit of {MAX_POLY_DEGREE}")
+
+
+def suite_lemma2(p: int, n: int, e: int = 8) -> dict:
     """Inclusion exponents: the cascade family is tight (p^n in, p^(n-1) out)
-    and the rank-1 stability table matches its closed form."""
+    and the rank-1 stability tables of degree 1 to e match their closed form."""
     started = time.perf_counter()
+    _cascade_cap(p)
+    if e > MAX_POLY_DEGREE:  # each stability table builds a degree-e polynomial
+        raise ValueError(f"--e {e} gives stability tables of degree up to {e}, "
+                         f"over the limit of {MAX_POLY_DEGREE}")
     assertions: dict = {}
     for level in range(1, n + 1):
         M, gen = breuil.example3_module(p, level)
@@ -262,24 +273,25 @@ def suite_lemma2(p: int, n: int, e_max: int = 8) -> dict:
                not breuil.verify_inclusion_p_s(M, [gen], level - 1))
         image = breuil.apply_phi(M, gen)
         _tally(assertions, "map-lands-in-base-module", image.pole == 0)
-    for e in range(1, e_max + 1):
-        if e == 1:
+    for degree in range(1, e + 1):
+        if degree == 1:
             eis = EisensteinPolynomial(p, (p,))
         else:
-            eis = EisensteinPolynomial(p, (p, p) + (0,) * (e - 2))
+            eis = EisensteinPolynomial(p, (p, p) + (0,) * (degree - 2))
         try:
             oracle.descent_minimal_s(eis)  # asserts every row of the table
             ok = True
         except oracle.OracleViolationError:
             ok = False
         _tally(assertions, "stability-closed-form", ok)
-    config = {"p": p, "n": n, "e_max": e_max}
+    config = {"p": p, "n": n, "e_max": e}
     return _finish("lemma2", config, assertions, started)
 
 
 def suite_example3(p: int, n: int) -> dict:
     """The telescoping identity at every level up to n."""
     started = time.perf_counter()
+    _cascade_cap(p)
     assertions: dict = {}
     for level in range(1, n + 1):
         try:
@@ -332,3 +344,7 @@ SUITES = {
     "example3": suite_example3,
     "heights": suite_heights,
 }
+
+# Each suite's parameters, read once here: the CLI passes a suite exactly the
+# flags it reads, and a wrapper later put in SUITES keeps them.
+SUITE_FLAGS = {name: tuple(inspect.signature(f).parameters) for name, f in SUITES.items()}

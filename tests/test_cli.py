@@ -1,6 +1,7 @@
 """The command-line surface: text formats, exit codes, JSON schema."""
 
 import contextlib
+import inspect
 import io
 import json
 import tempfile
@@ -445,6 +446,88 @@ def test_cmd_verify_remaining_suites(capsys):
     code, payload, _ = run_json(capsys, "verify", "--suite", "cor5",
                                 "--p", "2", "--e", "2", "--n", "2")
     assert code == EXIT_OK and payload["ok"] is True
+
+
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
+def test_suite_flags_are_the_suite_parameters(name):
+    flags = suites.SUITE_FLAGS[name]
+    assert flags == tuple(inspect.signature(suites.SUITES[name]).parameters)
+    assert set(flags) <= set(cli.VERIFY_FLAGS)
+
+
+_FLAG_VALUES = {"p": "2", "n": "1", "e": "2", "poly": "u^2+2", "budget": "100", "seeds": "3"}
+
+
+@pytest.mark.parametrize("flag", cli.VERIFY_FLAGS)
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
+def test_cmd_verify_refuses_exactly_the_flags_a_suite_does_not_read(
+        capsys, monkeypatch, name, flag):
+    # a stub in place of the suite records what it is called with; --p and
+    # --n are given to the suites that read them
+    calls = []
+
+    def stub(**kwargs):
+        calls.append(kwargs)
+        return {"suite": name, "config": {}, "assertions": {}, "ok": True, "runtime_s": 0.0}
+
+    monkeypatch.setitem(suites.SUITES, name, stub)
+    reads = suites.SUITE_FLAGS[name]
+    given = {f: v for f, v in _FLAG_VALUES.items() if f in ("p", "n") and f in reads}
+    given[flag] = _FLAG_VALUES[flag]
+    argv = [a for f, v in given.items() for a in (f"--{f}", v)]
+    code, out, err = run(capsys, "verify", "--suite", name, *argv)
+    if flag in reads:
+        expected = {f: int(v) for f, v in given.items() if f != "poly"}
+        if flag == "poly":
+            expected["poly"] = (2, 0)  # the coefficients below the leading u^2
+        assert (code, err, calls) == (EXIT_OK, "", [expected])
+    else:
+        assert (code, out, calls) == (EXIT_USAGE, "", [])
+        assert err == f"error: --suite {name} does not read --{flag}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["example3", "--p", "2", "--n", "1", "--e", "5"], "example3 does not read --e"),
+    (["lemma1", "--p", "2", "--n", "1", "--poly", "u^2+2"], "lemma1 does not read --poly"),
+    (["heights", "--p", "2", "--n", "3"], "heights does not read --p, --n"),
+    (["lemma2", "--p", "2", "--n", "1", "--seeds", "9"], "lemma2 does not read --seeds"),
+    (["prop2", "--p", "2", "--poly", "u^2+2", "--n", "1", "--seeds", "4"],
+     "prop2 does not read --seeds"),
+])
+def test_cmd_verify_refuses_flags_the_suite_would_drop(capsys, argv, message):
+    # each of these ran the suite without the flag, and exited 0
+    code, out, err = run(capsys, "verify", "--suite", *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: --suite {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lemma2", "--p", "2", "--n", "1", "--e", str(MAX_POLY_DEGREE + 1)],
+     f"error: --e 257 gives stability tables of degree up to 257, over the limit of "
+     f"{MAX_POLY_DEGREE}\n"),
+    (["lemma2", "--p", "3", "--n", "1", "--e", "1000000000"],
+     "error: --e 1000000000 gives stability tables of degree up to 1000000000, "
+     f"over the limit of {MAX_POLY_DEGREE}\n"),
+    (["example3", "--n", "2"], "error: --suite example3 needs --p and --n\n"),
+    (["prop2", "--p", "2", "--poly", "u^2-2"], "error: --suite prop2 needs --p and --n\n"),
+])
+def test_cmd_verify_refuses_lemma2_degrees_past_the_cap_and_missing_sizes(
+        capsys, argv, message):
+    code, out, err = run(capsys, "verify", "--suite", *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", message)
+
+
+def test_cmd_verify_reads_suite_flags_through_wrapped_suites(capsys, monkeypatch):
+    # a tracer puts (*args, **kwargs) wrappers in SUITES; the flags stay those
+    # of the suites themselves
+    for name, suite in list(suites.SUITES.items()):
+        monkeypatch.setitem(suites.SUITES, name,
+                            lambda *args, _suite=suite, **kwargs: _suite(*args, **kwargs))
+    code, payload, _ = run_json(capsys, "verify", "--suite", "lemma1",
+                                "--p", "2", "--n", "1", "--seeds", "2")
+    assert code == EXIT_OK and payload["config"]["seeds"] == "2"
+    code, _, err = run(capsys, "verify", "--suite", "lemma1", "--p", "2", "--n", "1",
+                       "--poly", "u^2+2")
+    assert (code, err) == (EXIT_USAGE, "error: --suite lemma1 does not read --poly\n")
 
 
 # -- heights ------------------------------------------------------------------------------

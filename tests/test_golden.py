@@ -46,6 +46,8 @@ CASES = {
     "cor5_e2_n2": ["verify", "--suite", "cor5", "--p", "2", "--e", "2", "--n", "2"],
     "lemma1": ["verify", "--suite", "lemma1", "--p", "2", "--n", "2", "--seeds", "20"],
     "lemma1_p17": ["verify", "--suite", "lemma1", "--p", "17", "--n", "1", "--seeds", "10"],
+    "verify_lemma1_unread_poly": ["verify", "--suite", "lemma1", "--p", "2", "--n", "1",
+                                  "--poly", "u^2+2"],
     "lemma2_p3": ["verify", "--suite", "lemma2", "--p", "3", "--n", "2"],
     "example3_n5": ["verify", "--suite", "example3", "--p", "2", "--n", "5"],
     "heights_suite": ["verify", "--suite", "heights", "--seeds", "10"],

@@ -1,6 +1,7 @@
 """Report contract of the verification suites."""
 
 import random
+import re
 
 import pytest
 
@@ -19,7 +20,7 @@ REPORT_KEYS = {"suite", "config", "assertions", "ok", "runtime_s"}
         ("lemma4", dict(p=2, n=2, e=2)),
         ("cor5", dict(p=2, n=2, e=2)),
         ("lemma1", dict(p=2, n=1, seeds=10)),
-        ("lemma2", dict(p=2, n=3, e_max=4)),
+        ("lemma2", dict(p=2, n=3, e=4)),
         ("example3", dict(p=3, n=4)),
         ("heights", dict(seeds=10)),
     ],
@@ -79,6 +80,28 @@ def test_lemma1_refuses_a_p_that_is_not_prime():
     for p in (0, 1, 4, -3):
         with pytest.raises(EisensteinValidationError, match="not prime"):
             suites.suite_lemma1(p, 1, seeds=1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: suites.suite_example3(257, 1), "cascade polynomial u^p - p of degree 257"),
+    (lambda: suites.suite_lemma2(257, 1), "cascade polynomial u^p - p of degree 257"),
+    (lambda: suites.suite_lemma2(2, 1, e=257), "stability tables of degree up to 257"),
+    (lambda: suites.suite_lemma1(257, 1), "lemma1 series of u-precision above 2p"),
+], ids=["example3-p257", "lemma2-p257", "lemma2-e257", "lemma1-p257"])
+def test_suites_refuse_past_the_degree_cap_before_allocating(monkeypatch, call, message):
+    # every route by which these suites build a polynomial or a module raises
+    # if reached, so the cap must come first
+    class Allocated(Exception):
+        pass
+
+    def allocate(*args, **kwargs):
+        raise Allocated
+
+    for owner, name in [(breuil, "example3_identity"), (breuil, "example3_module"),
+                        (suites, "_seeded_module"), (suites, "EisensteinPolynomial")]:
+        monkeypatch.setattr(owner, name, allocate)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_family_requires_target():
