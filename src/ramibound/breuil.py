@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .eisenstein import EisensteinPolynomial
+from .eisenstein import EisensteinPolynomial, berkowitz_charpoly
 from .series import Precision, PrecisionError, TruncatedSeries, dot, frobenius
 
 Matrix = tuple[tuple[TruncatedSeries, ...], ...]
@@ -132,9 +132,10 @@ class BreuilModule:
             V = nd.change_of_basis
             if len(V) != h or any(len(r) != h for r in V):
                 raise ValueError("change_of_basis has wrong shape")
-            # det V is a unit iff V(0) is invertible mod p
+            # det V is a unit iff det V(0) = ±(constant term of its charpoly)
+            # is nonzero mod p
             p = self.prec.p
-            if _rank_mod_p([[x.coeffs[0] % p for x in row] for row in V], p) < h:
+            if berkowitz_charpoly([[x.coeffs[0] for x in row] for row in V], p)[0] == 0:
                 raise ValueError("change_of_basis determinant is not a unit")
             if _certified_phi(V, E_s, nd.d) != self.phi:
                 raise ValueError("normal decomposition certificate does not reproduce phi")
@@ -246,26 +247,6 @@ def h4(M: BreuilModule) -> int:
     if M.prec.T <= 2 * e:
         raise PrecisionError(f"T = {M.prec.T} too small: need T > 2e = {2 * e}")
     return sum(a is not None and a < e for a in snf_mod_uT(M.phi))
-
-
-def _rank_mod_p(vectors, p: int) -> int:
-    rows = [list(v) for v in vectors if any(v)]
-    rank, col, width = 0, 0, (len(rows[0]) if rows else 0)
-    while rank < len(rows) and col < width:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 # -- Smith reduction over k[u]/(u^T) (n = 1) -----------------------------------

@@ -246,14 +246,15 @@ def test_cmd_bound_infinite_tau_needs_search(capsys):
     assert code == EXIT_USAGE and "search-prec" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["--poly", "u^2+2u+2", "--e", "3", "--tau", "1", "--iota", "0"],
-    ["--e", "2", "--tau", "1", "--iota", "1", "--search-prec", "2"],
-], ids=["poly-and-explicit", "search-prec-without-poly"])
-def test_cmd_bound_refuses_flags_it_would_drop(capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["--poly", "u^2+2u+2", "--e", "3", "--tau", "1", "--iota", "0"], "error:"),
+    (["--e", "2", "--tau", "1", "--iota", "1", "--search-prec", "2"], "error:"),
+    (["--e", "2"], "error: need either --poly or all of --e/--tau/--iota\n"),
+], ids=["poly-and-explicit", "search-prec-without-poly", "e-without-tau-iota"])
+def test_cmd_bound_refuses_flags_it_would_drop(capsys, argv, message):
     code, out, err = run(capsys, "bound", "--p", "2", *argv)
     assert (code, out) == (EXIT_USAGE, "")
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith(message) and "Traceback" not in err
 
 
 def test_cmd_bound_search_over_the_cap(capsys, monkeypatch):
@@ -748,6 +749,8 @@ def test_cmd_refuses_prime_beyond_certified_range(capsys, argv):
 def test_cmd_heights_needs_something(capsys):
     code, _, err = run(capsys, "heights")
     assert code == EXIT_USAGE
+    assert run(capsys, "heights", "--s", "1") == (
+        EXIT_USAGE, "", "error: --s and --r go together\n")
 
 
 def test_usage_error_exit_code():

@@ -197,6 +197,19 @@ def test_lemma4_examples():
         lemma4_check(cfg, (1, 1, 0), 4)  # constant term not divisible by p
 
 
+def test_lemma4_staircase_fails_on_a_wrong_valuation(monkeypatch):
+    # one more than the true valuation puts ord_p(c_0) of C = u + 2 off the
+    # staircase n - 1 = 1; the other checks do not read valuations
+    real = oracle.int_valuation
+    monkeypatch.setattr(oracle, "int_valuation", lambda x, p: real(x, p) + 1)
+    cfg = default_config(E22, 2)
+    rep = lemma4_check(cfg, (2, 1), 4, strict=False)
+    assert rep.checks == {"lemma4-degree": True, "f3-valuations": False, "t-le-ne": True}
+    with pytest.raises(OracleViolationError,
+                       match=re.escape("violated: ['f3-valuations'] for C = (2, 1), t = 4")):
+        lemma4_check(cfg, (2, 1), 4)
+
+
 def test_lemma4_requires_p_dividing_e():
     eis = EisensteinPolynomial(3, (3, 0))  # e = 2, p = 3
     cfg = default_config(eis, 1)
@@ -274,7 +287,6 @@ def test_descent_examples():
     assert rows[2] == (2, 1)
     assert rows[0] == (0, 0)
     assert rows[1] == (1, 1)
-    assert table.s_v == 5 and table.t0 == 5
 
     table = descent_minimal_s(EisensteinPolynomial(3, (3, 3, 0)))
     rows = {r.a: (r.j_max, r.s_required) for r in table.rows}

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from ramibound import breuil, oracle, suites
+from ramibound import breuil, cli, oracle, suites
 from ramibound.eisenstein import EisensteinPolynomial, EisensteinValidationError
 from ramibound.series import Precision, PrecisionError
 
@@ -196,7 +196,32 @@ def test_staircase_suites_run_lemma4_once_per_eligible_witness(monkeypatch):
 def test_lemma2_tallies_each_stability_table_once():
     report = suites.suite_lemma2(3, 2)
     assert "stable-pole-inclusion" not in report["assertions"]
-    assert report["assertions"]["stability-closed-form"] == {"pass": 8, "fail": 0}
+    assert report["assertions"]["stability-closed-form"] == {"pass": 1, "fail": 0}
+
+
+def _stability_polynomial(p, e):
+    # the degree-e polynomial suite_lemma2 builds its stability table on
+    return EisensteinPolynomial(p, (p,) if e == 1 else (p, p) + (0,) * (e - 2))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_stability_rows_do_not_depend_on_the_degree(p):
+    # suite_lemma2 builds only the table of degree e, which holds the table
+    # of every lower degree as its first rows
+    top = oracle.descent_minimal_s(_stability_polynomial(p, 8)).rows
+    for d in range(1, 9):
+        assert oracle.descent_minimal_s(_stability_polynomial(p, d)).rows == top[:d + 1]
+
+
+def test_stability_closed_form_fails_on_a_wrong_inclusion(monkeypatch, capsys):
+    # an inclusion test that always holds gives s_required = 0 on rows with
+    # a pole, which the closed form refuses
+    monkeypatch.setattr(breuil, "verify_inclusion_p_s", lambda M, gens, s: True)
+    report = suites.suite_lemma2(3, 2)
+    assert report["assertions"]["stability-closed-form"] == {"pass": 0, "fail": 1}
+    code = cli.main(["verify", "--suite", "lemma2", "--p", "3", "--n", "2"])
+    assert code == cli.EXIT_ASSERTION
+    assert "stability-closed-form.fail = 1" in capsys.readouterr().out
 
 
 def test_descent_runs_the_s0_inclusion_once_per_row(monkeypatch):
@@ -208,8 +233,8 @@ def test_descent_runs_the_s0_inclusion_once_per_row(monkeypatch):
 
     monkeypatch.setattr(breuil, "verify_inclusion_p_s", counted)
     table = oracle.descent_minimal_s(EisensteinPolynomial(2, (2, 2, 0)))
-    ones = sum(row.s_required == 1 for row in table.rows)
-    assert calls.count(0) == len(table.rows) and calls.count(1) == ones
+    # p = 0 at n = 1, so the p^1 inclusion cannot fail and is not run
+    assert calls.count(0) == len(table.rows) and calls.count(1) == 0
 
 
 def test_staircase_eligibility_stops_short_of_p_deg_equal_t(monkeypatch):
