@@ -247,7 +247,7 @@ def cmd_bound(args) -> int:
         "s_le_f11": trace.s <= f11,
         "reference_log_bound": reference_log_bound(p, e),
     }
-    if trace.epsilon == 0 and e >= p - 1 and (tau, iota) == (1, 0):
+    if trace.epsilon == 0 and e >= p - 1:  # compute_s admits only (1, 0) here
         payload["closed_form_unramified"] = payload["reference_log_bound"]
     if trace.epsilon == 1:
         b4 = bound_example4(p, e)

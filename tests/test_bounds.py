@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from ramibound.bounds import (
-    BoundTrace,
     bound_example4,
     bound_f11,
     compute_s,
@@ -39,6 +38,9 @@ def test_trace_examples():
     t = compute_s(2, 4, 3, 1)
     assert t.pairs == ((13, 0), (6, 4)) and t.z == 1 and t.s == 10
 
+    # (5, 0) -> (2, 3) keeps t + s constant: a step only the modified variant takes
+    assert compute_s(2, 2, 2, 1, "modified").pairs == ((5, 0), (2, 3))
+
 
 def test_compute_s_input_validation():
     with pytest.raises(ValueError, match="finite"):
@@ -53,31 +55,7 @@ def test_compute_s_input_validation():
         compute_s(4, 4, 1, 1)
 
 
-def test_trace_constructor_rejects_broken_chains():
-    with pytest.raises(ValueError, match="recursion"):
-        BoundTrace(p=2, e=4, tau=3, iota=1, variant="standard",
-                   pairs=((13, 0), (5, 4)))
-    with pytest.raises(ValueError, match="start"):
-        BoundTrace(p=2, e=4, tau=3, iota=1, variant="standard",
-                   pairs=((12, 0),))
-    with pytest.raises(ValueError, match="stalled"):
-        # (5,0) -> (2,3) keeps t+s constant: legal only for the modified variant
-        BoundTrace(p=2, e=2, tau=2, iota=1, variant="standard",
-                   pairs=((5, 0), (2, 3)))
-    # the same stalled step is exactly what the modified variant produces
-    trace = BoundTrace(p=2, e=2, tau=2, iota=1, variant="modified",
-                       pairs=((5, 0), (2, 3)))
-    assert trace.s == 5
-    assert compute_s(2, 2, 2, 1, variant="modified").pairs == ((5, 0), (2, 3))
-
-
 # -- closed form for p not dividing e ----------------------------------------------
-
-def test_closed_form_examples():
-    assert reference_log_bound(3, 4) == 1
-    assert reference_log_bound(2, 1) == 1
-    assert reference_log_bound(2, 5) == 3
-
 
 def test_example2_agreement_and_window():
     for p in (2, 3, 5, 7):
@@ -87,12 +65,6 @@ def test_example2_agreement_and_window():
             s_mod = compute_s(p, e, 1, 0, variant="modified").s
             assert s_mod == reference_log_bound(p, e)
             assert (s_mod == 1) == (p - 1 <= e <= p * p - p - 1)
-
-
-def test_example1_small_degree():
-    for p in (3, 5, 7, 11):
-        for e in range(1, p - 1):
-            assert compute_s(p, e, 1, 0).s == 0
 
 
 def test_modified_variant_agrees_and_only_lengthens():
@@ -120,17 +92,6 @@ def test_monotone_in_tau_and_iota():
                 iotas = [i for i in range(1, e) if i % p != 0]
                 values = [compute_s(p, e, tau, i).s for i in iotas]
                 assert values == sorted(values)
-
-
-def test_f10_strict_decrease_and_f11():
-    for p in (2, 3, 5):
-        for e in range(1, 45):
-            bound = bound_f11(p, e)
-            for tau, iota in admissible_pairs(p, e):
-                trace = compute_s(p, e, tau, iota)
-                sums = [t + s for t, s in trace.pairs]
-                assert all(a > b for a, b in zip(sums, sums[1:]))
-                assert trace.s <= bound
 
 
 # -- closed bounds -------------------------------------------------------------------
@@ -183,9 +144,22 @@ def test_example4_exceeds_is_strict():
     assert not b4.exceeds(12)
 
 
+def test_example4_exceeds_settles_a_huge_s_without_the_power():
+    # p^(s + 1 - 9) with s ~ 3e20 is never formed: the bit lengths decide
+    assert not bound_example4(2, 4).exceeds(3 * 10**20 + 1)
+    # below that, the bit-length shortcut agrees with the exact powers
+    for p in (2, 3, 5, 7):
+        for e in (p, 2 * p, p**2, 3 * p**2, p**3, 1000 * p):
+            b4 = bound_example4(p, e)
+            B = b4.m + 2
+            for s in range(B * B - 1, B * B + 200):
+                assert b4.exceeds(s) == (p ** (s + 1 - B * B) < e**B)
+
+
 def test_reference_log_bound():
     assert reference_log_bound(2, 5) == 3
     assert reference_log_bound(3, 4) == 1
+    assert reference_log_bound(2, 1) == 1
     assert reference_log_bound(5, 3) == 0
 
 

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,15 @@ def test_cmd_bound_modified_variant(capsys):
                                 "--tau", "1", "--iota", "0", "--variant", "modified")
     assert code == EXIT_OK and payload["s"] == "1"
     assert payload["closed_form_unramified"] == "1"
+
+
+def test_cmd_bound_huge_tau_ends_at_once(capsys):
+    # s is about 3e20, so Example 4's test must not form p^(s + 1 - (m+2)^2)
+    start = time.perf_counter()
+    code, payload, _ = run_json(capsys, "bound", "--p", "2", "--e", "4",
+                                "--tau", str(10**20), "--iota", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK and payload["bound_example4"]["s_below"] is False
 
 
 def test_cmd_bound_infinite_tau_needs_search(capsys):

@@ -38,6 +38,7 @@ CASES = {
     "bound_poly": ["bound", "--p", "2", "--poly", "u^2+2u+2"],
     "bound_modified": ["bound", "--p", "3", "--e", "4", "--tau", "1", "--iota", "0",
                        "--variant", "modified"],
+    "bound_unramified": ["bound", "--p", "2", "--e", "5", "--tau", "1", "--iota", "0"],
     "prop2_u4m2_n3": ["verify", "--suite", "prop2", "--p", "2", "--poly", "u^4-2",
                       "--n", "3"],
     "prop2_e2_n2": ["verify", "--suite", "prop2", "--p", "2", "--e", "2", "--n", "2"],
