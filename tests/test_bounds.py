@@ -147,7 +147,9 @@ def test_example4_exceeds_is_strict():
 def test_example4_exceeds_settles_a_huge_s_without_the_power():
     # p^(s + 1 - 9) with s ~ 3e20 is never formed: the bit lengths decide
     assert not bound_example4(2, 4).exceeds(3 * 10**20 + 1)
-    # below that, the bit-length shortcut agrees with the exact powers
+
+
+def test_example4_exceeds_shortcut_agrees_with_exact_powers():
     for p in (2, 3, 5, 7):
         for e in (p, 2 * p, p**2, 3 * p**2, p**3, 1000 * p):
             b4 = bound_example4(p, e)
