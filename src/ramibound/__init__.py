@@ -41,7 +41,6 @@ from .eisenstein import (
 )
 from .oracle import (
     BudgetExceededError,
-    DescentTable,
     OracleViolationError,
     Prop2Result,
     SearchConfig,

@@ -13,7 +13,8 @@ drop = t - floor(t/p) is the quantity the stopping rule tests, so under
 the standard rule the sums strictly decrease; the sum-form of the rule would break that chain,
 which is why the difference form is implemented for both variants.
 These facts hold by construction, so BoundTrace, which compute_s alone
-builds, is a plain record that re-checks none of them.
+builds, is a plain record that re-checks none of them; Example 4's cap is
+the plain block that bound_example4(p, e, s) returns.
 
 The modified variant keeps stepping while t - floor(t/p) equals
 tau + epsilon; such steps leave t + s unchanged, and since drop never
@@ -119,50 +120,25 @@ def bound_f11(p: int, e: int) -> Fraction:
     return Fraction(2 * e - 1 + e * m, p - 1)
 
 
-@dataclass(frozen=True)
-class Example4Bound:
-    """The ramified-case bound (log_p e + m + 2)(m + 2) - 1, compared to
-    integers by exponentiating instead of taking logarithms."""
-
-    p: int
-    e: int
-
-    @property
-    def m(self) -> int:
-        """ord_p(e)."""
-        return int_valuation(self.e, self.p)
-
-    def exact_value(self) -> int | None:
-        """Integer value when e is a power of p (then log_p e = m), else None."""
-        m = self.m
-        if self.e != self.p**m:
-            return None
-        return (2 * m + 2) * (m + 2) - 1
-
-    def approx(self) -> float:
-        return (math.log(self.e, self.p) + self.m + 2) * (self.m + 2) - 1
-
-    def exceeds(self, s: int) -> bool:
-        """Exact test of s < (log_p e + m + 2)(m + 2) - 1, that is of
-        p^A < e^B with B = m + 2 and A = s + 1 - B^2.  Once
-        A*(bitlen(p) - 1) >= B*bitlen(e), p^A >= 2^(B*bitlen(e)) > e^B is
-        settled without taking the power, so the cost does not grow with s."""
-        B = self.m + 2
-        A = s + 1 - B * B
-        if A < 0:
-            return True  # right side is positive: e >= p forces log_p e >= 1
-        if A * (self.p.bit_length() - 1) >= B * self.e.bit_length():
-            return False
-        return self.p**A < self.e**B
-
-
-def bound_example4(p: int, e: int) -> Example4Bound:
-    """Bound object for the ramified case p | e."""
+def bound_example4(p: int, e: int, s: int) -> dict:
+    """Example 4's cap (log_p e + m + 2)(m + 2) - 1, m = ord_p(e), for p | e:
+    its value when e = p^m, else None; its value to four places; and whether
+    s lies below it, that is p^A < e^B with B = m + 2, A = s + 1 - B^2.  Once
+    A*(bitlen(p) - 1) >= B*bitlen(e), p^A >= 2^(B*bitlen(e)) > e^B settles
+    that without the power, so the cost does not grow with s."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if e % p:
         raise ValueError("this bound applies only when p divides e")
-    return Example4Bound(p=p, e=e)
+    m = int_valuation(e, p)
+    B = m + 2
+    A = s + 1 - B * B
+    return {
+        "exact": (2 * m + 2) * B - 1 if e == p**m else None,
+        "approx": round((math.log(e, p) + m + 2) * B - 1, 4),
+        "s_below": A < 0 or (A * (p.bit_length() - 1) < B * e.bit_length()
+                             and p**A < e**B),
+    }
 
 
 def prop3_height_bounds(s: int, r: int) -> tuple[int, int]:

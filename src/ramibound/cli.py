@@ -20,13 +20,13 @@ its input before any work: example3 and lemma2 build u^p - p, so refuse
 p > MAX_POLY_DEGREE, as lemma2 does an --e above it; lemma1 works at
 u-precision T = max(40, 2p + 1 + deg phi), so it too refuses such a p, and
 one that is not prime; a search, or grid sweep, over more than --budget
-candidates is refused.
+candidates is refused, and so is a cor5 scan of more cor5_check calls.
 JSON output carries a versioned `schema` field and renders every integer
 as a decimal string so consumers never overflow; infinite values print as
 "inf".
 
 Exit codes: 0 success, 1 failed assertion, 2 usage or parse error (an
-input out of range included), 3 candidate budget exceeded.
+input out of range included), 3 a search or a cor5 scan over --budget.
 """
 
 from __future__ import annotations
@@ -250,12 +250,7 @@ def cmd_bound(args) -> int:
     if trace.epsilon == 0 and e >= p - 1:  # compute_s admits only (1, 0) here
         payload["closed_form_unramified"] = payload["reference_log_bound"]
     if trace.epsilon == 1:
-        b4 = bound_example4(p, e)
-        payload["bound_example4"] = {
-            "exact": b4.exact_value(),
-            "approx": round(b4.approx(), 4),
-            "s_below": b4.exceeds(trace.s),
-        }
+        payload["bound_example4"] = bound_example4(p, e, trace.s)
     if found is not None:  # tau is the searched minimum, exact only if certified
         payload["tau_search"] = {
             "witness": found.witness.cs,

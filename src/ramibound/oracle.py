@@ -27,7 +27,8 @@ Expected invariants of the surrounding theory are asserted on every run
 twisted witness; lemma4_check adds the Weierstrass witness profile when
 p | e); any violation raises OracleViolationError, which would falsify the
 implementation rather than the theory.  check_budget refuses an oversized
-search, or sweep over a grid, before any power of p is computed.
+search, or sweep over a grid, before any power of p is computed, and
+check_scan_budget so refuses an oversized cor5 scan.
 """
 
 from __future__ import annotations
@@ -178,6 +179,19 @@ def check_budget(p: int, e: int, n: int, budget: int, sweep: bool = False) -> No
             f"the prop2 sweep over the degree-{e} grid at n = {n} would visit "
             f"{total} candidates, over the budget of {budget}"
         )
+
+
+def check_scan_budget(p: int, e: int, n: int, witnesses: int, budget: int) -> None:
+    """Refuse, before its first call, a cor5 scan of more than budget
+    cor5_check calls: each staircase witness meets the p^((n-1)l)
+    Weierstrass polynomials of each degree l < e, p^((n-1)(e-1)) or more."""
+    per = f"({p}^{(n - 1) * e} - 1)/({p}^{n - 1} - 1)" if n > 1 else str(e)
+    calls = _oversize(p, (n - 1) * (e - 1) if witnesses else 0,
+                      lambda: witnesses * sum(p**((n - 1) * l) for l in range(e)),
+                      f"{witnesses}*{per}", budget)
+    if calls is not None:
+        raise BudgetExceededError(f"the cor5 scan at n = {n} would make {calls} "
+                                  f"cor5_check calls, over the budget of {budget}")
 
 
 def _walk(cfg: SearchConfig):
@@ -369,30 +383,15 @@ def eisenstein_grid(p: int, e: int, n: int):
             for coeffs in product(a0s, *([choices] * (e - 1))))
 
 
-@dataclass
-class DescentRow:
-    a: int
-    j_max: int
-    s_required: int
+def descent_minimal_s(eis: EisensteinPolynomial) -> list[tuple[int, int]]:
+    """Rank-1, n = 1 stability rows (j_max, s_required) for phi(e_1) = u^a,
+    a = 0..e, by direct application of phi.
 
-
-@dataclass
-class DescentTable:
-    """Rank-1, n = 1 stability analysis for phi(e_1) = u^a, all a <= e.
-
-    j_max is the largest pole order j with u^-j M stable under the map
-    (closed form: floor(a/(p-1)), re-derived here by direct application);
+    j_max is the largest pole order j with u^-j M stable under the map;
     s_required is the least s with p^s times the stable overmodule inside M,
     0 or 1 since p = 0 at n = 1.  Row a reads neither E nor e beyond a <= e,
-    so the table of degree e holds the rows of every lower degree."""
-
-    p: int
-    e: int
-    rows: list[DescentRow]
-
-
-def descent_minimal_s(eis: EisensteinPolynomial) -> DescentTable:
-    """Build the stability table and assert each row against its closed form."""
+    so the rows of degree e hold those of every lower degree.  suite_lemma2
+    checks them against (floor(a/(p-1)), 0 if a < p-1 else 1)."""
     p, e = eis.p, eis.e
     prec = Precision(p, 1, breuil.required_u_precision(p, e + 1, e) + 1)
     one = TruncatedSeries.one(prec)
@@ -408,10 +407,5 @@ def descent_minimal_s(eis: EisensteinPolynomial) -> DescentTable:
             else:
                 break
         gen = breuil.FractionalElement(pole=j_max, alphas=(one,))
-        s_required = 0 if breuil.verify_inclusion_p_s(M, [gen], 0) else 1
-        if j_max != a // (p - 1) or (s_required == 0) != (j_max == 0):
-            raise OracleViolationError(
-                f"descent row a = {a}: j_max = {j_max}, s_required = {s_required}"
-            )
-        rows.append(DescentRow(a=a, j_max=j_max, s_required=s_required))
-    return DescentTable(p=p, e=e, rows=rows)
+        rows.append((j_max, 0 if breuil.verify_inclusion_p_s(M, [gen], 0) else 1))
+    return rows

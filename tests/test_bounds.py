@@ -103,12 +103,12 @@ def test_f11_examples():
 
 
 def test_example4_values():
-    assert bound_example4(2, 2).exact_value() == 11
-    assert bound_example4(2, 4).exact_value() == 23
-    assert bound_example4(3, 3).exact_value() == 11
-    assert bound_example4(2, 6).exact_value() is None
+    assert bound_example4(2, 2, 0)["exact"] == 11
+    assert bound_example4(2, 4, 0)["exact"] == 23
+    assert bound_example4(3, 3, 0)["exact"] == 11
+    assert bound_example4(2, 6, 0)["exact"] is None
     with pytest.raises(ValueError):
-        bound_example4(3, 4)
+        bound_example4(3, 4, 0)
 
 
 def test_derived_epsilon_and_m_match_their_definitions():
@@ -125,37 +125,37 @@ def test_derived_epsilon_and_m_match_their_definitions():
                     tables += 1
             if divides:
                 m = max(k for k in range(7) if e % p**k == 0)
-                assert bound_example4(p, e).m == m
+                b4 = bound_example4(p, e, 0)
+                assert b4["approx"] == round((math.log(e, p) + m + 2) * (m + 2) - 1, 4)
+                assert b4["exact"] == ((2 * m + 2) * (m + 2) - 1 if e == p**m else None)
     assert tables > 5000
 
 
 def test_example4_exceeds_every_admissible_s():
     for p in (2, 3):
         for e in range(p, 40, p):
-            b4 = bound_example4(p, e)
             for tau, iota in admissible_pairs(p, e):
-                assert b4.exceeds(compute_s(p, e, tau, iota).s)
+                assert bound_example4(p, e, compute_s(p, e, tau, iota).s)["s_below"]
 
 
 def test_example4_exceeds_is_strict():
-    b4 = bound_example4(2, 2)  # bound 11
-    assert b4.exceeds(10)
-    assert not b4.exceeds(11)
-    assert not b4.exceeds(12)
+    # the cap at (2, 2) is 11
+    assert bound_example4(2, 2, 10)["s_below"]
+    assert not bound_example4(2, 2, 11)["s_below"]
+    assert not bound_example4(2, 2, 12)["s_below"]
 
 
 def test_example4_exceeds_settles_a_huge_s_without_the_power():
     # p^(s + 1 - 9) with s ~ 3e20 is never formed: the bit lengths decide
-    assert not bound_example4(2, 4).exceeds(3 * 10**20 + 1)
+    assert not bound_example4(2, 4, 3 * 10**20 + 1)["s_below"]
 
 
 def test_example4_exceeds_shortcut_agrees_with_exact_powers():
     for p in (2, 3, 5, 7):
         for e in (p, 2 * p, p**2, 3 * p**2, p**3, 1000 * p):
-            b4 = bound_example4(p, e)
-            B = b4.m + 2
+            B = int_valuation(e, p) + 2
             for s in range(B * B - 1, B * B + 200):
-                assert b4.exceeds(s) == (p ** (s + 1 - B * B) < e**B)
+                assert bound_example4(p, e, s)["s_below"] == (p ** (s + 1 - B * B) < e**B)
 
 
 def test_reference_log_bound():

@@ -322,6 +322,19 @@ def test_cmd_verify_budget_error_names_the_work_and_the_flag(capsys, suite):
                    "over the budget of 10; raise --budget or lower --n\n")
 
 
+def test_cmd_verify_cor5_scan_over_budget_ends_at_once(capsys):
+    # the search (1756920 candidates) fits the budget; the scan after it
+    # would make (11^11 - 1)/10 calls, so it is refused before the first
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--suite", "cor5", "--p", "11",
+                         "--poly", "u^11+11", "--n", "2")
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_BUDGET and out == ""
+    assert err == ("budget exceeded: the cor5 scan at n = 2 would make 28531167061 "
+                   "cor5_check calls, over the budget of 100000000; "
+                   "raise --budget or lower --n\n")
+
+
 @pytest.mark.parametrize("argv, code, message", [
     # sizes compared by exponent, so no power of p is computed or printed in full
     (["prop2", "--p", "2", "--poly", "u^2-2", "--n", "3000"], EXIT_BUDGET,

@@ -39,6 +39,7 @@ CASES = {
     "bound_modified": ["bound", "--p", "3", "--e", "4", "--tau", "1", "--iota", "0",
                        "--variant", "modified"],
     "bound_unramified": ["bound", "--p", "2", "--e", "5", "--tau", "1", "--iota", "0"],
+    "bound_example4_e6": ["bound", "--p", "2", "--e", "6", "--tau", "1", "--iota", "1"],
     "prop2_u4m2_n3": ["verify", "--suite", "prop2", "--p", "2", "--poly", "u^4-2",
                       "--n", "3"],
     "prop2_e2_n2": ["verify", "--suite", "prop2", "--p", "2", "--e", "2", "--n", "2"],
@@ -46,6 +47,8 @@ CASES = {
     "prop2_p3_e4_n2": ["verify", "--suite", "prop2", "--p", "3", "--e", "4", "--n", "2"],
     "cor5_p3_e3_n2": ["verify", "--suite", "cor5", "--p", "3", "--e", "3", "--n", "2"],
     "cor5_e2_n2": ["verify", "--suite", "cor5", "--p", "2", "--e", "2", "--n", "2"],
+    "cor5_p11_budget": ["verify", "--suite", "cor5", "--p", "11", "--poly", "u^11+11",
+                        "--n", "2"],
     "lemma1": ["verify", "--suite", "lemma1", "--p", "2", "--n", "2", "--seeds", "20"],
     "lemma1_p17": ["verify", "--suite", "lemma1", "--p", "17", "--n", "1", "--seeds", "10"],
     "verify_lemma1_unread_poly": ["verify", "--suite", "lemma1", "--p", "2", "--n", "1",

@@ -16,6 +16,7 @@ from ramibound.oracle import (
     SearchConfig,
     WitnessReport,
     check_budget,
+    check_scan_budget,
     cor5_check,
     default_config,
     descent_minimal_s,
@@ -171,6 +172,23 @@ def test_check_budget_prints_huge_sizes_as_powers():
     check_budget(2, 4, 3, 3758096384, sweep=True)
 
 
+@pytest.mark.parametrize("p, e, n", [(2, 2, 1), (2, 2, 2), (3, 3, 2), (2, 4, 3), (5, 5, 2)])
+@pytest.mark.parametrize("witnesses", [0, 1, 6])
+def test_check_scan_budget_counts_every_multiplier(p, e, n, witnesses):
+    # the closed form against the multipliers the scan enumerates
+    calls = witnesses * sum(1 for l in range(e) for _ in weierstrass_polys(p, n, l))
+    check_scan_budget(p, e, n, witnesses, calls)
+    if calls:
+        with pytest.raises(BudgetExceededError, match=f"would make {calls} cor5_check"):
+            check_scan_budget(p, e, n, witnesses, calls - 1)
+
+
+def test_check_scan_budget_prints_huge_counts_as_powers():
+    with pytest.raises(BudgetExceededError,
+                       match=re.escape("would make 3*(2^25344 - 1)/(2^99 - 1) cor5_check")):
+        check_scan_budget(2, 256, 100, 3, 10**8)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="n must be"):
         SearchConfig(eis=E22, n=0)
@@ -282,14 +300,12 @@ def test_weierstrass_poly_generator():
 # -- rank-1 stability tables ------------------------------------------------------------
 
 def test_descent_examples():
-    table = descent_minimal_s(E22)
-    rows = {r.a: (r.j_max, r.s_required) for r in table.rows}
+    rows = descent_minimal_s(E22)
     assert rows[2] == (2, 1)
     assert rows[0] == (0, 0)
     assert rows[1] == (1, 1)
 
-    table = descent_minimal_s(EisensteinPolynomial(3, (3, 3, 0)))
-    rows = {r.a: (r.j_max, r.s_required) for r in table.rows}
+    rows = descent_minimal_s(EisensteinPolynomial(3, (3, 3, 0)))
     assert rows[0] == (0, 0)
     assert rows[1] == (0, 0)  # j = 1 needs (p-1)*1 <= a
     assert rows[3] == (1, 1)

@@ -157,6 +157,28 @@ def test_cor5_scans_low_degree_multipliers():
     assert report["config"]["instances"] >= 3
 
 
+# u^7 + 7 at n = 2: the search visits 48 * 49^2 = 115248 candidates and
+# finds one staircase witness, which meets (7^7 - 1)/6 = 137257 multipliers
+E7 = (7, 0, 0, 0, 0, 0, 0)
+
+
+def test_cor5_scan_over_budget_is_refused_before_any_check(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("cor5_check ran")
+
+    monkeypatch.setattr(oracle, "cor5_check", unreachable)
+    with pytest.raises(oracle.BudgetExceededError,
+                       match="would make 137257 cor5_check calls, over the budget of 137256"):
+        suites.suite_cor5(7, 2, poly=E7, budget=137256)
+
+
+def test_cor5_scan_within_budget_makes_the_counted_calls(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "cor5_check", lambda *args: calls.append(args) or True)
+    report = suites.suite_cor5(7, 2, poly=E7, budget=137257)
+    assert report["config"]["instances"] == len(calls) == 137257
+
+
 def test_staircase_suites_let_a_lemma4_fault_through(monkeypatch):
     # Lemma 4 runs only on witnesses meeting its hypotheses, and nothing is
     # caught around it, so a fault inside it ends the suite instead of
@@ -208,15 +230,33 @@ def _stability_polynomial(p, e):
 def test_stability_rows_do_not_depend_on_the_degree(p):
     # suite_lemma2 builds only the table of degree e, which holds the table
     # of every lower degree as its first rows
-    top = oracle.descent_minimal_s(_stability_polynomial(p, 8)).rows
+    top = oracle.descent_minimal_s(_stability_polynomial(p, 8))
     for d in range(1, 9):
-        assert oracle.descent_minimal_s(_stability_polynomial(p, d)).rows == top[:d + 1]
+        assert oracle.descent_minimal_s(_stability_polynomial(p, d)) == top[:d + 1]
 
 
 def test_stability_closed_form_fails_on_a_wrong_inclusion(monkeypatch, capsys):
     # an inclusion test that always holds gives s_required = 0 on rows with
     # a pole, which the closed form refuses
     monkeypatch.setattr(breuil, "verify_inclusion_p_s", lambda M, gens, s: True)
+    report = suites.suite_lemma2(3, 2)
+    assert report["assertions"]["stability-closed-form"] == {"pass": 0, "fail": 1}
+    code = cli.main(["verify", "--suite", "lemma2", "--p", "3", "--n", "2"])
+    assert code == cli.EXIT_ASSERTION
+    assert "stability-closed-form.fail = 1" in capsys.readouterr().out
+
+
+def test_stability_closed_form_fails_on_a_wrong_pole_order(monkeypatch, capsys):
+    # the suite, not the oracle, checks j_max = floor(a/(p-1)): one row off
+    # by one fails the tally
+    real = oracle.descent_minimal_s
+
+    def off_by_one(eis):
+        rows = real(eis)
+        j_max, s_required = rows[-1]
+        return rows[:-1] + [(j_max + 1, s_required)]
+
+    monkeypatch.setattr(oracle, "descent_minimal_s", off_by_one)
     report = suites.suite_lemma2(3, 2)
     assert report["assertions"]["stability-closed-form"] == {"pass": 0, "fail": 1}
     code = cli.main(["verify", "--suite", "lemma2", "--p", "3", "--n", "2"])
@@ -232,9 +272,9 @@ def test_descent_runs_the_s0_inclusion_once_per_row(monkeypatch):
         return real(M, gens, s)
 
     monkeypatch.setattr(breuil, "verify_inclusion_p_s", counted)
-    table = oracle.descent_minimal_s(EisensteinPolynomial(2, (2, 2, 0)))
+    rows = oracle.descent_minimal_s(EisensteinPolynomial(2, (2, 2, 0)))
     # p = 0 at n = 1, so the p^1 inclusion cannot fail and is not run
-    assert calls.count(0) == len(table.rows) and calls.count(1) == 0
+    assert calls.count(0) == len(rows) and calls.count(1) == 0
 
 
 def test_staircase_eligibility_stops_short_of_p_deg_equal_t(monkeypatch):
