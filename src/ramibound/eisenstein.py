@@ -29,9 +29,10 @@ mod p^(m+2), which fix c_0 mod p^(m+1) and the other digits mod p^(m+2);
 once the digits reach p^(m+2), one class per orbit under scaling by units
 (c_1 = 1) is enough.  The search works on the raw residues: it checks
 inline that each charpoly is Eisenstein (raising what the constructor
-would), reads (tau, iota) off the E_1 residues, and builds objects for the
-witness only.  A search over more than TAU_SEARCH_CAP digit vectors raises
-BudgetExceededError before the first charpoly.
+would), reads (tau, iota) once, off the least E_1 key, and builds the
+witness change only.  It is certified exact only at tau = 1.  A search over
+more than TAU_SEARCH_CAP digit vectors raises BudgetExceededError before
+the first charpoly, through the size rule the oracle's budgets share.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from operator import add, mul
 
-from .series import BudgetExceededError, int_valuation, is_prime, poly_text
+from .series import BudgetExceededError, _oversize, int_valuation, is_prime, poly_text
 
 INF = math.inf  # order sentinel only; never enters arithmetic
 
@@ -284,26 +285,25 @@ class TauSearchResult:
 
     The value is always a certified upper bound for the true minimum over
     all uniformizers, and never exceeds ceiling = m + 1 (witnessed by the
-    pair pi, pi + p).  certified_exact is set only when the minimum is
-    attained at the unconditional floor (tau = 1, or the m = 0 fiat value)
-    or matches a caller-supplied lower bound.  candidates counts the digit
-    vectors searched; charpolys counts the key classes visited, one kernel
-    call each (the orbit route re-checks its witness with one call more)."""
+    pair pi, pi + p).  It is certified exact only at the unconditional floor
+    tau = 1, which the m = 0 fiat value also reads.  candidates counts the
+    digit vectors searched; charpolys counts the key classes visited, one
+    kernel call each (the orbit route re-checks its witness with one call
+    more)."""
 
     tau: int
-    iota: int | None
+    iota: int
     witness: UniformizerChange
-    certified_exact: bool
     ceiling: int
     candidates: int
     charpolys: int = field(compare=False)
 
+    @property
+    def certified_exact(self) -> bool:
+        return self.tau == 1
 
-def tau_v_search(
-    E: EisensteinPolynomial,
-    digit_precision: int,
-    lower_bound: int | None = None,
-) -> TauSearchResult:
+
+def tau_v_search(E: EisensteinPolynomial, digit_precision: int) -> TauSearchResult:
     """Minimize (tau, iota) over all changes with digits mod p^digit_precision.
 
     The result is that of a lexicographic enumeration of the digit vectors
@@ -320,7 +320,7 @@ def tau_v_search(
     scales a_i by v^(e-i) and keeps (tau, iota); every orbit of classes
     holds one with c_1 = 1, so only those are visited, and the witness is
     the least class in the orbits of the minimizers.  Its charpoly is
-    recomputed and must reach the minimum."""
+    recomputed, checked like every other, and must reach the minimum."""
     if E.precision is not None:
         raise ValueError("tau search requires exact integer coefficients")
     if digit_precision < 1:
@@ -328,20 +328,17 @@ def tau_v_search(
     p, e, m = E.p, E.e, E.m
     if m == 0:
         return TauSearchResult(
-            tau=1, iota=0,
-            witness=UniformizerChange.identity(p, e, digit_precision),
-            certified_exact=True, ceiling=m + 1, candidates=0, charpolys=0,
+            tau=1, iota=0, witness=UniformizerChange.identity(p, e, digit_precision),
+            ceiling=m + 1, candidates=0, charpolys=0,
         )
-    # p^k > TAU_SEARCH_CAP once k reaches its bit length, so a huge
-    # exponent is refused without computing the power
-    exponent = digit_precision * e - 1
-    if exponent >= TAU_SEARCH_CAP.bit_length() or (p - 1) * p**exponent > TAU_SEARCH_CAP:
-        size = (p - 1) * p**exponent if exponent < 64 else f"{p - 1}*{p}^{exponent}"
+    exponent = digit_precision * e - 1  # every digit vector with c_1 a unit
+    size = _oversize(p, exponent + 1, lambda: (p - 1) * p**exponent,
+                     f"{p - 1}*{p}^{exponent}", TAU_SEARCH_CAP)
+    if size is not None:
         raise BudgetExceededError(
             f"the tau search at digit precision {digit_precision} would visit "
             f"{size} candidates, over the cap of {TAU_SEARCH_CAP}"
         )
-    count = (p - 1) * p**exponent  # every digit vector with c_1 a unit
     N = m + 3
     q = p**N
     coeffs = tuple(a % q for a in E.coeffs)
@@ -351,7 +348,12 @@ def tau_v_search(
     e1 = [i for i in range(1, e) if i % p]
     weight = [N * e] + [int_valuation(a, p) * e for a in range(1, q)]
 
-    def key_of(res):
+    def key_of(x):
+        """The key of the charpoly of x, checked inline to be Eisenstein
+        (raising what the constructor would)."""
+        res = _charpoly_residues(coeffs, x, q)
+        if res[0] % (p * p) == 0 or any(map(p.__rmod__, res)):
+            raise EisensteinValidationError(_eisenstein_violations(p, res, N))
         return min([weight[res[i]] + i for i in e1])
 
     R = p**(m + 2)  # p^L
@@ -362,31 +364,26 @@ def tau_v_search(
     # lexicographic digit order: c_0 below p^(L-1), and on the orbit route
     # c_1 = 1 and the other digits below p^L
     c0ps = range(0, min(p**(digit_precision + 1), R), p)
-    best_key, ties, best_res, charpolys = N * e, [], None, 0
+    best_key, ties, charpolys = N * e, [], 0
     for charpolys, x in enumerate(product(c0ps, c1s, *[digits] * (e - 2)), 1):
-        res = _charpoly_residues(coeffs, x, q)
-        if res[0] % (p * p) == 0 or any(map(p.__rmod__, res)):
-            raise EisensteinValidationError(_eisenstein_violations(p, res, N))
-        key = key_of(res)
+        key = key_of(x)
         if key < best_key:  # strict: the first minimizer in digit order
-            best_key, ties, best_res = key, [x], res
+            best_key, ties = key, [x]
         elif key == best_key and orbit:
             ties.append(x)
-    if best_key // e > m + 1:
+    tau, iota = divmod(best_key, e)
+    if tau > m + 1:
         raise AssertionError("tau ceiling m + 1 violated; pi and pi + p were enumerated")
-    x, res = ties[0], best_res
+    x = ties[0]
     if orbit:
         # the first digit vector of the class v*r is its residues: v r_0 mod
         # R (p times v c_0 mod p^(L-1)), then v, then v r_i mod R
         units = [v for v in range(1, R) if v % p]
         x = min((v * r[0] % R, v, *[v * c % R for c in r[2:]]) for r in ties for v in units)
-        res = _charpoly_residues(coeffs, x, q)
-        if key_of(res) != best_key:
+        if key_of(x) != best_key:
             raise AssertionError("the witness's key differs from the minimum of its orbit")
-    inv = EisensteinPolynomial(p, tuple(res), precision=N).invariants()
-    certified = inv.tau == 1 or (lower_bound is not None and inv.tau == lower_bound)
     return TauSearchResult(
-        tau=inv.tau, iota=inv.iota,
+        tau=tau, iota=iota,
         witness=UniformizerChange(p, digit_precision, (x[0] // p, *x[1:])),
-        certified_exact=certified, ceiling=m + 1, candidates=count, charpolys=charpolys,
+        ceiling=m + 1, candidates=(p - 1) * p**exponent, charpolys=charpolys,
     )

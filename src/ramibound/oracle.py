@@ -17,10 +17,10 @@ expanded into the explicit witness list, which inherits the lexicographic
 order.
 
 The walk runs on raw residues; every reported witness is then re-verified
-through TruncatedSeries arithmetic, so the fast path never silently vouches
-for itself.  Witnesses carry only coefficients; their re-checks fold into
-witnesses-reverified, and a strict failure names the first failing witness
-and check.  The tests check the walk against a plain brute-force scan.
+through TruncatedSeries arithmetic, by membership in (u^t, p^n) at the
+working n, so the fast path never silently vouches for itself.  Witnesses
+carry only coefficients; their re-checks fold into witnesses-reverified,
+and a strict failure names the first failing witness and check.  The tests check the walk against a plain brute-force scan.
 
 Expected invariants of the surrounding theory are asserted on every run
 (t <= n*e, t <= tau*e + iota when tau is finite, the p-power kill of the
@@ -28,7 +28,8 @@ twisted witness; lemma4_check adds the Weierstrass witness profile when
 p | e); any violation raises OracleViolationError, which would falsify the
 implementation rather than the theory.  check_budget refuses an oversized
 search, or sweep over a grid, before any power of p is computed, and
-check_scan_budget so refuses an oversized cor5 scan.
+check_scan_budget so refuses an oversized cor5 scan; both size their
+counts by series._oversize, as the tau search does its cap.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .series import (
     BudgetExceededError,
     Precision,
     TruncatedSeries,
+    _oversize,
     frobenius,
     int_valuation,
 )
@@ -132,24 +134,6 @@ def weierstrass_degree(c: tuple[int, ...], p: int) -> int | None:
     if deg is None or c[deg] != 1 or any(x % p for x in c[:deg]):
         return None
     return deg
-
-
-# Sizes of at most this many bits are computed and printed in decimal.
-_EXACT_BITS = 256
-
-
-def _oversize(p: int, k: int, size, text: str, budget: int) -> str | None:
-    """How to print a count over the budget, or None when it is within.
-
-    The count is at least p^k / 4 >= 2^(k*(bitlen(p) - 1) - 2); once that
-    bound settles the comparison and the count is too long for decimal, it
-    is printed as `text` without calling size()."""
-    if k * (p.bit_length() - 1) - 2 > max(budget.bit_length(), _EXACT_BITS):
-        return text
-    count = size()
-    if count <= budget:
-        return None
-    return str(count) if count.bit_length() <= _EXACT_BITS else text
 
 
 def check_budget(p: int, e: int, n: int, budget: int, sweep: bool = False) -> None:
@@ -270,10 +254,10 @@ def prop2_max_t(cfg: SearchConfig, strict: bool = True) -> Prop2Result:
               for tail in product(range(q), repeat=free)):
         twisted = frobenius(TruncatedSeries.from_coeffs(prec, c))
         prod = E_s * twisted
-        checks = {"depth-reverified": prod.in_ideal(best_t, n),
-                  "depth-maximal": not prod.in_ideal(best_t + 1, n)}
+        checks = {"depth-reverified": prod.in_ideal(best_t),
+                  "depth-maximal": not prod.in_ideal(best_t + 1)}
         if kill > 1:
-            checks["p-power-kill"] = twisted.scale(kill).in_ideal(best_t, n)
+            checks["p-power-kill"] = twisted.scale(kill).in_ideal(best_t)
         if not first_failure and not all(checks.values()):
             failed = next(name for name, ok in checks.items() if not ok)
             first_failure = f"; first failing witness C = {c}: {failed}"
@@ -315,7 +299,7 @@ def lemma4_check(cfg: SearchConfig, c: tuple[int, ...], t: int,
     split = cfg.eis.split()
     e0_s = TruncatedSeries.from_coeffs(prec, split.e0)
     c_s = TruncatedSeries.from_coeffs(prec, c)
-    if not (e0_s * frobenius(c_s)).in_ideal(t, n):
+    if not (e0_s * frobenius(c_s)).in_ideal(t):
         raise ValueError("E_0 * twist(C) does not lie in (u^t, p^n)")
 
     ep = e // p
@@ -359,7 +343,7 @@ def cor5_check(p: int, n: int, e2: tuple[int, ...], c: tuple[int, ...], t: int) 
     prec = Precision(p, n, T)
     e2_s = TruncatedSeries.from_coeffs(prec, e2)
     c_s = TruncatedSeries.from_coeffs(prec, c)
-    member = (e2_s * frobenius(c_s)).in_ideal(t, n)
+    member = (e2_s * frobenius(c_s)).in_ideal(t)
     return (not member) or l >= t
 
 

@@ -10,6 +10,10 @@ with trivial Frobenius).
 Every value carries its precision (p, n, T) and binary operations
 refuse to mix precisions: Frobenius multiplies u-degrees by p, so a
 silently coerced truncation level is the dominant bug class here.
+Membership is asked only in (u^t, p^n) at the working n, so it reads the
+first t coefficients as 0.  Next to BudgetExceededError sits the one size
+rule every refusal shares: a count is compared with its budget without the
+power once its bit length settles it, and printed in decimal up to 256 bits.
 
 A product costs what its operands need.  With nnz(x) = T - (zeros of x),
 a pair with nnz(a) * nnz(b) <= _SPARSE_K * T is multiplied over its nonzero
@@ -42,6 +46,24 @@ class PrecisionError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """The candidate space exceeds the configured evaluation budget."""
+
+
+# Sizes of at most this many bits are computed and printed in decimal.
+_EXACT_BITS = 256
+
+
+def _oversize(p: int, k: int, size, text: str, budget: int) -> str | None:
+    """How to print a count over the budget, or None when it is within.
+
+    The count is at least p^k / 4 >= 2^(k*(bitlen(p) - 1) - 2); once that
+    bound settles the comparison and the count is too long for decimal, it
+    is printed as `text` without calling size()."""
+    if k * (p.bit_length() - 1) - 2 > max(budget.bit_length(), _EXACT_BITS):
+        return text
+    count = size()
+    if count <= budget:
+        return None
+    return str(count) if count.bit_length() <= _EXACT_BITS else text
 
 
 # Miller-Rabin on the first 13 prime bases is exact below _PRIME_LIMIT
@@ -256,18 +278,13 @@ class TruncatedSeries:
                     break
         return best
 
-    def in_ideal(self, t: int, pexp: int | None = None) -> bool:
-        """Membership in the ideal (u^t, p^pexp): every coefficient of u^i,
-        i < t, must vanish mod p^pexp.  pexp defaults to the working n."""
-        prec = self.prec
-        if t > prec.T:
-            raise PrecisionError(f"cannot test (u^{t}, ...) at u-precision T = {prec.T}")
-        if pexp is None:
-            pexp = prec.n
-        if not 0 <= pexp <= prec.n:
-            raise PrecisionError(f"cannot test p^{pexp} at p-precision n = {prec.n}")
-        q = prec.p**pexp
-        return all(c % q == 0 for c in self.coeffs[:t])
+    def in_ideal(self, t: int) -> bool:
+        """Membership in the ideal (u^t, p^n) at the working n: the
+        coefficients are canonical residues mod p^n, so those of u^i, i < t,
+        must be 0."""
+        if t > self.prec.T:
+            raise PrecisionError(f"cannot test (u^{t}, ...) at u-precision T = {self.prec.T}")
+        return not any(self.coeffs[:t])
 
     def __str__(self) -> str:
         return poly_text(self.coeffs)

@@ -83,8 +83,8 @@ def test_criterion_4_cascade_family():
             assert rep["ok"] and rep["assertions"]["telescoping-identity"]["pass"] == 8
         for p in (2, 3):
             eis = EisensteinPolynomial(p, (-p,) + (0,) * (p - 1))
-            found = tau_v_search(eis, digit_precision=2, lower_bound=2)
-            assert found.tau == 2 and found.certified_exact
+            found = tau_v_search(eis, digit_precision=2)
+            assert found.tau == 2 and not found.certified_exact
         # s stays under the cap for every invariant pair the search could return
         for p, cap in ((3, 4), (5, 3)):
             e = p

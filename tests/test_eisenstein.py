@@ -288,9 +288,9 @@ def test_tau_search_examples():
     assert (found.tau, found.iota) == (2, 1)
     assert found.witness.cs == (1, 1)
 
-    found = tau_v_search(EisensteinPolynomial(3, (-3, 0, 0)), digit_precision=2, lower_bound=2)
+    found = tau_v_search(EisensteinPolynomial(3, (-3, 0, 0)), digit_precision=2)
     assert found.tau == 2 and found.iota <= 2
-    assert found.certified_exact
+    assert not found.certified_exact  # exact only at the floor tau = 1
 
     found = tau_v_search(EisensteinPolynomial(5, (5, 0, 0)), digit_precision=2)
     assert (found.tau, found.iota) == (1, 0)
@@ -336,7 +336,7 @@ def test_substitute_degree_one():
         UniformizerChange(3, 2, (3,))
 
 
-def reference_tau_search(eis, dp, lower_bound=None):
+def reference_tau_search(eis, dp):
     """The per-candidate route: substitute, validate and read the invariants
     of every digit vector with c_1 a unit, in lexicographic order."""
     p, e, m = eis.p, eis.e, eis.m
@@ -352,9 +352,8 @@ def reference_tau_search(eis, dp, lower_bound=None):
             best = ((inv.tau, inv.iota), cs)
     (tau, iota), cs = best
     return eisenstein.TauSearchResult(
-        tau=tau, iota=iota, witness=UniformizerChange(p, dp, cs),
-        certified_exact=tau == 1 or tau == lower_bound, ceiling=m + 1, candidates=visited,
-        charpolys=visited,
+        tau=tau, iota=iota, witness=UniformizerChange(p, dp, cs), ceiling=m + 1,
+        candidates=visited, charpolys=visited,
     )
 
 
@@ -387,13 +386,12 @@ def test_tau_search_agrees_with_per_candidate_route():
     for p, e in [(2, 3), (3, 4), (5, 2), (2, 5), (3, 2), (5, 6)]:  # m = 0
         cases.append((random_eisenstein(rng, p, e), rng.choice([1, 2])))
     for eis, dp in cases:
-        lower = rng.choice([None, 1, 2, 3])
-        found = tau_v_search(eis, dp, lower_bound=lower)
+        found = tau_v_search(eis, dp)
         if eis.m == 0:
             assert (found.tau, found.iota, found.candidates) == (1, 0, 0)
             assert found.certified_exact and found.ceiling == 1
             continue
-        assert found == reference_tau_search(eis, dp, lower)
+        assert found == reference_tau_search(eis, dp)
         assert found.charpolys == tau_search_charpolys(eis.p, eis.e, dp)
 
 

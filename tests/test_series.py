@@ -346,19 +346,19 @@ def test_content_equality_without_truncation(pair):
 # -- ideal membership ----------------------------------------------------------------------
 
 def test_in_ideal_examples():
-    prec = Precision(2, 3, 6)
-    assert S(prec, 0, 4, 0, 1).in_ideal(2, 2)  # u^3 + 4u in (u^2, p^2)
-    assert not S(prec, 0, 1).in_ideal(2, 1)  # u not in (u^2, p)
+    # membership is in (u^t, p^n) at the working n
+    assert S(Precision(2, 2, 6), 0, 4, 0, 1).in_ideal(2)  # u^3 + 4u in (u^2, p^2)
+    assert not S(Precision(2, 3, 6), 0, 4, 0, 1).in_ideal(2)  # but not in (u^2, p^3)
+    assert not S(Precision(2, 1, 6), 0, 1).in_ideal(2)  # u not in (u^2, p)
+    prec = Precision(2, 2, 6)
     prod = S(prec, -2, 0, 1) * S(prec, 2, 0, 1)
-    assert prod.in_ideal(4, 2)  # u^4 - 4 lands in (u^4, p^2)
+    assert prod.in_ideal(4)  # u^4 - 4 lands in (u^4, p^2)
 
 
 def test_in_ideal_errors():
     prec = Precision(2, 2, 3)
     with pytest.raises(PrecisionError):
         S(prec, 1).in_ideal(4)
-    with pytest.raises(PrecisionError):
-        S(prec, 1).in_ideal(1, 3)
 
 
 @given(
@@ -367,11 +367,16 @@ def test_in_ideal_errors():
 )
 def test_in_ideal_monotone(a, data):
     t = data.draw(st.integers(0, a.prec.T))
-    np = data.draw(st.integers(0, a.prec.n))
-    if a.in_ideal(t, np):
-        t2 = data.draw(st.integers(0, t))
-        np2 = data.draw(st.integers(0, np))
-        assert a.in_ideal(t2, np2)
+    if a.in_ideal(t):
+        assert a.in_ideal(data.draw(st.integers(0, t)))
+
+
+@given(precisions().flatmap(lambda pr: series_for(pr)))
+def test_in_ideal_agrees_with_ord_u(a):
+    # ord_u scans for the lowest nonzero coefficient on its own
+    order = a.ord_u()
+    for t in range(a.prec.T + 1):
+        assert a.in_ideal(t) == (order is None or order >= t)
 
 
 # -- unit inversion ---------------------------------------------------------------------------

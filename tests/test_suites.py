@@ -7,7 +7,7 @@ import pytest
 
 from ramibound import breuil, cli, oracle, suites
 from ramibound.eisenstein import EisensteinPolynomial, EisensteinValidationError
-from ramibound.series import Precision, PrecisionError
+from ramibound.series import Precision, PrecisionError, TruncatedSeries
 
 
 REPORT_KEYS = {"suite", "config", "assertions", "ok", "runtime_s"}
@@ -51,7 +51,7 @@ def test_seeded_module_precision_grows_with_p(p):
     # u^2; a widened build is the T = 40 build with zeros appended
     for seed in range(30):
         rng = random.Random(f"seeded-{p}-{seed}")
-        M, _ = suites._seeded_module(rng, p, 2)
+        M, _ = suites._seeded_module(rng, p, rng.randint(1, 2))
         T = M.prec.T
         assert T == max(40, 2 * p + 1 + M.phi_degree)
         assert (T - 1 - M.phi_degree) // p >= 2
@@ -262,6 +262,37 @@ def test_stability_closed_form_fails_on_a_wrong_pole_order(monkeypatch, capsys):
     code = cli.main(["verify", "--suite", "lemma2", "--p", "3", "--n", "2"])
     assert code == cli.EXIT_ASSERTION
     assert "stability-closed-form.fail = 1" in capsys.readouterr().out
+
+
+def test_telescoping_identity_fails_on_a_wrong_product(monkeypatch, capsys):
+    # the suite, not the library, checks the product against u^(pn) - p^n:
+    # one level's product off by u fails the tally once
+    real = breuil.example3_identity
+
+    def wrong_at_level_2(p, n):
+        out = real(p, n)
+        return out + TruncatedSeries.monomial(out.prec, 1) if n == 2 else out
+
+    monkeypatch.setattr(breuil, "example3_identity", wrong_at_level_2)
+    report = suites.suite_example3(2, 3)
+    assert report["assertions"]["telescoping-identity"] == {"pass": 2, "fail": 1}
+    code = cli.main(["verify", "--suite", "example3", "--p", "2", "--n", "3"])
+    assert code == cli.EXIT_ASSERTION
+    assert "telescoping-identity.fail = 1" in capsys.readouterr().out
+
+
+def test_heights_builds_only_the_seeded_modules_it_tallies(monkeypatch):
+    real, built = suites._seeded_module, []
+
+    def recorded(rng, p, n_i):
+        built.append(n_i)
+        return real(rng, p, n_i)
+
+    monkeypatch.setattr(suites, "_seeded_module", recorded)
+    report = suites.suite_heights(seeds=20)
+    assert built and set(built) == {1}
+    # one tally per extension and one per seeded module built
+    assert report["assertions"]["h4-matches-decomposition"]["pass"] == 20 + len(built)
 
 
 def test_descent_runs_the_s0_inclusion_once_per_row(monkeypatch):
