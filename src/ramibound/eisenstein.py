@@ -12,6 +12,10 @@ extension V of Z_p; this module computes the invariants attached to pi:
     iota  = smallest exponent attaining tau (by fiat 0 when m = 0)
     t_pi  = floor((tau*e + iota)/(p-1))
 
+One tie rule gives (tau, iota): the least key ord_p(a_i)*e + i over the
+nonzero a_i of E_1, so (tau, iota) = divmod(key, e) and t_pi = key // (p-1).
+invariants() and the tau search both read it.
+
 Changing the uniformizer to pi~ = c_0 p + c_1 pi + ... + c_{e-1} pi^{e-1}
 (c_1 a unit) is realized exactly by the characteristic polynomial of the
 multiplication-by-pi~ matrix on the basis 1, pi, ..., pi^{e-1} of
@@ -31,8 +35,9 @@ once the digits reach p^(m+2), one class per orbit under scaling by units
 inline that each charpoly is Eisenstein (raising what the constructor
 would), reads (tau, iota) once, off the least E_1 key, and builds the
 witness change only.  It is certified exact only at tau = 1.  A search over
-more than TAU_SEARCH_CAP digit vectors raises BudgetExceededError before
-the first charpoly, through the size rule the oracle's budgets share.
+more than TAU_SEARCH_CAP digit vectors is refused (BudgetExceededError)
+before the first charpoly by series._oversize, the size rule that also
+raises for the oracle's budgets.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from operator import add, mul
 
-from .series import BudgetExceededError, _oversize, int_valuation, is_prime, poly_text
+from .series import _oversize, int_valuation, is_prime, poly_text
 
 INF = math.inf  # order sentinel only; never enters arithmetic
 
@@ -108,25 +113,16 @@ class EisensteinPolynomial:
         p, e, m = self.p, self.e, self.m
         if m == 0:
             return UniformizerInvariants(m=0, tau=1, iota=0, t_pi=e // (p - 1))
-        best_v, best_i = None, None
-        for i in range(1, e):
-            if i % p == 0:
-                continue
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            v = int_valuation(a, p)
-            if best_v is None or v < best_v:
-                best_v, best_i = v, i
-        if best_v is None:
+        # the tie rule of the module docstring: least valuation, then lowest index
+        keys = [int_valuation(a, p) * e + i for i, a in enumerate(self.coeffs) if a and i % p]
+        if not keys:
             if self.precision is None:
                 return UniformizerInvariants(m=m, tau=INF, iota=None, t_pi=INF)
             # residues mod p^N all vanish: the content is at least N - 1
             return UniformizerInvariants(m=m, tau=self.precision - 1, iota=None, t_pi=None)
-        return UniformizerInvariants(
-            m=m, tau=best_v, iota=best_i,
-            t_pi=(best_v * e + best_i) // (p - 1),
-        )
+        key = min(keys)
+        tau, iota = divmod(key, e)
+        return UniformizerInvariants(m=m, tau=tau, iota=iota, t_pi=key // (p - 1))
 
     def __str__(self) -> str:
         return poly_text(self.all_coeffs())
@@ -172,16 +168,12 @@ class UniformizerInvariants:
     tau is math.inf when E_1 vanishes exactly; iota is None whenever tau is
     not a finite exact value (0 by fiat when m = 0).  For residue-precision
     polynomials whose E_1 vanishes mod p^N, tau carries the certified lower
-    bound N - 1, t_pi is undecidable (None) and tau_is_lower_bound holds."""
+    bound N - 1 and t_pi is undecidable (None)."""
 
     m: int
     tau: int | float
     iota: int | None
     t_pi: int | float | None
-
-    @property
-    def tau_is_lower_bound(self) -> bool:
-        return self.t_pi is None
 
 
 @dataclass(frozen=True)
@@ -310,7 +302,8 @@ def tau_v_search(E: EisensteinPolynomial, digit_precision: int) -> TauSearchResu
     (c_0, ..., c_{e-1}): the least (tau, iota) and the first vector attaining
     it.  Substituting at p-adic precision m + 3 decides every tau value up to
     the ceiling m + 1 exactly.  More than TAU_SEARCH_CAP vectors,
-    (p - 1) * p^(dp*e - 1), raise BudgetExceededError before any is visited.
+    (p - 1) * p^(dp*e - 1), are refused (BudgetExceededError) before any is
+    visited.
 
     The search visits key classes instead of vectors.  With L = m + 2, the
     winning key has tau <= m + 1 and is read off the charpoly mod p^L, which
@@ -332,18 +325,14 @@ def tau_v_search(E: EisensteinPolynomial, digit_precision: int) -> TauSearchResu
             ceiling=m + 1, candidates=0, charpolys=0,
         )
     exponent = digit_precision * e - 1  # every digit vector with c_1 a unit
-    size = _oversize(p, exponent + 1, lambda: (p - 1) * p**exponent,
-                     f"{p - 1}*{p}^{exponent}", TAU_SEARCH_CAP)
-    if size is not None:
-        raise BudgetExceededError(
-            f"the tau search at digit precision {digit_precision} would visit "
-            f"{size} candidates, over the cap of {TAU_SEARCH_CAP}"
-        )
+    candidates = _oversize(p, exponent + 1, lambda: (p - 1) * p**exponent,
+                           f"{p - 1}*{p}^{exponent}", TAU_SEARCH_CAP,
+                           f"the tau search at digit precision {digit_precision} would "
+                           f"visit {{}} candidates, over the cap of {TAU_SEARCH_CAP}")
     N = m + 3
     q = p**N
     coeffs = tuple(a % q for a in E.coeffs)
-    # (tau, iota) is packed as tau*e + iota, so one min() over the E1 indices
-    # picks the least valuation and then the lowest index; a vanishing E1
+    # one min() over the E1 indices reads the tie rule's key; a vanishing E1
     # residue reads N*e, above every key, since tau <= N - 1 mod p^N
     e1 = [i for i in range(1, e) if i % p]
     weight = [N * e] + [int_valuation(a, p) * e for a in range(1, q)]
@@ -385,5 +374,5 @@ def tau_v_search(E: EisensteinPolynomial, digit_precision: int) -> TauSearchResu
     return TauSearchResult(
         tau=tau, iota=iota,
         witness=UniformizerChange(p, digit_precision, (x[0] // p, *x[1:])),
-        ceiling=m + 1, candidates=(p - 1) * p**exponent, charpolys=charpolys,
+        ceiling=m + 1, candidates=candidates, charpolys=charpolys,
     )

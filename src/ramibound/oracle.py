@@ -28,8 +28,10 @@ twisted witness; lemma4_check adds the Weierstrass witness profile when
 p | e); any violation raises OracleViolationError, which would falsify the
 implementation rather than the theory.  check_budget refuses an oversized
 search, or sweep over a grid, before any power of p is computed, and
-check_scan_budget so refuses an oversized cor5 scan; both size their
-counts by series._oversize, as the tau search does its cap.
+check_scan_budget so refuses an oversized cor5 scan; both refuse through
+series._oversize, the one size rule, as the tau search does its cap.
+lemma4_check reads ord_p of each witness coefficient once and the
+valuation staircase off that list.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class SearchConfig:
 
 def default_config(eis: EisensteinPolynomial, n: int,
                    budget: int = DEFAULT_BUDGET) -> SearchConfig:
-    """Config probing every depth up to (and exposing violations beyond) n*e."""
+    """SearchConfig(eis, n, budget), as perfbench and the tests call it."""
     return SearchConfig(eis=eis, n=n, budget=budget)
 
 
@@ -146,23 +148,15 @@ def check_budget(p: int, e: int, n: int, budget: int, sweep: bool = False) -> No
     is checked first, so its message is the one a sweep of oversized
     searches reports."""
     d = n * e // p
-    space = _oversize(p, n * (d + 1), lambda: (p**n - 1) * p**(n * d),
-                      f"({p}^{n} - 1)*{p}^{n * d}", budget)
-    if space is not None:
-        raise BudgetExceededError(
-            f"the prop2 search at n = {n} would visit {space} candidates, "
-            f"over the budget of {budget}"
-        )
-    if not sweep:
-        return
-    total = _oversize(p, n * (e + d + 1),
-                      lambda: (p - 1) * p**(n * e - 1) * (p**n - 1) * p**(n * d),
-                      f"{p - 1}*{p}^{n * e - 1}*({p}^{n} - 1)*{p}^{n * d}", budget)
-    if total is not None:
-        raise BudgetExceededError(
-            f"the prop2 sweep over the degree-{e} grid at n = {n} would visit "
-            f"{total} candidates, over the budget of {budget}"
-        )
+    _oversize(p, n * (d + 1), lambda: (p**n - 1) * p**(n * d), f"({p}^{n} - 1)*{p}^{n * d}",
+              budget, f"the prop2 search at n = {n} would visit {{}} candidates, "
+                      f"over the budget of {budget}")
+    if sweep:
+        _oversize(p, n * (e + d + 1),
+                  lambda: (p - 1) * p**(n * e - 1) * (p**n - 1) * p**(n * d),
+                  f"{p - 1}*{p}^{n * e - 1}*({p}^{n} - 1)*{p}^{n * d}", budget,
+                  f"the prop2 sweep over the degree-{e} grid at n = {n} would visit {{}} "
+                  f"candidates, over the budget of {budget}")
 
 
 def check_scan_budget(p: int, e: int, n: int, witnesses: int, budget: int) -> None:
@@ -170,12 +164,11 @@ def check_scan_budget(p: int, e: int, n: int, witnesses: int, budget: int) -> No
     cor5_check calls: each staircase witness meets the p^((n-1)l)
     Weierstrass polynomials of each degree l < e, p^((n-1)(e-1)) or more."""
     per = f"({p}^{(n - 1) * e} - 1)/({p}^{n - 1} - 1)" if n > 1 else str(e)
-    calls = _oversize(p, (n - 1) * (e - 1) if witnesses else 0,
-                      lambda: witnesses * sum(p**((n - 1) * l) for l in range(e)),
-                      f"{witnesses}*{per}", budget)
-    if calls is not None:
-        raise BudgetExceededError(f"the cor5 scan at n = {n} would make {calls} "
-                                  f"cor5_check calls, over the budget of {budget}")
+    _oversize(p, (n - 1) * (e - 1) if witnesses else 0,
+              lambda: witnesses * sum(p**((n - 1) * l) for l in range(e)),
+              f"{witnesses}*{per}", budget,
+              f"the cor5 scan at n = {n} would make {{}} cor5_check calls, "
+              f"over the budget of {budget}")
 
 
 def _walk(cfg: SearchConfig):
@@ -302,27 +295,12 @@ def lemma4_check(cfg: SearchConfig, c: tuple[int, ...], t: int,
     if not (e0_s * frobenius(c_s)).in_ideal(t):
         raise ValueError("E_0 * twist(C) does not lie in (u^t, p^n)")
 
-    ep = e // p
-
-    def vals_ok():
-        for i in range(n):
-            step = i * ep
-            if step > d:
-                return False
-            want = n - i - 1
-            got = int_valuation(c[step], p) if c[step] else None
-            if got != want:
-                return False
-            floor = n - i
-            for j in range(step):
-                cj = c[j]
-                if cj and int_valuation(cj, p) < floor:
-                    return False
-        return True
-
+    # ord_p of each residue, a zero read as n: above every step's floor
+    ep, ords = e // p, [int_valuation(x, p) if x else n for x in c]
     checks = {
         "lemma4-degree": d == (n - 1) * ep,
-        "f3-valuations": vals_ok(),
+        "f3-valuations": all(i * ep <= d and ords[i * ep] == n - i - 1
+                             and min(ords[:i * ep], default=n) >= n - i for i in range(n)),
         "t-le-ne": t <= n * e,
     }
     report = WitnessReport(coeffs=c, checks=checks)
@@ -374,22 +352,22 @@ def descent_minimal_s(eis: EisensteinPolynomial) -> list[tuple[int, int]]:
     j_max is the largest pole order j with u^-j M stable under the map;
     s_required is the least s with p^s times the stable overmodule inside M,
     0 or 1 since p = 0 at n = 1.  Row a reads neither E nor e beyond a <= e,
-    so the rows of degree e hold those of every lower degree.  suite_lemma2
-    checks them against (floor(a/(p-1)), 0 if a < p-1 else 1)."""
+    so the rows of degree e hold those of every lower degree.  j_max never
+    falls from one row to the next, so each pole is found stable once.
+    suite_lemma2 checks the rows against (floor(a/(p-1)), 0 if a < p-1
+    else 1)."""
     p, e = eis.p, eis.e
     prec = Precision(p, 1, breuil.required_u_precision(p, e + 1, e) + 1)
     one = TruncatedSeries.one(prec)
-    rows = []
+    rows, j_max = [], 0
     for a in range(e + 1):
         phi = ((TruncatedSeries.monomial(prec, a),),)
         M = breuil.BreuilModule(prec=prec, eis=eis, phi=phi)
-        j_max = 0
-        while j_max <= e:
-            x = breuil.FractionalElement(pole=j_max + 1, alphas=(one,))
-            if breuil.apply_phi(M, x).pole <= j_max + 1:
-                j_max += 1
-            else:
-                break
+        # phi(u^-j e_1) has pole p*j - a, so a pole stable in row a - 1 is
+        # stable in row a: the scan goes on from where the last row stopped
+        while j_max <= e and breuil.apply_phi(
+                M, breuil.FractionalElement(pole=j_max + 1, alphas=(one,))).pole <= j_max + 1:
+            j_max += 1
         gen = breuil.FractionalElement(pole=j_max, alphas=(one,))
         rows.append((j_max, 0 if breuil.verify_inclusion_p_s(M, [gen], 0) else 1))
     return rows

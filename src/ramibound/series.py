@@ -12,8 +12,9 @@ refuse to mix precisions: Frobenius multiplies u-degrees by p, so a
 silently coerced truncation level is the dominant bug class here.
 Membership is asked only in (u^t, p^n) at the working n, so it reads the
 first t coefficients as 0.  Next to BudgetExceededError sits the one size
-rule every refusal shares: a count is compared with its budget without the
-power once its bit length settles it, and printed in decimal up to 256 bits.
+rule every refusal shares, and the one place that raises it: a count is
+compared with its budget without the power once its bit length settles it,
+and printed into the caller's message, in decimal up to 256 bits.
 
 A product costs what its operands need.  With nnz(x) = T - (zeros of x),
 a pair with nnz(a) * nnz(b) <= _SPARSE_K * T is multiplied over its nonzero
@@ -52,18 +53,20 @@ class BudgetExceededError(RuntimeError):
 _EXACT_BITS = 256
 
 
-def _oversize(p: int, k: int, size, text: str, budget: int) -> str | None:
-    """How to print a count over the budget, or None when it is within.
+def _oversize(p: int, k: int, size, text: str, budget: int, refusal: str) -> int:
+    """The count size() when it is within the budget; otherwise raise
+    BudgetExceededError with the count in place of {} in `refusal`.
 
     The count is at least p^k / 4 >= 2^(k*(bitlen(p) - 1) - 2); once that
     bound settles the comparison and the count is too long for decimal, it
     is printed as `text` without calling size()."""
-    if k * (p.bit_length() - 1) - 2 > max(budget.bit_length(), _EXACT_BITS):
-        return text
-    count = size()
-    if count <= budget:
-        return None
-    return str(count) if count.bit_length() <= _EXACT_BITS else text
+    if k * (p.bit_length() - 1) - 2 <= max(budget.bit_length(), _EXACT_BITS):
+        count = size()
+        if count <= budget:
+            return count
+        if count.bit_length() <= _EXACT_BITS:
+            text = str(count)
+    raise BudgetExceededError(refusal.format(text))
 
 
 # Miller-Rabin on the first 13 prime bases is exact below _PRIME_LIMIT

@@ -9,7 +9,9 @@ Each fact is tallied once: a Prop 2 witness carries only coefficients, its
 re-checks folded into one witnesses-reverified tally per polynomial.  A grid
 sweep over budget is refused before it is built; the budget counts the whole
 grid, and cor5 refuses a multiplier scan of more calls after its searches.
-The oracles compute and the suites check, as lemma2 does the stability rows.
+The suites that build modules (lemma1, lemma2, example3) refuse an --n over
+the n a module file may carry.  The oracles compute and the suites check,
+as lemma2 does the stability rows.
 
 A grid sweep searches once per residue class.  The depth of E * twist(C) in
 (u^t, p^n) reads E only mod p^n, but eisenstein_grid enumerates E mod
@@ -83,8 +85,7 @@ def _classes(polys, n: int) -> list[tuple[EisensteinPolynomial, int]]:
 
 
 def _prop2_tallied(eis, n, budget, assertions: dict, count: int) -> oracle.Prop2Result:
-    res = oracle.prop2_max_t(oracle.default_config(eis, n, budget=budget),
-                             strict=False)
+    res = oracle.prop2_max_t(oracle.SearchConfig(eis, n, budget), strict=False)
     for name, ok in res.assertions.items():
         _tally(assertions, name, ok, count)
     return res
@@ -206,6 +207,13 @@ def _seeded_module(rng: random.Random, p: int, n_i: int):
     return (build(T) if T > 40 else M), d
 
 
+def _module_cap(n: int):
+    """A suite that builds modules bounds --n as a module file bounds its n."""
+    if n > breuil.MODULE_FILE_LIMITS["n"]:
+        raise ValueError(f"--n {n} gives modules of p-adic precision up to {n}, over the "
+                         f"limit of {breuil.MODULE_FILE_LIMITS['n']}")
+
+
 LEMMA1_TRIES = 8  # sampled elements per seeded module
 
 
@@ -219,6 +227,7 @@ def suite_lemma1(p: int, n: int, seeds: int = 200) -> dict:
     if p > MAX_POLY_DEGREE:  # T > 2p coefficients per series
         raise ValueError(f"--p {p} gives lemma1 series of u-precision above 2p, "
                          f"over the limit of p <= {MAX_POLY_DEGREE}")
+    _module_cap(n)
     if not is_prime(p):
         raise EisensteinValidationError([f"p = {p} is not prime"])
     assertions: dict = {}
@@ -255,11 +264,13 @@ def suite_lemma1(p: int, n: int, seeds: int = 200) -> dict:
     return _finish("lemma1", config, assertions, started)
 
 
-def _cascade_cap(p: int):
-    """The cascade polynomial u^p - p is bounded like a --poly degree."""
+def _cascade_cap(p: int, n: int):
+    """The cascade polynomial u^p - p is bounded like a --poly degree, and
+    its modules like any other."""
     if p > MAX_POLY_DEGREE:
         raise ValueError(f"--p {p} gives the cascade polynomial u^p - p of degree "
                          f"{p}, over the limit of {MAX_POLY_DEGREE}")
+    _module_cap(n)
 
 
 def suite_lemma2(p: int, n: int, e: int = 8) -> dict:
@@ -268,7 +279,7 @@ def suite_lemma2(p: int, n: int, e: int = 8) -> dict:
     rows 0..a are those of the table of degree a, so one table covers every
     degree up to e."""
     started = time.perf_counter()
-    _cascade_cap(p)
+    _cascade_cap(p, n)
     if e > MAX_POLY_DEGREE:  # the stability table builds a degree-e polynomial
         raise ValueError(f"--e {e} gives stability tables of degree up to {e}, "
                          f"over the limit of {MAX_POLY_DEGREE}")
@@ -291,7 +302,7 @@ def suite_lemma2(p: int, n: int, e: int = 8) -> dict:
 def suite_example3(p: int, n: int) -> dict:
     """The telescoping identity at every level up to n."""
     started = time.perf_counter()
-    _cascade_cap(p)
+    _cascade_cap(p, n)
     assertions: dict = {}
     for level in range(1, n + 1):
         lhs = breuil.example3_identity(p, level)

@@ -258,7 +258,7 @@ def test_substituted_tau_lower_bound_marker():
     # all E1 residues vanish mod p^N: tau reported as the lower bound N-1
     out = substitute(EisensteinPolynomial(2, (-2, 0)), UniformizerChange(2, 2, (0, 1)), 4)
     inv = out.invariants()
-    assert inv.tau_is_lower_bound and inv.tau == 3
+    assert inv.t_pi is None and inv.tau == 3
     assert inv.iota is None and inv.t_pi is None
 
 
@@ -276,7 +276,7 @@ def test_tau_lower_bound_iff_every_e1_residue_vanishes():
         cs[1] = p * rng.randrange(p) + rng.randrange(1, p)  # a unit
         out = substitute(random_eisenstein(rng, p, e), UniformizerChange(p, 2, tuple(cs)), N)
         vanish = all(out.coeffs[i] % p**N == 0 for i in range(1, e) if i % p)
-        assert out.invariants().tau_is_lower_bound == (vanish and e % p == 0)
+        assert (out.invariants().t_pi is None) == (vanish and e % p == 0)
         seen.add((vanish, e % p == 0))
     assert seen == {(True, True), (False, True), (True, False), (False, False)}
 
@@ -346,7 +346,7 @@ def reference_tau_search(eis, dp):
             continue
         visited += 1
         inv = substitute(eis, UniformizerChange(p, dp, cs), m + 3).invariants()
-        if inv.tau_is_lower_bound:
+        if inv.t_pi is None:
             continue
         if best is None or (inv.tau, inv.iota) < best[0]:
             best = ((inv.tau, inv.iota), cs)

@@ -57,6 +57,7 @@ CASES = {
                                   "--poly", "u^2+2"],
     "lemma2_p3": ["verify", "--suite", "lemma2", "--p", "3", "--n", "2"],
     "example3_n5": ["verify", "--suite", "example3", "--p", "2", "--n", "5"],
+    "example3_n_cap": ["verify", "--suite", "example3", "--p", "2", "--n", "65"],
     "heights_suite": ["verify", "--suite", "heights", "--seeds", "10"],
     "heights_bounds": ["heights", "--s", "0", "--r", "4"],
     "heights_extension": ["heights", "--module-file", f"{MODULES}/extension_n1.json"],

@@ -87,7 +87,14 @@ def test_lemma1_refuses_a_p_that_is_not_prime():
     (lambda: suites.suite_lemma2(257, 1), "cascade polynomial u^p - p of degree 257"),
     (lambda: suites.suite_lemma2(2, 1, e=257), "stability tables of degree up to 257"),
     (lambda: suites.suite_lemma1(257, 1), "lemma1 series of u-precision above 2p"),
-], ids=["example3-p257", "lemma2-p257", "lemma2-e257", "lemma1-p257"])
+    (lambda: suites.suite_example3(2, 65), "--n 65 gives modules of p-adic precision up "
+                                           "to 65, over the limit of 64"),
+    (lambda: suites.suite_lemma2(2, 65), "--n 65 gives modules of p-adic precision up "
+                                         "to 65, over the limit of 64"),
+    (lambda: suites.suite_lemma1(2, 65), "--n 65 gives modules of p-adic precision up "
+                                         "to 65, over the limit of 64"),
+], ids=["example3-p257", "lemma2-p257", "lemma2-e257", "lemma1-p257",
+        "example3-n65", "lemma2-n65", "lemma1-n65"])
 def test_suites_refuse_past_the_degree_cap_before_allocating(monkeypatch, call, message):
     # every route by which these suites build a polynomial or a module raises
     # if reached, so the cap must come first
