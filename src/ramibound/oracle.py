@@ -354,20 +354,32 @@ def descent_minimal_s(eis: EisensteinPolynomial) -> list[tuple[int, int]]:
     0 or 1 since p = 0 at n = 1.  Row a reads neither E nor e beyond a <= e,
     so the rows of degree e hold those of every lower degree.  j_max never
     falls from one row to the next, so each pole is found stable once.
-    suite_lemma2 checks the rows against (floor(a/(p-1)), 0 if a < p-1
-    else 1)."""
+    Pole j needs T = max(p*j, e + 1): its twist reaches u^(p*j), and E and
+    u^a need T > e.  A row's module is built at the T of the first pole it
+    tests and rebuilt only when a later pole needs more, so T follows the
+    poles found, not the closed form that suite_lemma2 checks the rows
+    against: (floor(a/(p-1)), 0 if a < p-1 else 1)."""
     p, e = eis.p, eis.e
-    prec = Precision(p, 1, breuil.required_u_precision(p, e + 1, e) + 1)
-    one = TruncatedSeries.one(prec)
+
+    def at_pole(M, a, j):
+        """Row a's module, rebuilt if pole j needs a larger T, and u^-j e_1."""
+        T = max(p * j, e + 1)
+        if M is None or M.prec.T < T:
+            prec = Precision(p, 1, T)
+            M = breuil.BreuilModule(prec=prec, eis=eis,
+                                    phi=((TruncatedSeries.monomial(prec, a),),))
+        return M, breuil.FractionalElement(pole=j, alphas=(TruncatedSeries.one(M.prec),))
+
     rows, j_max = [], 0
     for a in range(e + 1):
-        phi = ((TruncatedSeries.monomial(prec, a),),)
-        M = breuil.BreuilModule(prec=prec, eis=eis, phi=phi)
+        M = None
         # phi(u^-j e_1) has pole p*j - a, so a pole stable in row a - 1 is
         # stable in row a: the scan goes on from where the last row stopped
-        while j_max <= e and breuil.apply_phi(
-                M, breuil.FractionalElement(pole=j_max + 1, alphas=(one,))).pole <= j_max + 1:
+        while j_max <= e:
+            M, x = at_pole(M, a, j_max + 1)
+            if breuil.apply_phi(M, x).pole > j_max + 1:
+                break
             j_max += 1
-        gen = breuil.FractionalElement(pole=j_max, alphas=(one,))
+        M, gen = at_pole(M, a, j_max)
         rows.append((j_max, 0 if breuil.verify_inclusion_p_s(M, [gen], 0) else 1))
     return rows

@@ -10,6 +10,11 @@ with trivial Frobenius).
 Every value carries its precision (p, n, T) and binary operations
 refuse to mix precisions: Frobenius multiplies u-degrees by p, so a
 silently coerced truncation level is the dominant bug class here.
+The public constructor TruncatedSeries(prec, coeffs) checks that it gets
+T canonical residues.  A ring result (from_coeffs, +, -, *, scale,
+shift_down, frobenius, dot, invert_unit) reduces every coefficient mod p^n
+and keeps T of them by construction, so it is built by _series, which
+skips that check; in a depth scan the check cost as much as the products.
 Membership is asked only in (u^t, p^n) at the working n, so it reads the
 first t coefficients as 0.  Next to BudgetExceededError sits the one size
 rule every refusal shares, and the one place that raises it: a count is
@@ -180,7 +185,7 @@ class TruncatedSeries:
         q = prec.modulus
         cs = [c % q for c in coeffs[: prec.T]]
         cs.extend(0 for _ in range(prec.T - len(cs)))
-        return cls(prec, tuple(cs))
+        return _series(prec, tuple(cs))
 
     @classmethod
     def zero(cls, prec: Precision) -> "TruncatedSeries":
@@ -213,32 +218,28 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_prec(other)
         q = self.prec.modulus
-        return TruncatedSeries(
-            self.prec, tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return _series(self.prec, tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "TruncatedSeries":
         q = self.prec.modulus
-        return TruncatedSeries(self.prec, tuple((-a) % q for a in self.coeffs))
+        return _series(self.prec, tuple((-a) % q for a in self.coeffs))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_prec(other)
         q = self.prec.modulus
-        return TruncatedSeries(
-            self.prec, tuple((a - b) % q for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return _series(self.prec, tuple((a - b) % q for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_prec(other)
         q = self.prec.modulus
         out = _mul_raw(self.coeffs, other.coeffs, self.prec.T, q)
-        return TruncatedSeries(self.prec, tuple([c % q for c in out]))
+        return _series(self.prec, tuple([c % q for c in out]))
 
     def scale(self, c: int) -> "TruncatedSeries":
         """Multiply by an integer scalar."""
         q = self.prec.modulus
         c %= q
-        return TruncatedSeries(self.prec, tuple((c * a) % q for a in self.coeffs))
+        return _series(self.prec, tuple((c * a) % q for a in self.coeffs))
 
     def shift_down(self, k: int) -> "TruncatedSeries":
         """Exact division by u^k; the k lowest coefficients must vanish."""
@@ -246,7 +247,7 @@ class TruncatedSeries:
             return self
         if any(self.coeffs[:k]):
             raise ValueError(f"series is not divisible by u^{k}")
-        return TruncatedSeries(self.prec, self.coeffs[k:] + (0,) * k)
+        return _series(self.prec, self.coeffs[k:] + (0,) * k)
 
     # -- queries ---------------------------------------------------------
 
@@ -291,6 +292,22 @@ class TruncatedSeries:
 
     def __str__(self) -> str:
         return poly_text(self.coeffs)
+
+
+_set_prec = TruncatedSeries.prec.__set__
+_set_coeffs = TruncatedSeries.coeffs.__set__
+
+
+def _series(prec: Precision, coeffs: tuple[int, ...]) -> TruncatedSeries:
+    """The series of T canonical residues mod p^n that a ring operation built.
+
+    Such a result passes the public constructor's check by construction, so
+    it is built without __init__ and that check: the two slots are set
+    directly on a bare instance."""
+    s = object.__new__(TruncatedSeries)
+    _set_prec(s, prec)
+    _set_coeffs(s, coeffs)
+    return s
 
 
 # Products with nnz(a) * nnz(b) <= _SPARSE_K * T take the sparse route.
@@ -343,7 +360,7 @@ def frobenius(a: TruncatedSeries) -> TruncatedSeries:
     for i, c in enumerate(a.coeffs[: -(-T // p)]):
         if c:
             cs[p * i] = c
-    return TruncatedSeries(a.prec, tuple(cs))
+    return _series(a.prec, tuple(cs))
 
 
 def dot(xs, ys) -> TruncatedSeries:
@@ -363,7 +380,7 @@ def dot(xs, ys) -> TruncatedSeries:
             raise PrecisionMismatchError(f"precision mismatch: {prec} vs {x.prec}, {y.prec}")
         out = _mul_raw(x.coeffs, y.coeffs, T, q)
         acc = out if acc is None else list(map(add, acc, out))
-    return TruncatedSeries(prec, tuple([c % q for c in acc]))
+    return _series(prec, tuple([c % q for c in acc]))
 
 
 def invert_unit(a: TruncatedSeries) -> TruncatedSeries:
@@ -378,7 +395,7 @@ def invert_unit(a: TruncatedSeries) -> TruncatedSeries:
     cs = a.coeffs
     for k in range(1, a.prec.T):
         out[k] = (-inv0 * sum(map(mul, cs[k:0:-1], out))) % q
-    return TruncatedSeries(a.prec, tuple(out))
+    return _series(a.prec, tuple(out))
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,8 @@ CASES = {
     "verify_lemma1_unread_poly": ["verify", "--suite", "lemma1", "--p", "2", "--n", "1",
                                   "--poly", "u^2+2"],
     "lemma2_p3": ["verify", "--suite", "lemma2", "--p", "3", "--n", "2"],
+    "lemma2_p251_e256": ["verify", "--suite", "lemma2", "--p", "251", "--n", "1", "--e",
+                         "256"],
     "example3_n5": ["verify", "--suite", "example3", "--p", "2", "--n", "5"],
     "example3_n_cap": ["verify", "--suite", "example3", "--p", "2", "--n", "65"],
     "heights_suite": ["verify", "--suite", "heights", "--seeds", "10"],

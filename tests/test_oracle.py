@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from ramibound import oracle, suites
+from ramibound import breuil, oracle, suites
 from ramibound.eisenstein import EisensteinPolynomial
 from ramibound.oracle import (
     BudgetExceededError,
@@ -309,6 +309,26 @@ def test_descent_examples():
     assert rows[0] == (0, 0)
     assert rows[1] == (0, 0)  # j = 1 needs (p-1)*1 <= a
     assert rows[3] == (1, 1)
+
+
+@pytest.mark.parametrize("p", [2, 251])
+def test_descent_sizes_each_module_by_the_poles_it_tests(monkeypatch, p):
+    # pole j needs T = max(p*j, e + 1); a row is rebuilt only when a pole
+    # needs more, so p = 251 stays at T <= 2p where a table-wide T would
+    # be p(e+1) + e + 1 = 64,764
+    e, sizes = 256, []
+    build = breuil.BreuilModule
+
+    def sized(**kwargs):
+        sizes.append(kwargs["prec"].T)
+        return build(**kwargs)
+
+    monkeypatch.setattr(breuil, "BreuilModule", sized)
+    rows = descent_minimal_s(EisensteinPolynomial(p, (p, p) + (0,) * (e - 2)))
+    assert rows == [(a // (p - 1), 0 if a < p - 1 else 1) for a in range(e + 1)]
+    top = max(p * (j + 1) for j, _ in rows)
+    assert max(sizes) == max(top, e + 1)
+    assert e + 1 <= len(sizes) <= 2 * (e + 1)
 
 
 # -- grids -------------------------------------------------------------------------------

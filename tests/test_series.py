@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramibound import series
+from ramibound import breuil, oracle, series
+from ramibound.eisenstein import EisensteinPolynomial
 from ramibound.series import (
     Precision,
     PrecisionError,
@@ -377,6 +378,81 @@ def test_in_ideal_agrees_with_ord_u(a):
     order = a.ord_u()
     for t in range(a.prec.T + 1):
         assert a.in_ideal(t) == (order is None or order >= t)
+
+
+# -- ring results skip the public check ---------------------------------------------------
+
+def _rechecked(r):
+    """r rebuilt through the public constructor, which checks its coefficients."""
+    return TruncatedSeries(r.prec, r.coeffs)
+
+
+@given(st.data())
+def test_ring_results_pass_the_public_check(data):
+    prec = data.draw(precisions())
+    p, q, T = prec.p, prec.modulus, prec.T
+    a, b = data.draw(series_for(prec)), data.draw(series_for(prec))
+    pairs = data.draw(st.integers(1, 3))
+    xs = [data.draw(series_for(prec)) for _ in range(pairs)]
+    ys = [data.draw(series_for(prec)) for _ in range(pairs)]
+    raw = data.draw(st.lists(st.integers(-3 * q, 3 * q), max_size=2 * T))
+    c = data.draw(st.integers(-3 * q, 3 * q))
+    k = data.draw(st.integers(0, T))
+    unit = TruncatedSeries.from_coeffs(prec, (1 + p * a.coeffs[0],) + a.coeffs[1:])
+    results = {
+        "from_coeffs": TruncatedSeries.from_coeffs(prec, raw),
+        "add": a + b,
+        "neg": -a,
+        "sub": a - b,
+        "mul": a * b,
+        "scale": a.scale(c),
+        "shift_down": (a * TruncatedSeries.monomial(prec, k)).shift_down(k),
+        "frobenius": frobenius(a),
+        "dot": dot(xs, ys),
+        "invert_unit": invert_unit(unit),
+    }
+    for name, r in results.items():
+        assert _rechecked(r) == r, name
+
+
+@pytest.mark.parametrize("coeffs", [[-1, -5, 3], [4, 9, 17, 2, 100], [3], [], list(range(-9, 9))],
+                         ids=["negative", "unreduced", "short", "empty", "long"])
+def test_from_coeffs_is_canonical_on_any_integers(coeffs):
+    prec = Precision(2, 2, 5)
+    r = TruncatedSeries.from_coeffs(prec, coeffs)
+    assert _rechecked(r) == r
+    padded = (coeffs + [0] * prec.T)[:prec.T]
+    assert r.coeffs == tuple(c % prec.modulus for c in padded)
+
+
+def test_ring_results_never_run_the_public_check(monkeypatch):
+    # a depth scan and an apply_phi build only ring results, which skip the
+    # constructor's check; a count, not a time, so it holds on any machine
+    counts = {"checked": 0, "built": 0}
+    check, build = TruncatedSeries.__post_init__, series._series
+
+    def checked(self):
+        counts["checked"] += 1
+        check(self)
+
+    def built(prec, coeffs):
+        counts["built"] += 1
+        return build(prec, coeffs)
+
+    eis = EisensteinPolynomial(2, (2, 2, 0, 0))  # u^4 + 2u + 2
+    prec = Precision(2, 2, 24)
+    M = breuil.build_bt_module(prec, eis, d=1, h=2, seed=3)
+    x = breuil.FractionalElement(pole=2, alphas=(S(prec, 1, 1), S(prec, 0, 3)))
+    cfg = oracle.default_config(eis, 2)
+    monkeypatch.setattr(TruncatedSeries, "__post_init__", checked)
+    monkeypatch.setattr(series, "_series", built)
+    TruncatedSeries.one(prec)
+    assert counts == {"checked": 1, "built": 0}  # the counters see each route
+    result = oracle.prop2_max_t(cfg)
+    scanned = counts["built"]
+    image = breuil.apply_phi(M, x)
+    assert counts["checked"] == 1 and 0 < scanned < counts["built"]
+    assert (result.t_star, len(result.witnesses), image.pole) == (5, 64, 4)
 
 
 # -- unit inversion ---------------------------------------------------------------------------
