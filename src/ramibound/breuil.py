@@ -142,8 +142,7 @@ class BreuilModule:
         elif self.prec.n == 1:
             # E = u^e over k[[u]]: the cokernel is killed by E iff every Smith
             # exponent of phi is finite and at most e
-            v = prop1_classify(self.phi)
-            if not (v.closed_embedding and v.min_u_annihilator <= self.eis.e):
+            if any(a is None or a > self.eis.e for a in snf_mod_uT(self.phi)):
                 raise ValueError("cokernel of phi is not annihilated by E (at precision T)")
         else:
             raise ValueError(

@@ -13,16 +13,10 @@ The suites that build modules (lemma1, lemma2, example3) refuse an --n over
 the n a module file may carry.  The oracles compute and the suites check,
 as lemma2 does the stability rows.
 
-A grid sweep searches once per residue class.  The depth of E * twist(C) in
-(u^t, p^n) reads E only mod p^n, but eisenstein_grid enumerates E mod
-p^(n+1), so the prop2, lemma4 and cor5 sweeps group the grid by the key
-(E mod p^n, tau, iota).  The key is exact: prop2_max_t reads E through its
-coefficients mod p^n (the walk and the series E_s) and through (tau, iota)
-(t-le-taue-iota and the p-power-kill exponent, with m fixed by p and e);
-lemma4_check reads E_0 mod p^n; cor5_check does not read E.  The first
-member of each class in grid order is searched, and its results are tallied
-once per member, so every count and the order of the tally names are those
-of the per-polynomial loop.
+A grid sweep searches once per class of oracle.search_key, the first
+member of each class in grid order, and tallies its results once per
+member, so every count and the order of the tally names are those of the
+per-polynomial loop.
 """
 
 from __future__ import annotations
@@ -54,7 +48,9 @@ def _finish(suite: str, config: dict, assertions: dict, started: float) -> dict:
 
 def _family(p: int, n: int, poly=None, e: int | None = None,
             budget: int = oracle.DEFAULT_BUDGET, staircase: str | None = None):
-    """One polynomial, or the degree-e grid once its sweep fits the budget.
+    """(SearchConfig, count) per search: one for a polynomial, or one per
+    search_key class of the degree-e grid once its sweep fits the budget,
+    built for the first member and counting the class, in grid order.
     A Weierstrass staircase suite, named by staircase, needs p | e: with p
     not dividing e it would check nothing, so that is refused up front (a p
     that is not prime is refused with the grid, or by the polynomial)."""
@@ -64,28 +60,20 @@ def _family(p: int, n: int, poly=None, e: int | None = None,
     if staircase is not None and is_prime(p) and degree % p:
         raise ValueError(f"{staircase} needs p | e, got p = {p}, e = {degree} (p ∤ e)")
     if poly is not None:
-        return [EisensteinPolynomial(p, tuple(poly))]
+        return [(oracle.SearchConfig(EisensteinPolynomial(p, tuple(poly)), n, budget), 1)]
     if not is_prime(p):
         raise EisensteinValidationError([f"p = {p} is not prime"])
     oracle.check_budget(p, e, n, budget, sweep=True)
-    return list(oracle.eisenstein_grid(p, e, n))
-
-
-def _classes(polys, n: int) -> list[tuple[EisensteinPolynomial, int]]:
-    """(representative, size) per key (E mod p^n, tau, iota), in order of
-    first appearance; the representative is the first member."""
     classes: dict = {}
-    for eis in polys:
-        q = eis.p**n
-        inv = eis.invariants()
-        key = (tuple(a % q for a in eis.coeffs), inv.tau, inv.iota)
-        rep, size = classes.get(key, (eis, 0))
-        classes[key] = (rep, size + 1)
+    for eis in oracle.eisenstein_grid(p, e, n):
+        key = oracle.search_key(eis, n)
+        cfg, count = classes.get(key) or (oracle.SearchConfig(eis, n, budget), 0)
+        classes[key] = (cfg, count + 1)
     return list(classes.values())
 
 
-def _prop2_tallied(eis, n, budget, assertions: dict, count: int) -> oracle.Prop2Result:
-    res = oracle.prop2_max_t(oracle.SearchConfig(eis, n, budget), strict=False)
+def _prop2_tallied(cfg, assertions: dict, count: int) -> oracle.Prop2Result:
+    res = oracle.prop2_max_t(cfg)
     for name, ok in res.assertions.items():
         _tally(assertions, name, ok, count)
     return res
@@ -96,29 +84,29 @@ def suite_prop2(p: int, n: int, poly=None, e: int | None = None,
     """Maximal-depth search over every candidate family member."""
     started = time.perf_counter()
     assertions: dict = {}
-    polys = _family(p, n, poly, e, budget)
-    t_stars = [_prop2_tallied(eis, n, budget, assertions, size).t_star
-               for eis, size in _classes(polys, n)]
-    config = {"p": p, "n": n, "polynomials": len(polys), "budget": budget}
-    if len(polys) == 1:
-        config["poly"] = str(polys[0])
+    family = _family(p, n, poly, e, budget)
+    t_stars = [_prop2_tallied(cfg, assertions, count).t_star for cfg, count in family]
+    polys = sum(count for _, count in family)
+    config = {"p": p, "n": n, "polynomials": polys, "budget": budget}
+    if polys == 1:
+        config["poly"] = str(family[0][0].eis)
         config["t_star"] = t_stars[0]
     return _finish("prop2", config, assertions, started)
 
 
-def _eligible_witnesses(eis, n, budget, assertions: dict, count: int):
+def _eligible_witnesses(cfg, assertions: dict, count: int):
     """Lemma 4 on the prop2 witnesses C that are Weierstrass of degree d with
     p*d < t*.  Every witness meets the other hypotheses (c_0 != 0 mod p^n,
     p | e, and E_0 * twist(C) is E * twist(C) on exponents divisible by p),
     and lemma4_check raises should one fail.  Tallies, count times, the prop2
     assertions and Lemma 4's checks but t-le-ne, prop2's t* <= n*e once more."""
-    res = _prop2_tallied(eis, n, budget, assertions, count)
+    res = _prop2_tallied(cfg, assertions, count)
     eligible = []
     for w in res.witnesses:
-        d = oracle.weierstrass_degree(w.coeffs, eis.p)
-        if d is None or eis.p * d >= res.t_star:
+        d = oracle.weierstrass_degree(w.coeffs, cfg.p)
+        if d is None or cfg.p * d >= res.t_star:
             continue
-        report = oracle.lemma4_check(res.config, w.coeffs, res.t_star, strict=False)
+        report = oracle.lemma4_check(cfg, w.coeffs, res.t_star, strict=False)
         for name, ok in report.checks.items():
             if name != "t-le-ne":
                 _tally(assertions, name, ok, count)
@@ -131,12 +119,12 @@ def suite_lemma4(p: int, n: int, poly=None, e: int | None = None,
     """Degree and valuation staircase of eligible witnesses (p | e only)."""
     started = time.perf_counter()
     assertions: dict = {}
-    polys = _family(p, n, poly, e, budget, staircase="lemma4")
+    family = _family(p, n, poly, e, budget, staircase="lemma4")
     eligible_total = 0
-    for eis, size in _classes(polys, n):
-        _, eligible = _eligible_witnesses(eis, n, budget, assertions, size)
-        eligible_total += size * len(eligible)
-    config = {"p": p, "n": n, "polynomials": len(polys),
+    for cfg, count in family:
+        _, eligible = _eligible_witnesses(cfg, assertions, count)
+        eligible_total += count * len(eligible)
+    config = {"p": p, "n": n, "polynomials": sum(count for _, count in family),
               "eligible_witnesses": eligible_total, "budget": budget}
     return _finish("lemma4", config, assertions, started)
 
@@ -148,15 +136,15 @@ def suite_cor5(p: int, n: int, poly=None, e: int | None = None,
     witness are reported as in lemma4."""
     started = time.perf_counter()
     assertions: dict = {}
-    polys = _family(p, n, poly, e, budget, staircase="cor5")
+    family = _family(p, n, poly, e, budget, staircase="cor5")
     staircases = []  # (class size, C, t*) per witness whose checks all pass
-    for eis, size in _classes(polys, n):
-        res, eligible = _eligible_witnesses(eis, n, budget, assertions, size)
+    for cfg, count in family:
+        res, eligible = _eligible_witnesses(cfg, assertions, count)
         passing = [r.coeffs for r in eligible if all(r.checks.values())]
         if passing:  # hold the scan tally's place in the per-polynomial order
             _tally(assertions, "membership-forces-degree", True, 0)
-        staircases += [(size, c, res.t_star) for c in passing]
-    degree = polys[0].e
+        staircases += [(count, c, res.t_star) for c in passing]
+    degree = family[0][0].e
     oracle.check_scan_budget(p, degree, n, sum(size for size, _, _ in staircases), budget)
     scanned = 0
     for size, c, t in staircases:
@@ -165,7 +153,7 @@ def suite_cor5(p: int, n: int, poly=None, e: int | None = None,
                 scanned += size
                 _tally(assertions, "membership-forces-degree",
                        oracle.cor5_check(p, n, e2, c, t), size)
-    config = {"p": p, "n": n, "polynomials": len(polys),
+    config = {"p": p, "n": n, "polynomials": sum(count for _, count in family),
               "instances": scanned, "budget": budget}
     return _finish("cor5", config, assertions, started)
 

@@ -46,9 +46,11 @@ CASES = {
                       "--n", "3"],
     "prop2_e2_n2": ["verify", "--suite", "prop2", "--p", "2", "--e", "2", "--n", "2"],
     "lemma4_e2_n2": ["verify", "--suite", "lemma4", "--p", "2", "--e", "2", "--n", "2"],
+    "lemma4_e4_n2": ["verify", "--suite", "lemma4", "--p", "2", "--e", "4", "--n", "2"],
     "prop2_p3_e4_n2": ["verify", "--suite", "prop2", "--p", "3", "--e", "4", "--n", "2"],
     "cor5_p3_e3_n2": ["verify", "--suite", "cor5", "--p", "3", "--e", "3", "--n", "2"],
     "cor5_e2_n2": ["verify", "--suite", "cor5", "--p", "2", "--e", "2", "--n", "2"],
+    "cor5_e4_n2": ["verify", "--suite", "cor5", "--p", "2", "--e", "4", "--n", "2"],
     "cor5_p11_budget": ["verify", "--suite", "cor5", "--p", "11", "--poly", "u^11+11",
                         "--n", "2"],
     "lemma1": ["verify", "--suite", "lemma1", "--p", "2", "--n", "2", "--seeds", "20"],

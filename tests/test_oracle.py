@@ -1,6 +1,7 @@
 """Exhaustive searches: frozen instances, completeness counting, determinism,
 and the full small-parameter grid against a brute-force reference scan."""
 
+import dataclasses
 import random
 import re
 import tracemalloc
@@ -32,25 +33,32 @@ E22 = EisensteinPolynomial(2, (-2, 0))       # tau infinite
 E221 = EisensteinPolynomial(2, (2, 2))       # tau = 1, iota = 1
 
 
+def searched(cfg):
+    """prop2_max_t, with every assertion of its map holding."""
+    r = prop2_max_t(cfg)
+    assert all(r.assertions.values()), (cfg.eis, cfg.n, r.assertions)
+    return r
+
+
 # -- maximal depth ---------------------------------------------------------------
 
 def test_prop2_examples():
-    r = prop2_max_t(default_config(E221, 1))
+    r = searched(default_config(E221, 1))
     assert r.t_star == 2  # min(tau*e + iota, n*e) = min(3, 2)
     assert (1, 0) in [w.coeffs for w in r.witnesses]
 
-    r = prop2_max_t(default_config(E22, 2))
+    r = searched(default_config(E22, 2))
     assert r.t_star == 4  # n*e, tau infinite
     assert (2, 1, 0) in [w.coeffs for w in r.witnesses]  # C = u + 2
 
-    r = prop2_max_t(default_config(E22, 1))
+    r = searched(default_config(E22, 1))
     assert r.t_star == 2
     assert (1, 0) in [w.coeffs for w in r.witnesses]
 
 
 def test_prop2_counts_cover_the_space():
     for eis, n in [(E221, 1), (E221, 2), (E22, 2)]:
-        r = prop2_max_t(default_config(eis, n))
+        r = searched(default_config(eis, n))
         assert r.candidates_visited == r.space_size
         q = eis.p**n
         assert r.space_size == (q - 1) * q**r.config.degree_bound
@@ -60,7 +68,7 @@ def test_prop2_u4_minus_2_at_n3_pinned_with_small_peak():
     cfg = default_config(EisensteinPolynomial(2, (-2, 0, 0, 0)), 3)
     tracemalloc.start()
     try:
-        r = prop2_max_t(cfg)
+        r = searched(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -74,7 +82,7 @@ def test_prop2_witness_list_peak_memory():
     cfg = default_config(EisensteinPolynomial(2, (2, 2, 0, 0)), 3)
     tracemalloc.start()
     try:
-        r = prop2_max_t(cfg)
+        r = searched(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -83,8 +91,8 @@ def test_prop2_witness_list_peak_memory():
 
 
 def test_prop2_determinism():
-    a = prop2_max_t(default_config(E22, 2))
-    b = prop2_max_t(default_config(E22, 2))
+    a = searched(default_config(E22, 2))
+    b = searched(default_config(E22, 2))
     assert [w.coeffs for w in a.witnesses] == [w.coeffs for w in b.witnesses]
     assert a.t_star == b.t_star
 
@@ -95,31 +103,58 @@ def test_prop2_budget_guard():
 
 
 def test_prop2_witnesses_reverified_through_the_ring():
-    r = prop2_max_t(default_config(E22, 2))
+    r = searched(default_config(E22, 2))
     assert r.assertions["witnesses-reverified"] is True
 
 
 def test_prop2_reverification_catches_a_wrong_twist(monkeypatch):
     # the walk reads raw residues and never twists, so a twist that also
     # multiplies by u leaves t* and the witnesses alone, but every product
-    # then lies one step deeper and depth-maximal fails on every witness
+    # then has u-order t* + 1 and the depth re-check fails on every witness
     cfg = default_config(E22, 2)
-    good = prop2_max_t(cfg)
+    good = searched(cfg)
     real = oracle.frobenius
     monkeypatch.setattr(oracle, "frobenius",
                         lambda s: real(s) * TruncatedSeries.monomial(s.prec, 1))
-    bad = prop2_max_t(cfg, strict=False)
+    bad = prop2_max_t(cfg)
     assert (bad.t_star, bad.witnesses) == (good.t_star, good.witnesses)
-    assert bad.assertions["witnesses-reverified"] is False
-    first = good.witnesses[0].coeffs
-    with pytest.raises(OracleViolationError,
-                       match=re.escape(f"first failing witness C = {first}: depth-maximal")):
-        prop2_max_t(cfg)
+    assert bad.assertions == {**good.assertions, "witnesses-reverified": False}
+
+
+def test_prop2_reverification_keeps_a_failure_before_the_last_witness(monkeypatch):
+    # only the first of several witnesses is twisted wrongly: the verdict
+    # folds every witness, not just the last one re-checked
+    cfg = default_config(E22, 2)
+    real, calls = oracle.frobenius, []
+
+    def first_wrong(s):
+        calls.append(s)
+        twisted = real(s)
+        return twisted * TruncatedSeries.monomial(s.prec, 1) if len(calls) == 1 else twisted
+
+    monkeypatch.setattr(oracle, "frobenius", first_wrong)
+    r = prop2_max_t(cfg)
+    assert len(calls) == len(r.witnesses) > 1
+    assert r.assertions == {"t-le-ne": True, "witnesses-reverified": False}
+
+
+def test_prop2_kill_check_catches_a_wrong_tau(monkeypatch):
+    # u^2 + 2u + 2 has tau = 1, so at n = 2 the kill p^(tau+1) = 4 is 0 and
+    # every twisted witness passes; with tau read one too small the kill is
+    # 2, which leaves some 2 * twist(C) outside (u^t*, 4)
+    cfg = default_config(E221, 2)
+    assert searched(cfg).assertions["witnesses-reverified"] is True
+    real = EisensteinPolynomial.invariants
+    monkeypatch.setattr(EisensteinPolynomial, "invariants",
+                        lambda self: dataclasses.replace(real(self), tau=real(self).tau - 1))
+    r = prop2_max_t(cfg)
+    assert r.assertions["witnesses-reverified"] is False
 
 
 def test_prop2_reports_a_walk_that_reaches_the_cap(monkeypatch):
-    # t_max = n*e + 1, so a walk reaching it breaks t <= n*e, which
-    # t-le-ne alone reports
+    # t_max = n*e + 1, so a walk reaching it breaks t <= n*e, which t-le-ne
+    # reports; the witnesses' true depth is below the cap, so their
+    # re-check fails too
     cfg = default_config(E22, 2)
     real = oracle._walk
 
@@ -128,14 +163,26 @@ def test_prop2_reports_a_walk_that_reaches_the_cap(monkeypatch):
         return cfg.t_max, cylinders, visited
 
     monkeypatch.setattr(oracle, "_walk", capped)
-    res = prop2_max_t(cfg, strict=False)
-    assert res.t_star == cfg.t_max and res.assertions["t-le-ne"] is False
-    with pytest.raises(OracleViolationError, match="'t-le-ne'"):
-        prop2_max_t(cfg)
+    res = prop2_max_t(cfg)
+    assert res.t_star == cfg.t_max
+    assert res.assertions == {"t-le-ne": False, "witnesses-reverified": False}
+
+
+def test_prop2_raises_on_an_incomplete_walk(monkeypatch):
+    # the one failure prop2_max_t raises instead of returning in its map
+    real = oracle._walk
+
+    def short(cfg):
+        best_t, cylinders, visited = real(cfg)
+        return best_t, cylinders, visited - 1
+
+    monkeypatch.setattr(oracle, "_walk", short)
+    with pytest.raises(OracleViolationError, match="enumeration incomplete: visited 47 of 48"):
+        prop2_max_t(default_config(E22, 2))
 
 
 def test_prop2_witnesses_carry_coefficients_only():
-    r = prop2_max_t(default_config(E22, 2))
+    r = searched(default_config(E22, 2))
     assert all(type(w) is WitnessReport and w.checks is None for w in r.witnesses)
     assert not hasattr(r.witnesses[0], "__dict__")
 
@@ -247,7 +294,7 @@ def test_tied_cylinders_leave_the_depth_to_their_prefix(p, e, n, eligible):
     for eis in eisenstein_grid(p, e, n):
         cfg = default_config(eis, n)
         t_star, cylinders, _ = oracle._walk(cfg)
-        res = prop2_max_t(cfg)
+        res = searched(cfg)
         assert res.t_star == t_star
         assert all(p * len(prefix) > t_star for prefix, free in cylinders if free > 0)
         split = [(prefix, tail) for prefix, free in cylinders
@@ -373,7 +420,7 @@ def _brute_prop2(E, p, n):
 
 
 def test_prop2_full_small_grid():
-    # every Eisenstein polynomial on the coefficient grid, both checks silent;
+    # every Eisenstein polynomial on the coefficient grid, every assertion held;
     # the walk matches the brute scan on every grid but (3, 4, 2), where it
     # is compared on a fixed sample of 200 polynomials
     sample = set(random.Random(0).sample(range(4374), 200))
@@ -381,7 +428,7 @@ def test_prop2_full_small_grid():
         for e in (2, 3, 4):
             for n in (1, 2):
                 for k, eis in enumerate(eisenstein_grid(p, e, n)):
-                    r = prop2_max_t(default_config(eis, n))  # raises on any violation
+                    r = searched(default_config(eis, n))
                     if (p, e, n) == (3, 4, 2) and k not in sample:
                         continue
                     t, wits, count = _brute_prop2(eis.all_coeffs(), p, n)

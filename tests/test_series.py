@@ -453,6 +453,7 @@ def test_ring_results_never_run_the_public_check(monkeypatch):
     image = breuil.apply_phi(M, x)
     assert counts["checked"] == 1 and 0 < scanned < counts["built"]
     assert (result.t_star, len(result.witnesses), image.pole) == (5, 64, 4)
+    assert all(result.assertions.values())
 
 
 # -- unit inversion ---------------------------------------------------------------------------

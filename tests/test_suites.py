@@ -1,5 +1,6 @@
 """Report contract of the verification suites."""
 
+import math
 import random
 import re
 
@@ -119,8 +120,8 @@ def test_family_requires_target():
 def _fail_prop2_reverification(monkeypatch):
     real = oracle.prop2_max_t
 
-    def patched(cfg, strict=True):
-        res = real(cfg, strict=strict)
+    def patched(cfg):
+        res = real(cfg)
         res.assertions["witnesses-reverified"] = False
         return res
 
@@ -321,8 +322,8 @@ def test_staircase_eligibility_stops_short_of_p_deg_equal_t(monkeypatch):
     # n = 2 (t* = 4): C = u^2 + 2 must be left out, not handed to lemma4_check
     real = oracle.prop2_max_t
 
-    def with_boundary_witness(cfg, strict=True):
-        res = real(cfg, strict=strict)
+    def with_boundary_witness(cfg):
+        res = real(cfg)
         res.witnesses.append(oracle.WitnessReport(coeffs=(2, 0, 1)))
         return res
 
@@ -349,8 +350,7 @@ def _reference_sweep(suite, p, e, n, budget=oracle.DEFAULT_BUDGET):
     polys = list(oracle.eisenstein_grid(p, e, n))
     eligible_total = scanned = 0
     for eis in polys:
-        res = oracle.prop2_max_t(oracle.default_config(eis, n, budget=budget),
-                                 strict=False)
+        res = oracle.prop2_max_t(oracle.default_config(eis, n, budget=budget))
         for name, ok in res.assertions.items():
             tally(name, ok)
         if suite == "prop2":
@@ -394,20 +394,17 @@ def test_grouped_sweeps_match_the_per_polynomial_loop(suite, grid):
 
 
 def _class_members(p, e, n):
-    """The grid's polynomials grouped by the sweep key (E mod p^n, tau, iota)."""
-    q = p**n
+    """The grid's polynomials grouped by oracle.search_key, in grid order."""
     members: dict = {}
     for eis in oracle.eisenstein_grid(p, e, n):
-        inv = eis.invariants()
-        key = (tuple(a % q for a in eis.coeffs), inv.tau, inv.iota)
-        members.setdefault(key, []).append(eis)
+        members.setdefault(oracle.search_key(eis, n), []).append(eis)
     return list(members.values())
 
 
 def _search_profile(eis, n):
     """What a sweep reads off one search: t*, witnesses, assertions and the
     Lemma 4 report of every eligible witness."""
-    res = oracle.prop2_max_t(oracle.default_config(eis, n), strict=False)
+    res = oracle.prop2_max_t(oracle.default_config(eis, n))
     lemma4 = []
     for w in res.witnesses:
         d = oracle.weierstrass_degree(w.coeffs, eis.p)
@@ -429,22 +426,40 @@ def test_sweep_key_fixes_every_search_result(grid):
                                         ((3, 3, 2), 22), ((3, 4, 2), 54)], ids=str)
 def test_sweep_class_counts(grid, count):
     p, e, n = grid
-    polys = list(oracle.eisenstein_grid(p, e, n))
-    classes = suites._classes(polys, n)
-    assert len(classes) == count and sum(size for _, size in classes) == len(polys)
-    assert [rep for rep, _ in classes] == [m[0] for m in _class_members(p, e, n)]
+    family = suites._family(p, n, e=e)
+    assert len(family) == count and sum(size for _, size in family) == (p - 1) * p**(n * e - 1)
+    assert [(cfg.eis, size) for cfg, size in family] == \
+        [(m[0], len(m)) for m in _class_members(p, e, n)]
+
+
+def test_a_sweep_builds_one_search_config_per_class(monkeypatch):
+    # a config per grid polynomial would build 4374, one per class 54
+    built, check = [], oracle.SearchConfig.__post_init__
+
+    def counted(cfg):
+        built.append(cfg)
+        check(cfg)
+
+    monkeypatch.setattr(oracle.SearchConfig, "__post_init__", counted)
+    report = suites.suite_prop2(3, 2, e=4)
+    assert report["ok"] and report["config"]["polynomials"] == 4374
+    assert len(built) == 54
 
 
 def test_sweep_key_needs_tau():
     # u^2 + 2 and u^2 + 4u + 2 agree mod 4, but E_1 vanishes only in the
-    # first (tau infinite), so only the second asserts t <= tau*e + iota
+    # first (tau infinite), so only the second asserts t <= tau*e + iota.
+    # A grid coefficient lies below p^(n+1), so on the grid iota and E mod
+    # p^n already fix tau: no sweep tells a key without tau apart, and the
+    # key is pinned by value
     plain, twisted = EisensteinPolynomial(2, (2, 0)), EisensteinPolynomial(2, (2, 4))
     polys = list(oracle.eisenstein_grid(2, 2, 2))
     assert plain in polys and twisted in polys
     assert [a % 4 for a in plain.coeffs] == [a % 4 for a in twisted.coeffs]
-    found = [oracle.prop2_max_t(oracle.default_config(eis, 2), strict=False)
-             for eis in (plain, twisted)]
+    found = [oracle.prop2_max_t(oracle.default_config(eis, 2)) for eis in (plain, twisted)]
     assert "t-le-taue-iota" not in found[0].assertions
     assert "t-le-taue-iota" in found[1].assertions
-    reps = [rep for rep, _ in suites._classes(polys, 2)]
+    assert oracle.search_key(plain, 2) == ((2, 0), math.inf, None)
+    assert oracle.search_key(twisted, 2) == ((2, 0), 2, 1)
+    reps = [cfg.eis for cfg, _ in suites._family(2, 2, e=2)]
     assert plain in reps and twisted in reps
