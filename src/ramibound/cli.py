@@ -9,7 +9,8 @@
 
 Polynomial text is a sum of terms `c*u^k` (the `*` may be omitted, `u`
 alone means `u^1`, a bare integer is the constant term) joined by `+` or
-`-`; the first term may carry a `-`.  An Eisenstein polynomial has degree
+`-`; the first term may carry a `-`.  The grammar is ASCII: its digits are
+0-9 and its spaces ASCII whitespace.  An Eisenstein polynomial has degree
 at most MAX_POLY_DEGREE, checked before its coefficients are allocated.
 
 verify passes a suite the flags given, and refuses (exit 2) any flag the
@@ -75,11 +76,19 @@ class PolyParseError(ValueError):
         super().__init__(f"{message} (at position {pos})")
 
 
-_TERM_RE = re.compile(
-    r"(?:(?P<coeff>\d+)\s*\*?\s*u(?:\^(?P<exp1>\d+))?"
-    r"|u(?:\^(?P<exp2>\d+))?"
-    r"|(?P<const>\d+))"
-)
+_TERM_RE = re.compile(r"(?:(?P<coeff>\d+)\s*\*?\s*)?u(?:\^(?P<exp>\d+))?|(?P<const>\d+)",
+                      re.ASCII)
+_SPACE_RE = re.compile(r"\s*", re.ASCII)
+
+
+def _number(m: re.Match, group: str, text: str) -> int:
+    """The digit run of one group of a term, 1 when the group is absent."""
+    digits = m.group(group)
+    try:
+        return 1 if digits is None else int(digits)
+    except ValueError:  # longer than sys.get_int_max_str_digits() allows
+        raise PolyParseError(f"a {len(digits)}-digit number is too long to read",
+                             m.start(group), text) from None
 
 
 def parse_polynomial(text: str) -> dict[int, int]:
@@ -88,8 +97,7 @@ def parse_polynomial(text: str) -> dict[int, int]:
     pos, n = 0, len(text)
     first = True
     while True:
-        while pos < n and text[pos].isspace():
-            pos += 1
+        pos = _SPACE_RE.match(text, pos).end()
         if pos >= n:
             if first:
                 raise PolyParseError("empty polynomial", pos, text)
@@ -101,20 +109,14 @@ def parse_polynomial(text: str) -> dict[int, int]:
                 sign = -1
             elif ch != "+":
                 raise PolyParseError(f"expected '+' or '-', found {ch!r}", pos, text)
-            pos += 1
-            while pos < n and text[pos].isspace():
-                pos += 1
+            pos = _SPACE_RE.match(text, pos + 1).end()
         m = _TERM_RE.match(text, pos)
         if m is None:
             raise PolyParseError("expected a term like '3*u^2', 'u' or '7'", pos, text)
         if m.group("const") is not None:
-            exp, coeff = 0, int(m.group("const"))
-        elif m.group("coeff") is not None:
-            coeff = int(m.group("coeff"))
-            exp = int(m.group("exp1")) if m.group("exp1") else 1
+            exp, coeff = 0, _number(m, "const", text)
         else:
-            coeff = 1
-            exp = int(m.group("exp2")) if m.group("exp2") else 1
+            coeff, exp = _number(m, "coeff", text), _number(m, "exp", text)
         out[exp] = out.get(exp, 0) + sign * coeff
         pos = m.end()
         first = False

@@ -17,12 +17,16 @@ expanded into the explicit witness list, which inherits the lexicographic
 order.
 
 The walk runs on raw residues; every reported witness is then re-verified
-through TruncatedSeries arithmetic at the working n (E * twist(C) of u-order
-exactly t*, and twist(C) in (u^t*, p^n) after the p-power kill), so the fast
-path never silently vouches for itself.  Witnesses carry only coefficients;
-their re-checks fold into witnesses-reverified.  The tests check the walk
-against a plain brute-force scan.  search_key names the polynomials one
-search answers for.
+through TruncatedSeries arithmetic (E * twist(C) of u-order exactly t*, and
+twist(C) in (u^t*, p^n) after the p-power kill), so the fast path never
+silently vouches for itself.  Each series check runs mod u^T for the least T
+holding the coefficients it reads.  Reduction mod u^T is a ring map that
+commutes with the twist (u^T goes to u^(pT), inside (u^T)), so u-order t* is
+decided by coefficients 0..t* (T = max(t*, e) + 1: E needs T > e) and
+membership in (u^t, p^n) by coefficients 0..t-1 (T = t, or 1 when t = 0).
+Witnesses carry only coefficients; their re-checks fold into
+witnesses-reverified.  The tests check the walk against a plain brute-force
+scan.  search_key names the polynomials one search answers for.
 
 The invariants of the surrounding theory (t <= n*e, t <= tau*e + iota when
 tau is finite, the re-checks; lemma4_check adds the Weierstrass witness
@@ -214,11 +218,6 @@ def _walk(cfg: SearchConfig):
     return best_t, best, covered
 
 
-def _series_scope(cfg: SearchConfig) -> Precision:
-    T = max(cfg.e + cfg.p * cfg.degree_bound, cfg.t_max) + 1
-    return Precision(cfg.p, cfg.n, T)
-
-
 def prop2_max_t(cfg: SearchConfig) -> Prop2Result:
     """Exhaustive maximal depth and all witnesses, with the invariants in the
     returned assertion map.  Past the budget check, it raises only when the
@@ -236,8 +235,8 @@ def prop2_max_t(cfg: SearchConfig) -> Prop2Result:
     if not math.isinf(inv.tau):
         assertions["t-le-taue-iota"] = best_t <= inv.tau * e + inv.iota
 
-    # re-verify each witness in the series ring, independent of the walk (T > t*)
-    prec = _series_scope(cfg)
+    # re-verify each witness in the series ring, independent of the walk
+    prec = Precision(p, n, max(best_t, e) + 1)
     E_s = breuil.eisenstein_series(cfg.eis, prec)
     witnesses, reverified = [], True
     kill = p ** (1 if inv.m == 0 else (inv.tau + 1 if not math.isinf(inv.tau) else 0))
@@ -291,7 +290,7 @@ def lemma4_check(cfg: SearchConfig, c: tuple[int, ...], t: int,
     if p * d >= t:
         raise ValueError(f"need p*deg(C) = {p * d} < t = {t}")
 
-    prec = _series_scope(cfg)
+    prec = Precision(p, n, t)
     split = cfg.eis.split()
     e0_s = TruncatedSeries.from_coeffs(prec, split.e0)
     c_s = TruncatedSeries.from_coeffs(prec, c)
@@ -320,8 +319,7 @@ def cor5_check(p: int, n: int, e2: tuple[int, ...], c: tuple[int, ...], t: int) 
     l = weierstrass_degree(e2, p)
     if l is None:
         raise ValueError("E_2 must be a Weierstrass polynomial")
-    T = max(l + p * (len(c) - 1), t) + 1
-    prec = Precision(p, n, T)
+    prec = Precision(p, n, max(t, 1))
     e2_s = TruncatedSeries.from_coeffs(prec, e2)
     c_s = TruncatedSeries.from_coeffs(prec, c)
     member = (e2_s * frobenius(c_s)).in_ideal(t)

@@ -4,6 +4,7 @@ import contextlib
 import inspect
 import io
 import json
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -154,6 +155,79 @@ def test_cli_on_arbitrary_poly_text_exits_0_or_2(text):
     code, err = _exit_code(["invariants", "--p", "2", "--poly", text, "--json"])
     assert code in (EXIT_OK, EXIT_USAGE)
     assert "Traceback" not in err
+
+
+def _caret(err: str, text: str) -> int:
+    """The position that a parse error's caret line points at in text."""
+    lines = err.splitlines()
+    assert lines[0].startswith("parse error: ") and lines[1] == f"  {text}"
+    assert lines[2].startswith("  ") and lines[2].endswith("^") and not lines[2][2:-1].strip()
+    return len(lines[2]) - 3
+
+
+# Non-ASCII decimal digits and spaces: Arabic-Indic, extended Arabic-Indic,
+# Devanagari, fullwidth and mathematical bold digits, and a no-break space
+_NON_ASCII = ["\u0662", "\u06f2", "\u0968", "\uff12", "\U0001d7d0", "\u00a0"]
+
+
+@pytest.mark.parametrize("digit", _NON_ASCII)
+@pytest.mark.parametrize("template, pos", [("u^2+{}u+2", 4), ("u^2+2u+{}", 7), ("u^{}+2", 1),
+                                           ("{}*u^2+2", 0)])
+def test_poly_grammar_reads_ascii_digits_only(capsys, digit, template, pos):
+    # \d and \s match every Unicode digit and space unless the pattern is
+    # ASCII; "u^2+\u0662u+\u0662" once read as u^2+2*u+2 and exited 0.  A
+    # '^' with no ASCII digit after it ends the term "u", so the caret
+    # points at that '^'
+    text = template.format(digit)
+    code, out, err = run(capsys, "invariants", "--p", "2", "--poly", text)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert _caret(err, text) == pos
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() reads digit runs of any length before Python 3.11")
+@pytest.mark.parametrize("template, pos", [("u^2+{}", 4), ("u^{}+2", 2), ("{}u^2+2", 0)])
+def test_poly_grammar_refuses_a_digit_run_past_the_int_limit(capsys, template, pos):
+    # int() refuses a run longer than sys.get_int_max_str_digits(); that was
+    # printed as "error: ... use sys.set_int_max_str_digits() ..." without a position
+    digits = sys.get_int_max_str_digits() + 1
+    text = template.format("2" * digits)
+    code, out, err = run(capsys, "invariants", "--p", "2", "--poly", text)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"parse error: a {digits}-digit number is too long to read "
+                          f"(at position {pos})")
+    assert _caret(err, text) == pos
+
+
+_VALID_POLYS = ["u^2+2u+2", "u^2-2", "u^4+2", "3*u^4 + 7", "-u + 2", "u^3 + 2*u^2 + 6",
+                "u^2 - 2 * u + 10", "u^257+2"]
+
+
+@st.composite
+def one_character_edits(draw):
+    """A valid polynomial with one character inserted, deleted or replaced."""
+    text = draw(st.sampled_from(_VALID_POLYS))
+    i = draw(st.integers(0, len(text)))
+    ch = draw(st.sampled_from(list("^*+-u 0123456789") + _NON_ASCII))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if edit == "insert" or i == len(text):
+        return text[:i] + ch + text[i:]
+    return text[:i] + ("" if edit == "delete" else ch) + text[i + 1:]
+
+
+@settings(max_examples=300)
+@given(one_character_edits())
+def test_poly_grammar_error_positions_under_one_character_edits(text):
+    # every outcome is 0 or 2 and never an exception; a parse error points
+    # inside the text (its end marks the end of the input), and only ASCII
+    # text can be read
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["invariants", "--p", "2", f"--poly={text}"])
+    assert code in (EXIT_OK, EXIT_USAGE)
+    assert code == EXIT_USAGE or text.isascii()
+    if err.getvalue().startswith("parse error: ") and text:
+        assert 0 <= _caret(err.getvalue(), text) <= len(text)
 
 
 @pytest.mark.parametrize("argv", [

@@ -29,6 +29,7 @@ CASES = {
     "invariants_p2": ["invariants", "--p", "2", "--poly", "u^2+2u+2"],
     "invariants_p3": ["invariants", "--p", "3", "--poly", "u^3+3u+3"],
     "invariants_e1": ["invariants", "--p", "2", "--poly", "u+2"],
+    "invariants_non_ascii_digit": ["invariants", "--p", "2", "--poly", "u^2+\u0662u+\u0662"],
     "bound_explicit": ["bound", "--p", "5", "--e", "3", "--tau", "1", "--iota", "0"],
     "bound_search": ["bound", "--p", "2", "--poly", "u^2-2", "--search-prec", "2"],
     "bound_search_u4m2": ["bound", "--p", "2", "--poly", "u^4-2", "--search-prec", "2"],

@@ -27,7 +27,7 @@ from ramibound.oracle import (
     weierstrass_degree,
     weierstrass_polys,
 )
-from ramibound.series import TruncatedSeries
+from ramibound.series import Precision, TruncatedSeries
 
 E22 = EisensteinPolynomial(2, (-2, 0))       # tau infinite
 E221 = EisensteinPolynomial(2, (2, 2))       # tau = 1, iota = 1
@@ -185,6 +185,96 @@ def test_prop2_witnesses_carry_coefficients_only():
     r = searched(default_config(E22, 2))
     assert all(type(w) is WitnessReport and w.checks is None for w in r.witnesses)
     assert not hasattr(r.witnesses[0], "__dict__")
+
+
+# -- u-precision: each series check at the least T holding what it reads ----------------
+
+def _search_wide(cfg):
+    """The search-wide u-precision every check once ran at: it holds each
+    product whole (E or E_2 of degree at most e, C of degree at most
+    degree_bound), so the sized checks are compared against it."""
+    return max(cfg.e + cfg.p * cfg.degree_bound, cfg.t_max) + 1
+
+
+def _verdicts(cfg, wide):
+    """prop2_max_t, lemma4_check on every witness, and cor5_check of each
+    staircase witness against every Weierstrass E_2 of degree below e; with
+    wide=True every series check runs at the search-wide u-precision.
+
+    Returns the search result, the (T, u-order) that each depth re-check
+    read, and the lemma4 and cor5 verdicts in witness order."""
+    p, e, n = cfg.p, cfg.e, cfg.n
+    depths, lemma4, cor5, ord_u = [], [], [], TruncatedSeries.ord_u
+    with pytest.MonkeyPatch.context() as mp:
+        if wide:
+            T = _search_wide(cfg)
+            mp.setattr(oracle, "Precision", lambda p, n, _: Precision(p, n, T))
+        mp.setattr(TruncatedSeries, "ord_u",
+                   lambda s: depths.append((s.prec.T, ord_u(s))) or depths[-1][1])
+        res = prop2_max_t(cfg)
+        for w in res.witnesses:
+            try:
+                checks = lemma4_check(cfg, w.coeffs, res.t_star, strict=False).checks
+            except ValueError as err:
+                lemma4.append(str(err))
+                continue
+            lemma4.append(checks)
+            if all(checks.values()):
+                cor5.append([cor5_check(p, n, e2, w.coeffs, res.t_star)
+                             for l in range(e) for e2 in weierstrass_polys(p, n, l)])
+    return res, depths, lemma4, cor5
+
+
+def _same_at_both_precisions(cfg):
+    """The sized checks and the search-wide ones agree on every verdict.
+    Returns the number of cor5 instances compared."""
+    res, depths, lemma4, cor5 = _verdicts(cfg, wide=False)
+    ref, ref_depths, ref_lemma4, ref_cor5 = _verdicts(cfg, wide=True)
+    assert res.assertions == ref.assertions and all(res.assertions.values())
+    assert (res.t_star, res.candidates_visited) == (ref.t_star, ref.candidates_visited)
+    assert [w.coeffs for w in res.witnesses] == [w.coeffs for w in ref.witnesses]
+    T = max(res.t_star, cfg.e) + 1
+    assert depths == [(T, res.t_star)] * len(res.witnesses)
+    assert ref_depths == [(_search_wide(cfg), res.t_star)] * len(res.witnesses)
+    assert (lemma4, cor5) == (ref_lemma4, ref_cor5)
+    return sum(map(len, cor5))
+
+
+@pytest.mark.parametrize("p, e, n, instances", [(2, 2, 2, 24), (2, 4, 2, 2880),
+                                                (3, 3, 2, 6318)])
+def test_sized_checks_match_the_search_wide_scope_on_the_grid(p, e, n, instances):
+    # every polynomial of the grid; the (2, 4, 2) scan meets each staircase
+    # witness with every Weierstrass E_2 of degree below 4
+    assert sum(_same_at_both_precisions(default_config(eis, n))
+               for eis in eisenstein_grid(p, e, n)) == instances
+
+
+def test_sized_checks_match_the_search_wide_scope_on_u4_2u_2_at_n3():
+    # 16384 witnesses at T = 6 against the search-wide T = 17
+    cfg = default_config(EisensteinPolynomial(2, (2, 2, 0, 0)), 3)
+    assert _search_wide(cfg) == 17
+    _same_at_both_precisions(cfg)
+
+
+@pytest.mark.parametrize("eis, n", [(E22, 2), (E221, 2),
+                                    (EisensteinPolynomial(2, (2, 2, 0, 0)), 2),
+                                    (EisensteinPolynomial(3, (3, 0, 0)), 2)])
+def test_prop2_depth_recheck_reads_coefficient_t_star(monkeypatch, eis, n):
+    # a walk that reports its witnesses one shallower than they really are:
+    # each product vanishes through the reported t*, so only a re-check that
+    # keeps coefficient t* (T = t* + 1 here) sees that none has u-order t*
+    cfg = default_config(eis, n)
+    good = searched(cfg)
+    real = oracle._walk
+
+    def shallow(cfg):
+        t, cylinders, visited = real(cfg)
+        return t - 1, cylinders, visited
+
+    monkeypatch.setattr(oracle, "_walk", shallow)
+    bad = prop2_max_t(cfg)
+    assert bad.t_star == good.t_star - 1 >= cfg.e
+    assert bad.assertions == {**good.assertions, "witnesses-reverified": False}
 
 
 @pytest.mark.parametrize("p, e, n", [(2, 2, 1), (2, 4, 2), (3, 3, 2), (5, 2, 3), (2, 2, 40),
