@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import is_prime, int_valuation
+from .series import int_valuation, require_prime
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ class BoundTrace:
 def compute_s(p: int, e: int, tau: int, iota: int, variant: str = "standard") -> BoundTrace:
     """Check the inputs, run the recursion and return the full trace (s is
     trace.s)."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    require_prime(p)
     if e < 1:
         raise ValueError(f"e = {e} must be >= 1")
     if not isinstance(tau, int):
@@ -100,8 +99,7 @@ def compute_s(p: int, e: int, tau: int, iota: int, variant: str = "standard") ->
 def reference_log_bound(p: int, e: int) -> int:
     """1 + floor(log_p(e/(p-1))), the sharper bound known from the
     literature; comparison display only, never asserted by this package."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    require_prime(p)
     if e < p - 1:
         return 0
     v = 0
@@ -112,8 +110,7 @@ def reference_log_bound(p: int, e: int) -> int:
 
 def bound_f11(p: int, e: int) -> Fraction:
     """Global bound (2e - 1 + e*ord_p(e)) / (p - 1) as an exact rational."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    require_prime(p)
     if e < 1:
         raise ValueError(f"e = {e} must be >= 1")
     m = int_valuation(e, p)
@@ -126,8 +123,7 @@ def bound_example4(p: int, e: int, s: int) -> dict:
     s lies below it, that is p^A < e^B with B = m + 2, A = s + 1 - B^2.  Once
     A*(bitlen(p) - 1) >= B*bitlen(e), p^A >= 2^(B*bitlen(e)) > e^B settles
     that without the power, so the cost does not grow with s."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    require_prime(p)
     if e % p:
         raise ValueError("this bound applies only when p divides e")
     m = int_valuation(e, p)

@@ -26,12 +26,11 @@ inputs whose images would be corrupted by truncation.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
 from .eisenstein import EisensteinPolynomial, berkowitz_charpoly
-from .series import Precision, PrecisionError, TruncatedSeries, dot, frobenius
+from .series import Precision, PrecisionError, TruncatedSeries, decimal, dot, frobenius
 
 Matrix = tuple[tuple[TruncatedSeries, ...], ...]
 
@@ -468,14 +467,14 @@ MODULE_FILE_LIMITS = {"n": 64, "T": 1024, "h": 16}
 
 
 def _file_int(x) -> int:
-    """An integer field of a module file: a JSON integer or a string of
-    decimal digits.  Floats, booleans and other text are malformed rather
-    than truncated."""
-    if isinstance(x, bool) or not (
-        isinstance(x, int) or isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x)
-    ):
+    """An integer field of a module file: a JSON integer or a string decimal()
+    reads.  Floats, booleans and other text are malformed, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ValueError(f"malformed module file: {x!r} is not an integer")
-    return int(x)
+    try:
+        return x if isinstance(x, int) else decimal(x)
+    except ValueError as err:
+        raise ValueError(f"malformed module file: {err}") from None
 
 
 def _file_object(x, name: str) -> dict:

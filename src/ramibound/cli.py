@@ -7,11 +7,15 @@
     ramibound heights --s 0 --r 4
     ramibound heights --module-file module.json
 
-Polynomial text is a sum of terms `c*u^k` (the `*` may be omitted, `u`
-alone means `u^1`, a bare integer is the constant term) joined by `+` or
-`-`; the first term may carry a `-`.  The grammar is ASCII: its digits are
-0-9 and its spaces ASCII whitespace.  An Eisenstein polynomial has degree
-at most MAX_POLY_DEGREE, checked before its coefficients are allocated.
+An integer, in a flag, polynomial text or a module-file string, is ASCII
+`-?[0-9]+` of at most D = L // 2 - 1 digits for Python's int-string limit
+L (2149 by default), so that a product of two inputs still prints; a flag
+past that exits 2 before any work.  Every command refuses a --p that is
+not a prime alike.  Polynomial text is a sum of terms `c*u^k` (the `*` may
+be omitted, `u` alone means `u^1`, a bare integer is the constant term)
+joined by `+` or `-`; the first term may carry a `-`, and spaces are ASCII.
+An Eisenstein polynomial has degree at most MAX_POLY_DEGREE, checked
+before its coefficients are allocated.
 
 verify passes a suite the flags given, and refuses (exit 2) any flag the
 suite does not read, and a missing --p or --n.  prop2, lemma4 and cor5
@@ -19,9 +23,9 @@ read --p --n --budget and one of --poly or --e; lemma1 --p --n --seeds;
 lemma2 --p --n --e; example3 --p --n; heights --seeds.  Each suite bounds
 its input before any work: example3 and lemma2 build u^p - p, so refuse
 p > MAX_POLY_DEGREE, as lemma2 does an --e above it; lemma1 works at
-u-precision T = max(40, 2p + 1 + deg phi), so it too refuses such a p, and
-one that is not prime; a search, or grid sweep, over more than --budget
-candidates is refused, and so is a cor5 scan of more cor5_check calls.
+u-precision T = max(40, 2p + 1 + deg phi), so it too refuses such a p; a
+search, or grid sweep, over more than --budget candidates is refused, and
+so is a cor5 scan of more cor5_check calls.
 JSON output carries a versioned `schema` field and renders every integer
 as a decimal string so consumers never overflow; infinite values print as
 "inf".
@@ -54,7 +58,7 @@ from .eisenstein import (
     EisensteinValidationError,
     tau_v_search,
 )
-from .series import poly_text
+from .series import decimal, poly_text
 
 SCHEMA = 1
 EXIT_OK, EXIT_ASSERTION, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
@@ -85,10 +89,9 @@ def _number(m: re.Match, group: str, text: str) -> int:
     """The digit run of one group of a term, 1 when the group is absent."""
     digits = m.group(group)
     try:
-        return 1 if digits is None else int(digits)
-    except ValueError:  # longer than sys.get_int_max_str_digits() allows
-        raise PolyParseError(f"a {len(digits)}-digit number is too long to read",
-                             m.start(group), text) from None
+        return 1 if digits is None else decimal(digits)
+    except ValueError as err:  # more digits than decimal() reads
+        raise PolyParseError(str(err), m.start(group), text) from None
 
 
 def parse_polynomial(text: str) -> dict[int, int]:
@@ -198,39 +201,28 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    p = args.p
-    found = None
-    if args.poly is not None and (args.e, args.tau, args.iota) != (None, None, None):
-        print("error: pass either --poly or --e/--tau/--iota, not both", file=sys.stderr)
-        return EXIT_USAGE
-    if args.poly is None and args.search_prec is not None:
-        print("error: --search-prec needs --poly", file=sys.stderr)
-        return EXIT_USAGE
-    if args.poly is not None:
+    p, found = args.p, None
+    explicit = (args.e, args.tau, args.iota)
+    if args.poly is None:
+        if args.search_prec is not None:
+            raise ValueError("--search-prec needs --poly")
+        if None in explicit:
+            raise ValueError("need either --poly or all of --e/--tau/--iota")
+        (e, tau, iota), source = explicit, "explicit"
+    elif explicit != (None, None, None):
+        raise ValueError("pass either --poly or --e/--tau/--iota, not both")
+    else:
         eis = eisenstein_from_text(p, args.poly)
-        e = eis.e
-        inv = eis.invariants()
+        e, inv = eis.e, eis.invariants()
         if args.search_prec is not None:
             found = tau_v_search(eis, digit_precision=args.search_prec)
             tau, iota = found.tau, found.iota
             source = f"search (digit precision {args.search_prec})"
         elif math.isinf(inv.tau):
-            print(
-                "error: tau is infinite for this polynomial; "
-                "pass --search-prec to minimize over uniformizer changes",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise ValueError("tau is infinite for this polynomial; "
+                             "pass --search-prec to minimize over uniformizer changes")
         else:
-            tau, iota = inv.tau, inv.iota
-            source = "polynomial"
-    else:
-        if args.e is None or args.tau is None or args.iota is None:
-            print("error: need either --poly or all of --e/--tau/--iota",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        e, tau, iota = args.e, args.tau, args.iota
-        source = "explicit"
+            tau, iota, source = inv.tau, inv.iota, "polynomial"
     trace = compute_s(p, e, tau, iota, variant=args.variant)
     f11 = bound_f11(p, e)
     payload = {
@@ -269,16 +261,12 @@ def cmd_verify(args) -> int:
     given = {f: getattr(args, f) for f in VERIFY_FLAGS if getattr(args, f) is not None}
     unread = [f"--{flag}" for flag in given if flag not in reads]
     if unread:
-        print(f"error: --suite {args.suite} does not read {', '.join(unread)}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--suite {args.suite} does not read {', '.join(unread)}")
     if any(flag in reads and flag not in given for flag in ("p", "n")):
-        print(f"error: --suite {args.suite} needs --p and --n", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--suite {args.suite} needs --p and --n")
     for flag in ("n", "e", "seeds", "budget"):
         if flag in given and given[flag] < 1:
-            print(f"error: --{flag} must be >= 1, got {given[flag]}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"--{flag} must be >= 1, got {given[flag]}")
     if "poly" in given:
         given["poly"] = eisenstein_from_text(args.p, args.poly).coeffs
     report = suites.SUITES[args.suite](**given)
@@ -299,13 +287,11 @@ def cmd_heights(args) -> int:
             payload["h4"] = breuil.h4(module)
     if args.s is not None or args.r is not None:
         if args.s is None or args.r is None:
-            print("error: --s and --r go together", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--s and --r go together")
         h3_bound, overall = prop3_height_bounds(args.s, args.r)
         payload["bounds"] = {"h3_bound": h3_bound, "overall_bound": overall}
     if len(payload) == 1:
-        print("error: need --module-file or --s/--r", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("need --module-file or --s/--r")
     _emit(payload, args.json)
     return EXIT_OK
 
@@ -323,18 +309,18 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="machine-readable output")
 
     sp = sub.add_parser("invariants", help="m, tau, iota, t_pi and the E0/E1 split")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=decimal, required=True)
     sp.add_argument("--poly", required=True, help='polynomial text, e.g. "u^2+2u+2"')
     common(sp)
     sp.set_defaults(func=cmd_invariants)
 
     sp = sub.add_parser("bound", help="the recursive exponent s with its trace")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--e", type=int)
-    sp.add_argument("--tau", type=int)
-    sp.add_argument("--iota", type=int)
+    sp.add_argument("--p", type=decimal, required=True)
+    sp.add_argument("--e", type=decimal)
+    sp.add_argument("--tau", type=decimal)
+    sp.add_argument("--iota", type=decimal)
     sp.add_argument("--poly")
-    sp.add_argument("--search-prec", type=int,
+    sp.add_argument("--search-prec", type=decimal,
                     help="minimize tau over uniformizer changes with this many digits")
     sp.add_argument("--variant", choices=["standard", "modified"], default="standard")
     common(sp)
@@ -343,13 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run one exhaustive verification suite")
     sp.add_argument("--suite", required=True, choices=sorted(suites.SUITES))
     for flag in VERIFY_FLAGS:
-        sp.add_argument(f"--{flag}", type=str if flag == "poly" else int)
+        sp.add_argument(f"--{flag}", type=str if flag == "poly" else decimal)
     common(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("heights", help="generator heights and their bounds")
-    sp.add_argument("--s", type=int)
-    sp.add_argument("--r", type=int)
+    sp.add_argument("--s", type=decimal)
+    sp.add_argument("--r", type=decimal)
     sp.add_argument("--module-file", help="JSON module produced by this package")
     common(sp)
     sp.set_defaults(func=cmd_heights)

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from operator import add, mul
 
-from .series import _oversize, int_valuation, is_prime, poly_text
+from .series import _oversize, int_valuation, poly_text, require_prime
 
 INF = math.inf  # order sentinel only; never enters arithmetic
 
@@ -129,9 +129,8 @@ class EisensteinPolynomial:
 
 
 def _eisenstein_violations(p, coeffs, precision) -> list[str]:
+    require_prime(p)
     violations = []
-    if not is_prime(p):
-        return [f"p = {p} is not prime"]
     e = len(coeffs)
     if e < 1:
         return ["degree must be >= 1"]
@@ -186,8 +185,7 @@ class UniformizerChange:
     cs: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+        require_prime(self.p)
         if self.precision < 1:
             raise ValueError("digit precision must be >= 1")
         q = self.p**self.precision

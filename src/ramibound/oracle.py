@@ -268,6 +268,13 @@ def search_key(eis: EisensteinPolynomial, n: int) -> tuple:
     return tuple(a % q for a in eis.coeffs), inv.tau, inv.iota
 
 
+def _twisted_in_ideal(p: int, n: int, a: tuple[int, ...], c: tuple[int, ...], t: int) -> bool:
+    """Whether A * twist(C) lies in (u^t, p^n), read mod u^max(t, 1)."""
+    prec = Precision(p, n, max(t, 1))
+    a_s, c_s = TruncatedSeries.from_coeffs(prec, a), TruncatedSeries.from_coeffs(prec, c)
+    return (a_s * frobenius(c_s)).in_ideal(t)
+
+
 def lemma4_check(cfg: SearchConfig, c: tuple[int, ...], t: int,
                  strict: bool = True) -> WitnessReport:
     """Profile checks for a Weierstrass witness when p divides e.
@@ -290,11 +297,7 @@ def lemma4_check(cfg: SearchConfig, c: tuple[int, ...], t: int,
     if p * d >= t:
         raise ValueError(f"need p*deg(C) = {p * d} < t = {t}")
 
-    prec = Precision(p, n, t)
-    split = cfg.eis.split()
-    e0_s = TruncatedSeries.from_coeffs(prec, split.e0)
-    c_s = TruncatedSeries.from_coeffs(prec, c)
-    if not (e0_s * frobenius(c_s)).in_ideal(t):
+    if not _twisted_in_ideal(p, n, cfg.eis.split().e0, c, t):
         raise ValueError("E_0 * twist(C) does not lie in (u^t, p^n)")
 
     # ord_p of each residue, a zero read as n: above every step's floor
@@ -319,11 +322,7 @@ def cor5_check(p: int, n: int, e2: tuple[int, ...], c: tuple[int, ...], t: int) 
     l = weierstrass_degree(e2, p)
     if l is None:
         raise ValueError("E_2 must be a Weierstrass polynomial")
-    prec = Precision(p, n, max(t, 1))
-    e2_s = TruncatedSeries.from_coeffs(prec, e2)
-    c_s = TruncatedSeries.from_coeffs(prec, c)
-    member = (e2_s * frobenius(c_s)).in_ideal(t)
-    return (not member) or l >= t
+    return not _twisted_in_ideal(p, n, e2, c, t) or l >= t
 
 
 def weierstrass_polys(p: int, n: int, degree: int):

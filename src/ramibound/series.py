@@ -36,6 +36,8 @@ and reduces mod q once, so a sum of h products builds one series.
 
 from __future__ import annotations
 
+import sys
+from argparse import ArgumentTypeError
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
@@ -74,6 +76,22 @@ def _oversize(p: int, k: int, size, text: str, budget: int, refusal: str) -> int
     raise BudgetExceededError(refusal.format(text))
 
 
+class DecimalError(ValueError, ArgumentTypeError):
+    """Text decimal() refuses; argparse prints an ArgumentTypeError's text."""
+
+
+def decimal(text: str) -> int:
+    """ASCII `-?[0-9]+` of at most D = sys.get_int_max_str_digits() // 2 - 1
+    digits (no cap without that limit), so that a product of two still prints."""
+    digits = text[text.startswith("-"):]
+    if not (digits.isascii() and digits.isdigit()):
+        raise DecimalError(f"{text!r} is not an integer")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(digits) > limit // 2 - 1:
+        raise DecimalError(f"a {len(digits)}-digit number is too long to read")
+    return int(text)
+
+
 # Miller-Rabin on the first 13 prime bases is exact below _PRIME_LIMIT
 # (Sorenson & Webster, Math. Comp. 2017); larger p are refused.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -108,6 +126,12 @@ def is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+def require_prime(p: int) -> None:
+    """The one refusal of a p that is_prime does not accept."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
 
 
 def int_valuation(x: int, p: int) -> int | None:
@@ -150,8 +174,7 @@ class Precision:
     T: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+        require_prime(self.p)
         if self.n < 1:
             raise ValueError(f"p-adic precision n = {self.n} must be >= 1")
         if self.T < 1:

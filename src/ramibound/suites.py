@@ -26,8 +26,8 @@ import random
 import time
 
 from . import breuil, oracle
-from .eisenstein import MAX_POLY_DEGREE, EisensteinPolynomial, EisensteinValidationError
-from .series import Precision, TruncatedSeries, frobenius, int_valuation, is_prime
+from .eisenstein import MAX_POLY_DEGREE, EisensteinPolynomial
+from .series import Precision, TruncatedSeries, frobenius, int_valuation, require_prime
 
 
 def _tally(assertions: dict, name: str, ok: bool, count: int = 1):
@@ -51,18 +51,17 @@ def _family(p: int, n: int, poly=None, e: int | None = None,
     """(SearchConfig, count) per search: one for a polynomial, or one per
     search_key class of the degree-e grid once its sweep fits the budget,
     built for the first member and counting the class, in grid order.
-    A Weierstrass staircase suite, named by staircase, needs p | e: with p
-    not dividing e it would check nothing, so that is refused up front (a p
-    that is not prime is refused with the grid, or by the polynomial)."""
+    p must be prime, which is checked first.  A Weierstrass staircase suite,
+    named by staircase, needs p | e: with p not dividing e it would check
+    nothing, so that is refused up front too."""
+    require_prime(p)
     if (poly is None) == (e is None):
         raise ValueError("this suite needs exactly one of --poly or --e")
     degree = e if poly is None else len(poly)
-    if staircase is not None and is_prime(p) and degree % p:
+    if staircase is not None and degree % p:
         raise ValueError(f"{staircase} needs p | e, got p = {p}, e = {degree} (p ∤ e)")
     if poly is not None:
         return [(oracle.SearchConfig(EisensteinPolynomial(p, tuple(poly)), n, budget), 1)]
-    if not is_prime(p):
-        raise EisensteinValidationError([f"p = {p} is not prime"])
     oracle.check_budget(p, e, n, budget, sweep=True)
     classes: dict = {}
     for eis in oracle.eisenstein_grid(p, e, n):
@@ -216,8 +215,7 @@ def suite_lemma1(p: int, n: int, seeds: int = 200) -> dict:
         raise ValueError(f"--p {p} gives lemma1 series of u-precision above 2p, "
                          f"over the limit of p <= {MAX_POLY_DEGREE}")
     _module_cap(n)
-    if not is_prime(p):
-        raise EisensteinValidationError([f"p = {p} is not prime"])
+    require_prime(p)
     assertions: dict = {}
     for seed in range(seeds):
         rng = random.Random(f"lemma1-{p}-{n}-{seed}")

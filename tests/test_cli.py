@@ -1,5 +1,6 @@
 """The command-line surface: text formats, exit codes, JSON schema."""
 
+import argparse
 import contextlib
 import inspect
 import io
@@ -27,7 +28,7 @@ from ramibound.cli import (
     poly_text,
 )
 from ramibound.eisenstein import EisensteinPolynomial
-from ramibound.series import Precision
+from ramibound.series import Precision, decimal
 
 GOLDEN_MODULES = Path(__file__).parent / "golden" / "modules"
 
@@ -184,19 +185,143 @@ def test_poly_grammar_reads_ascii_digits_only(capsys, digit, template, pos):
     assert _caret(err, text) == pos
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                    reason="int() reads digit runs of any length before Python 3.11")
+# The most digits series.decimal reads: half the int-string limit, less one
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_D = _INT_LIMIT // 2 - 1
+_NEEDS_INT_LIMIT = pytest.mark.skipif(
+    not _INT_LIMIT, reason="no int-string limit, so decimal() reads any length")
+
+
+@_NEEDS_INT_LIMIT
+@pytest.mark.parametrize("digits", [_D + 1, _INT_LIMIT + 1], ids=["D+1", "limit+1"])
 @pytest.mark.parametrize("template, pos", [("u^2+{}", 4), ("u^{}+2", 2), ("{}u^2+2", 0)])
-def test_poly_grammar_refuses_a_digit_run_past_the_int_limit(capsys, template, pos):
+def test_poly_grammar_refuses_a_digit_run_past_the_int_limit(capsys, template, pos, digits):
     # int() refuses a run longer than sys.get_int_max_str_digits(); that was
-    # printed as "error: ... use sys.set_int_max_str_digits() ..." without a position
-    digits = sys.get_int_max_str_digits() + 1
+    # printed as "error: ... use sys.set_int_max_str_digits() ..." without a
+    # position.  decimal() refuses a run of more than D digits the same way
     text = template.format("2" * digits)
     code, out, err = run(capsys, "invariants", "--p", "2", "--poly", text)
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith(f"parse error: a {digits}-digit number is too long to read "
                           f"(at position {pos})")
     assert _caret(err, text) == pos
+
+
+# Each integer flag, by command and name, with the rest of a command line
+# that ends at once for any value of up to three characters
+_INT_FLAGS = {
+    ("invariants", "p"): ["invariants", "--poly", "u^2+2u+2"],
+    ("bound", "p"): ["bound", "--e", "2", "--tau", "1", "--iota", "1"],
+    ("bound", "e"): ["bound", "--p", "2", "--tau", "1", "--iota", "1"],
+    ("bound", "tau"): ["bound", "--p", "2", "--e", "2", "--iota", "1"],
+    ("bound", "iota"): ["bound", "--p", "2", "--e", "8", "--tau", "1"],
+    ("bound", "search-prec"): ["bound", "--p", "2", "--poly", "u^2-2"],
+    ("verify", "p"): ["verify", "--suite", "prop2", "--e", "2", "--n", "1", "--budget", "1000"],
+    ("verify", "n"): ["verify", "--suite", "prop2", "--p", "2", "--e", "2", "--budget", "1000"],
+    ("verify", "e"): ["verify", "--suite", "prop2", "--p", "2", "--n", "1", "--budget", "1000"],
+    ("verify", "budget"): ["verify", "--suite", "prop2", "--p", "2", "--e", "2", "--n", "1"],
+    ("verify", "seeds"): ["verify", "--suite", "heights"],
+    ("heights", "s"): ["heights", "--r", "4"],
+    ("heights", "r"): ["heights", "--s", "0"],
+}
+_NEVER_IN_A_DECIMAL = ["\u0662", "\uff12", "\u0968", "_", "+", " "]
+
+
+@pytest.mark.parametrize("command, flag", sorted(_INT_FLAGS))
+@settings(max_examples=40, deadline=None)
+@given(st.text(st.sampled_from(list("0123456789-") + _NEVER_IN_A_DECIMAL), max_size=3))
+def test_integer_flags_read_ascii_decimals_only(command, flag, text):
+    # argparse's int() read "\u0662", "+2", "1_0" and " 1" as integers and
+    # ran the command; decimal() refuses them before any work
+    code, err = _exit_code([*_INT_FLAGS[command, flag], f"--{flag}", text])
+    assert code in (EXIT_OK, EXIT_ASSERTION, EXIT_USAGE, EXIT_BUDGET)
+    assert "Traceback" not in err
+    if any(ch in text for ch in _NEVER_IN_A_DECIMAL):
+        assert code == EXIT_USAGE
+
+
+def test_every_typed_flag_reads_through_decimal():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    typed = {(name, a.option_strings[0][2:]): a.type for name, sp in sub.choices.items()
+             for a in sp._actions if a.type is not None}
+    assert typed == {**dict.fromkeys(_INT_FLAGS, decimal), ("verify", "poly"): str}
+
+
+@pytest.mark.parametrize("p", ["0", "1", "4"])
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--poly", "u^2+2u+2"],
+    ["bound", "--e", "4", "--tau", "1", "--iota", "1"],
+    ["bound", "--poly", "u^2+2u+2"],
+    *(["verify", "--suite", suite, "--n", "1", *family]
+      for suite in ("prop2", "lemma4", "cor5") for family in (["--e", "4"], ["--poly", "u^4+2"])),
+    ["verify", "--suite", "lemma1", "--n", "1"],
+    ["verify", "--suite", "lemma2", "--n", "1"],
+    ["verify", "--suite", "example3", "--n", "1"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a not in ("verify", "--suite")))
+def test_every_command_refuses_a_p_that_is_not_prime_in_one_message(capsys, argv, p):
+    # invariants, bound --poly and prop2, lemma4, cor5 and lemma1 once listed
+    # it as an invalid Eisenstein polynomial
+    assert run(capsys, *argv, "--p", p) == (EXIT_USAGE, "", f"error: p = {p} is not prime\n")
+
+
+@_NEEDS_INT_LIMIT
+def test_bound_reads_d_digit_inputs_and_prints_their_product(capsys):
+    # tau * e + iota has at most 2D + 1 digits, so every pair still prints
+    p = 1000003
+    e, tau = p * 10 ** (_D - 7), 10 ** (_D - 1) + 7
+    assert len(str(e)) == len(str(tau)) == _D
+    code, payload, _ = run_json(capsys, "bound", "--p", str(p), "--e", str(e),
+                                "--tau", str(tau), "--iota", "1")
+    assert code == EXIT_OK
+    assert int(payload["pairs"][0][0]) == (tau * e + 1) // (p - 1)
+
+
+@_NEEDS_INT_LIMIT
+def test_heights_reads_d_digit_inputs(capsys):
+    s = r = "9" * _D
+    code, payload, _ = run_json(capsys, "heights", "--s", s, "--r", r)
+    assert code == EXIT_OK
+    assert int(payload["bounds"]["overall_bound"]) == (4 * int(s) + 2) * int(r)
+
+
+@_NEEDS_INT_LIMIT
+@pytest.mark.parametrize("argv", [
+    ["bound", "--p", "2", "--e", "1" + "0" * _D, "--tau", "1", "--iota", "1"],
+    ["bound", "--p", "2", "--e", "4", "--tau", "1" + "0" * _D, "--iota", "1"],
+    # once computed the whole trace, then failed to print it
+    ["bound", "--p", "2", "--e", "1" + "0" * 3000, "--tau", "1" + "0" * 3000, "--iota", "1"],
+    ["heights", "--s", "9" * (_D + 1), "--r", "1"],
+    ["verify", "--suite", "prop2", "--p", "2", "--e", "2", "--n", "1", "--budget",
+     "9" * (_D + 1)],
+], ids=["bound-e", "bound-tau", "bound-3001", "heights-s", "verify-budget"])
+def test_integer_flags_past_d_digits_are_refused_at_parse_time(monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before every flag was read")
+
+    for name in ("compute_s", "prop3_height_bounds"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setitem(suites.SUITES, "prop2", never)
+    code, err = _exit_code(argv)
+    longest = max(len(a) for a in argv)
+    assert code == EXIT_USAGE
+    assert f"a {longest}-digit number is too long to read" in err.splitlines()[-1]
+    assert "set_int_max_str_digits" not in err
+
+
+@_NEEDS_INT_LIMIT
+@pytest.mark.parametrize("field", ["p", "phi"])
+def test_module_file_string_past_d_digits_is_malformed(capsys, tmp_path, field):
+    data = json.loads((GOLDEN_MODULES / "extension_n1.json").read_text(encoding="utf-8"))
+    if field == "p":
+        data["p"] = "2" * (_D + 1)
+    else:
+        data["phi"][0][0][0] = "2" * (_D + 1)
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "heights", "--module-file", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: malformed module file: a {_D + 1}-digit number is too long to read\n"
 
 
 _VALID_POLYS = ["u^2+2u+2", "u^2-2", "u^4+2", "3*u^4 + 7", "-u + 2", "u^3 + 2*u^2 + 6",

@@ -30,6 +30,7 @@ CASES = {
     "invariants_p3": ["invariants", "--p", "3", "--poly", "u^3+3u+3"],
     "invariants_e1": ["invariants", "--p", "2", "--poly", "u+2"],
     "invariants_non_ascii_digit": ["invariants", "--p", "2", "--poly", "u^2+\u0662u+\u0662"],
+    "invariants_non_ascii_p": ["invariants", "--p", "\u0662", "--poly", "u^2+2u+2"],
     "bound_explicit": ["bound", "--p", "5", "--e", "3", "--tau", "1", "--iota", "0"],
     "bound_search": ["bound", "--p", "2", "--poly", "u^2-2", "--search-prec", "2"],
     "bound_search_u4m2": ["bound", "--p", "2", "--poly", "u^4-2", "--search-prec", "2"],
@@ -75,7 +76,10 @@ def record(argv: list[str]) -> str:
     resolved = [str(GOLDEN / a) if a.startswith(f"{MODULES}/") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(resolved + ["--json"])
+        try:
+            code = cli.main(resolved + ["--json"])
+        except SystemExit as exc:  # argparse refuses a flag value
+            code = exc.code
     payload = json.loads(out.getvalue()) if out.getvalue() else None
     if isinstance(payload, dict):
         payload.pop("runtime_s", None)
