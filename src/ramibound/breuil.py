@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .eisenstein import EisensteinPolynomial, berkowitz_charpoly
+from .eisenstein import EisensteinPolynomial, charpoly_mod
 from .series import Precision, PrecisionError, TruncatedSeries, decimal, dot, frobenius
 
 Matrix = tuple[tuple[TruncatedSeries, ...], ...]
@@ -134,7 +134,7 @@ class BreuilModule:
             # det V is a unit iff det V(0) = ±(constant term of its charpoly)
             # is nonzero mod p
             p = self.prec.p
-            if berkowitz_charpoly([[x.coeffs[0] for x in row] for row in V], p)[0] == 0:
+            if charpoly_mod([[x.coeffs[0] for x in row] for row in V], p)[0] == 0:
                 raise ValueError("change_of_basis determinant is not a unit")
             if _certified_phi(V, E_s, nd.d) != self.phi:
                 raise ValueError("normal decomposition certificate does not reproduce phi")

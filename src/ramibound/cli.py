@@ -7,13 +7,14 @@
     ramibound heights --s 0 --r 4
     ramibound heights --module-file module.json
 
-An integer, in a flag, polynomial text or a module-file string, is ASCII
-`-?[0-9]+` of at most D = L // 2 - 1 digits for Python's int-string limit
-L (2149 by default), so that a product of two inputs still prints; a flag
-past that exits 2 before any work.  Every command refuses a --p that is
-not a prime alike.  Polynomial text is a sum of terms `c*u^k` (the `*` may
-be omitted, `u` alone means `u^1`, a bare integer is the constant term)
-joined by `+` or `-`; the first term may carry a `-`, and spaces are ASCII.
+An integer, in a flag, polynomial text or a module file (a JSON integer or
+a string), is ASCII `-?[0-9]+` of at most D = L // 2 - 1 digits for
+Python's int-string limit L (2149 by default), so that a product of two
+inputs still prints; a flag past that exits 2 before any work.  Every
+command refuses a --p that is not a prime alike.  Polynomial text is a sum
+of terms `c*u^k` (the `*` may be omitted, `u` alone means `u^1`, a bare
+integer is the constant term) joined by `+` or `-`; the first term may
+carry a `-`, and spaces are ASCII.
 An Eisenstein polynomial has degree at most MAX_POLY_DEGREE, checked
 before its coefficients are allocated.
 
@@ -58,7 +59,7 @@ from .eisenstein import (
     EisensteinValidationError,
     tau_v_search,
 )
-from .series import decimal, poly_text
+from .series import DecimalError, decimal, poly_text
 
 SCHEMA = 1
 EXIT_OK, EXIT_ASSERTION, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
@@ -278,7 +279,10 @@ def cmd_heights(args) -> int:
     payload: dict = {"command": "heights"}
     if args.module_file is not None:
         with open(args.module_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:  # a JSON integer obeys the digit rule of every other input
+                data = json.load(fh, parse_int=decimal)
+            except DecimalError as err:
+                raise ValueError(f"malformed module file: {err}") from None
         module = breuil.module_from_json(data)
         payload["h"] = module.h
         payload["order"] = breuil.order(module)

@@ -21,9 +21,15 @@ Changing the uniformizer to pi~ = c_0 p + c_1 pi + ... + c_{e-1} pi^{e-1}
 multiplication-by-pi~ matrix on the basis 1, pi, ..., pi^{e-1} of
 Z_p[u]/(E).  Its first column is the digit vector; each next column is pi
 times the last, a shift up with one fold of the top entry through E.  The
-charpoly is taken mod p^N with a division-free (Berkowitz) recurrence, since
-Z/p^N admits no safe division.  One kernel returns its residues; substitute
-wraps them in an EisensteinPolynomial.
+charpoly is taken mod p^N by one O(n^3) kernel, charpoly_mod: a similarity
+to Hessenberg form, then the Hessenberg recurrence (Cohen, GTM 138, 2.2).
+Z/p^N admits no general division, but it is a chain ring: the ideal of an
+entry is fixed by its valuation, so the entry of least valuation in a column
+divides every other entry there, with a unit quotient part.  Elimination by
+that pivot is a unimodular similarity, exact over Z/p^N.  One kernel call
+returns the residues; substitute wraps them in an EisensteinPolynomial.
+berkowitz_charpoly, the division-free O(n^4) Samuelson-Berkowitz recurrence,
+has no caller here: the tests keep it as the independent reference.
 
 Exhaustive search over digit-truncated changes gives a certified upper
 bound for the minimal tau over all uniformizers.  Its result is that of a
@@ -234,6 +240,69 @@ def berkowitz_charpoly(A: list[list[int]], q: int) -> list[int]:
     return poly
 
 
+def charpoly_mod(A: list[list[int]], q: int) -> list[int]:
+    """det(x*I - A) over Z/q, q a prime power, in O(n^3).  Returns ascending
+    coefficients [c_0, ..., c_{n-1}, 1], as berkowitz_charpoly does.
+
+    A similarity to upper Hessenberg form H, then the recurrence
+    p_{m+1} = (x - h_mm) p_m - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_i.
+    Each column k is cleared below the subdiagonal by its entry of least
+    valuation, gcd(entry, q), moved to row k + 1 with the matching column
+    swap.  In the chain ring Z/q that pivot divides every other entry x_i
+    there: x_i = g_i * pivot with g_i = (x_i / gcd) * w^-1, w the unit part
+    of the pivot.  Row i loses g_i times the pivot row, and column k + 1
+    gains g_i times column i, so every step is a unimodular similarity.
+    Entries are reduced mod q as they are rewritten; the recurrence reduces
+    the rest."""
+    n = len(A)
+    H = list(map(list, A))
+    for k in range(n - 2):
+        r = k + 1
+        piv, best = None, q  # gcd(0, q) = q: a column of zeros has no pivot
+        for i in range(r, n):
+            g = math.gcd(H[i][k], q)
+            if g < best:
+                piv, best = i, g
+                if g == 1:
+                    break
+        if piv is None:
+            continue
+        if piv != r:
+            H[piv], H[r] = H[r], H[piv]
+            for row in H:
+                row[piv], row[r] = row[r], row[piv]
+        top = H[r]
+        inv = pow(top[k] // best, -1, q)
+        gs = [1]
+        for i in range(r + 1, n):
+            row = H[i]
+            g = row[k] // best * inv % q
+            gs.append(g)
+            if g:  # both rows vanish mod q left of column k
+                for j in range(k, n):
+                    row[j] = (row[j] - g * top[j]) % q
+        for row in H:  # column r += sum of g_i * column i
+            row[r] = sum(map(mul, gs, row[r:])) % q
+    polys = [[1]]  # p_0, ..., p_m: charpolys of the leading blocks of H
+    for m in range(n):
+        new = [0, *polys[m]]
+        i, c, t = m, H[m][m], 1
+        while True:
+            if c:
+                P = polys[i]
+                for j in range(i + 1):
+                    new[j] -= c * P[j]
+            if not i:
+                break
+            t = t * H[i][i - 1] % q
+            if not t:  # every longer product of the subdiagonal vanishes too
+                break
+            i -= 1
+            c = H[i][m] * t
+        polys.append([a % q for a in new])
+    return polys[n]
+
+
 def _charpoly_residues(coeffs, x, q: int) -> list[int]:
     """(a_0, ..., a_{e-1}) mod q of the charpoly of multiplication by
     x_0 + x_1 pi + ... + x_{e-1} pi^{e-1} on the basis 1, pi, ..., pi^{e-1}
@@ -249,7 +318,7 @@ def _charpoly_residues(coeffs, x, q: int) -> list[int]:
         col = [(y - a * top) % q for y, a in zip((0, *col), coeffs)]  # zip drops the old top
         cols.append(col)
     # det(xI - B) = det(xI - B^T): the columns go in as rows
-    return berkowitz_charpoly(cols, q)[:-1]
+    return charpoly_mod(cols, q)[:-1]
 
 
 def substitute(E: EisensteinPolynomial, change: UniformizerChange, N: int) -> EisensteinPolynomial:

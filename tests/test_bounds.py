@@ -171,3 +171,31 @@ def test_prop3_examples():
     assert prop3_height_bounds(1, 1) == (3, 6)
     with pytest.raises(ValueError):
         prop3_height_bounds(-1, 2)
+
+
+# -- the abstract's comparison, at the level of the bounds ------------------------
+
+def test_least_s_is_at_1_1_and_within_twice_the_reference():
+    # over every admissible (tau, iota) of every p | e <= 300, p <= 11: the
+    # least s is the one at (tau, iota) = (1, 1), and it is at most twice
+    # reference_log_bound, the sharper bound known from the literature
+    for p in (2, 3, 5, 7, 11):
+        for e in range(p, 301, p):
+            s = {pair: compute_s(p, e, *pair).s for pair in admissible_pairs(p, e)}
+            assert min(s.values()) == s[1, 1], (p, e)
+            assert s[1, 1] <= 2 * reference_log_bound(p, e), (p, e)
+
+
+# (p, e, least s, largest s, reference_log_bound) over the admissible
+# (tau, iota); the README table prints the same rows
+S_RANGE = [
+    (2, 2, 3, 5, 2), (2, 8, 6, 19, 4), (2, 64, 12, 55, 7), (2, 256, 16, 89, 9),
+    (3, 9, 3, 9, 2), (3, 81, 7, 26, 4), (5, 25, 3, 8, 2), (5, 125, 5, 16, 3),
+    (7, 49, 3, 8, 2), (11, 121, 3, 8, 2),
+]
+
+
+@pytest.mark.parametrize("p, e, s_min, s_max, reference", S_RANGE)
+def test_s_range_against_the_reference_pinned(p, e, s_min, s_max, reference):
+    s = [compute_s(p, e, *pair).s for pair in admissible_pairs(p, e)]
+    assert (min(s), max(s), reference_log_bound(p, e)) == (s_min, s_max, reference)

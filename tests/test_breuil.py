@@ -34,7 +34,7 @@ from ramibound.breuil import (
     snf_mod_uT,
     verify_inclusion_p_s,
 )
-from ramibound.eisenstein import EisensteinPolynomial
+from ramibound.eisenstein import EisensteinPolynomial, berkowitz_charpoly
 from ramibound.series import Precision, PrecisionError, TruncatedSeries, frobenius
 
 
@@ -124,6 +124,35 @@ def test_det_unit_certificate_agrees_with_mat_det():
         unit = breuil.mat_det(V).coeffs[0] % p != 0
         seen.add(unit)
 
+        eis = EisensteinPolynomial(p, (p, 0))
+        E_s = eisenstein_series(eis, prec)
+        d = rng.randint(0, h)
+        phi = tuple(tuple(V[i][j] * E_s if j < d else V[i][j] for j in range(h))
+                    for i in range(h))
+        cert = NormalDecomposition(d, V)
+        if unit:
+            BreuilModule(prec=prec, eis=eis, phi=phi, normal_decomp=cert)
+        else:
+            with pytest.raises(ValueError, match="not a unit"):
+                BreuilModule(prec=prec, eis=eis, phi=phi, normal_decomp=cert)
+    assert seen == {True, False}
+
+
+def test_det_unit_gate_agrees_with_berkowitz_up_to_rank_8():
+    # the gate reads charpoly_mod(V(0), p); Berkowitz is the independent
+    # route, at every rank a module file may hold, singular V(0) included
+    seen = set()
+    for seed in range(120):
+        rng = random.Random(seed)
+        p, h = rng.choice([2, 3, 5]), rng.randint(1, 8)
+        prec = Precision(p, 1, 4)
+        V0 = [[rng.randrange(p) for _ in range(h)] for _ in range(h)]
+        if seed % 2 and h > 1:
+            V0[-1] = list(V0[0])
+        V = tuple(tuple(TruncatedSeries.from_coeffs(prec, [c, rng.randrange(p)]) for c in row)
+                  for row in V0)
+        unit = berkowitz_charpoly(V0, p)[0] != 0
+        seen.add(unit)
         eis = EisensteinPolynomial(p, (p, 0))
         E_s = eisenstein_series(eis, prec)
         d = rng.randint(0, h)

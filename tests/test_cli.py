@@ -324,6 +324,35 @@ def test_module_file_string_past_d_digits_is_malformed(capsys, tmp_path, field):
     assert err == f"error: malformed module file: a {_D + 1}-digit number is too long to read\n"
 
 
+@_NEEDS_INT_LIMIT
+@pytest.mark.parametrize("digits", [_D + 1, 3000, _INT_LIMIT + 1],
+                         ids=["D+1", "3000", "limit+1"])
+def test_module_file_json_integer_past_d_digits_is_malformed(capsys, tmp_path, digits):
+    # a JSON integer obeys decimal() as a string does: below the int-string
+    # limit it was read (exit 0), past it Python's own hint was printed
+    data = json.loads((GOLDEN_MODULES / "extension_n1.json").read_text(encoding="utf-8"))
+    data["phi"][0][0][0] = "BIG"
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(data).replace('"BIG"', "1" * digits))
+    code, out, err = run(capsys, "heights", "--module-file", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: malformed module file: a {digits}-digit number is too long to read\n"
+
+
+@_NEEDS_INT_LIMIT
+def test_module_file_json_integers_of_d_digits_are_read(capsys, tmp_path):
+    # D digits pass the rule; the entry is then reduced like any other
+    data = json.loads((GOLDEN_MODULES / "extension_n1.json").read_text(encoding="utf-8"))
+    want = run_json(capsys, "heights", "--module-file",
+                    str(GOLDEN_MODULES / "extension_n1.json"))
+    big = data["phi"][0][0][0] + data["p"] ** data["n"] * 10 ** (_D - 1)
+    assert len(str(big)) == _D
+    data["phi"][0][0][0] = "BIG"
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(data).replace('"BIG"', str(big)))
+    assert run_json(capsys, "heights", "--module-file", str(path)) == want
+
+
 _VALID_POLYS = ["u^2+2u+2", "u^2-2", "u^4+2", "3*u^4 + 7", "-u + 2", "u^3 + 2*u^2 + 6",
                 "u^2 - 2 * u + 10", "u^257+2"]
 

@@ -1,6 +1,7 @@
 """Eisenstein invariants, the mod-p^N characteristic polynomial route, and
 the exhaustive minimization of tau over digit-truncated uniformizer changes."""
 
+import functools
 import itertools
 import math
 import random
@@ -17,6 +18,7 @@ from ramibound.eisenstein import (
     EisensteinValidationError,
     UniformizerChange,
     berkowitz_charpoly,
+    charpoly_mod,
     substitute,
     tau_v_search,
 )
@@ -43,24 +45,27 @@ def poly_add(a, b):
 
 
 def charpoly_by_cofactors(A):
-    """det(xI - A) over Z[x] by cofactor expansion; ascending coefficients."""
+    """det(xI - A) over Z[x] by cofactor expansion along the first row;
+    ascending coefficients.  A minor on the last rows is cached by its
+    columns, so an 8 x 8 matrix expands 2^8 minors, not 8!."""
     n = len(A)
     # entries of xI - A as integer polynomials in x
     M = [[[-A[i][j], 1] if i == j else [-A[i][j]] for j in range(n)] for i in range(n)]
 
-    def det(rows, cols):
-        if len(rows) == 1:
-            return M[rows[0]][cols[0]]
+    @functools.cache
+    def det(cols):
+        if not cols:
+            return [1]
+        row = n - len(cols)
         total = [0]
         for k, j in enumerate(cols):
-            minor = det(rows[1:], cols[:k] + cols[k + 1 :])
-            term = poly_mul(M[rows[0]][j], minor)
+            term = poly_mul(M[row][j], det(cols[:k] + cols[k + 1 :]))
             if k % 2:
                 term = [-t for t in term]
             total = poly_add(total, term)
         return total
 
-    return det(list(range(n)), list(range(n)))
+    return det(tuple(range(n)))
 
 
 def taylor_shift(eis, delta):
@@ -173,6 +178,72 @@ def test_berkowitz_against_cofactor_expansion():
              for _ in range(n)]
         expected = [c % q for c in charpoly_by_cofactors(A)]
         assert berkowitz_charpoly(A, q) == expected
+
+
+def _kernel_entry(rng, p, N):
+    """0, a p-multiple p^j * unit (0 < j < N) or a unit mod p^N, alike likely."""
+    q = p**N
+    kind = rng.randrange(3)
+    if kind == 0 or (kind == 1 and N == 1):
+        return 0
+    unit = rng.choice([u for u in range(1, min(q, 50)) if u % p])
+    return p**rng.randrange(1, N) * unit % q if kind == 1 else unit
+
+
+def _kernel_matrix(rng, p, N, n, cleared):
+    """An n x n matrix of _kernel_entry values, with nothing below the
+    subdiagonal in the columns of cleared."""
+    A = [[_kernel_entry(rng, p, N) for _ in range(n)] for _ in range(n)]
+    for k in cleared:
+        for i in range(k + 2, n):
+            A[i][k] = 0
+    return A
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 5), st.integers(0, 8),
+       st.sets(st.integers(0, 7)), st.integers(0, 2**32))
+def test_charpoly_mod_agrees_with_cofactors_and_berkowitz(p, N, n, cleared, seed):
+    # q = p^N with N = 1 among the draws; entries 0, p-multiples and units,
+    # and columns with nothing below the subdiagonal (cleared), which the
+    # reduction must skip
+    q = p**N
+    A = _kernel_matrix(random.Random(seed), p, N, n, cleared)
+    got = charpoly_mod(A, q)
+    assert got == [c % q for c in charpoly_by_cofactors(A)]
+    assert got == berkowitz_charpoly(A, q)
+
+
+def test_charpoly_mod_on_seeded_matrices():
+    # the deterministic half of the differential, which the mutants in
+    # tests/mutants.py name: a pivot that is not of least valuation, a
+    # dropped column update and a dropped subdiagonal product all fail here
+    cases = [
+        # column 0 holds 2 above the unit 1: the pivot must be the unit
+        ([[0, 1, 0], [2, 0, 1], [1, 3, 0]], 4),
+        # subdiagonal entries 2 and 3 enter the recurrence as a product
+        ([[1, 1, 1], [2, 1, 1], [0, 3, 1]], 25),
+        # nothing below the subdiagonal of column 0; column 1 needs a swap
+        ([[1, 2, 3, 4], [5, 6, 7, 8], [0, 9, 1, 2], [0, 1, 3, 4]], 27),
+        ([[0] * 5 for _ in range(5)], 8),
+    ]
+    rng = random.Random(26)
+    for _ in range(300):
+        p, N, n = rng.choice([2, 3, 5, 7]), rng.randint(1, 5), rng.randint(1, 8)
+        cleared = rng.sample(range(n), rng.randint(0, n))
+        cases.append((_kernel_matrix(rng, p, N, n, cleared), p**N))
+    for A, q in cases:
+        assert charpoly_mod(A, q) == berkowitz_charpoly(A, q), (A, q)
+
+
+def test_charpoly_mod_reads_unreduced_entries():
+    # column 0 of the multiplication matrix reaches the kernel unreduced
+    rng = random.Random(7)
+    for _ in range(100):
+        p, N, n = rng.choice([2, 3, 5]), rng.randint(1, 4), rng.randint(1, 6)
+        q = p**N
+        A = [[rng.randint(-3 * q, 3 * q) for _ in range(n)] for _ in range(n)]
+        assert charpoly_mod(A, q) == berkowitz_charpoly(A, q)
 
 
 def test_substitute_examples():
@@ -439,7 +510,11 @@ def test_tau_search_charpolys_closed_form():
     lambda res: [res[0], 1] + res[2:],  # a_1 is a unit
     lambda res: [0] + res[1:],  # a_0 = 0
 ])
-def test_tau_search_checks_each_charpoly_inline(monkeypatch, bad):
+# u^4 + 2u^3 + 2u + 2 reaches the floor key e + 1 at its first class; every
+# class of u^4 + 2 lies above it (its least key is 13), so a search that
+# stops at the floor still reaches the third charpoly
+@pytest.mark.parametrize("coeffs", [(2, 2, 0, 2), (2, 0, 0, 0)])
+def test_tau_search_checks_each_charpoly_inline(monkeypatch, bad, coeffs):
     # a charpoly that is not Eisenstein raises what the constructor raises
     kernel = eisenstein._charpoly_residues
     calls = []
@@ -451,7 +526,7 @@ def test_tau_search_checks_each_charpoly_inline(monkeypatch, bad):
 
     monkeypatch.setattr(eisenstein, "_charpoly_residues", faulty)
     with pytest.raises(EisensteinValidationError) as err:
-        tau_v_search(EisensteinPolynomial(2, (2, 2, 0, 2)), 1)
+        tau_v_search(EisensteinPolynomial(2, coeffs), 1)
     assert len(calls) == 3
     with pytest.raises(EisensteinValidationError) as expected:
         EisensteinPolynomial(2, tuple(c % 32 for c in bad(calls[2])), precision=5)
