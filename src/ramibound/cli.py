@@ -24,7 +24,8 @@ read --p --n --budget and one of --poly or --e; lemma1 --p --n --seeds;
 lemma2 --p --n --e; example3 --p --n; heights --seeds.  Each suite bounds
 its input before any work: example3 and lemma2 build u^p - p, so refuse
 p > MAX_POLY_DEGREE, as lemma2 does an --e above it; lemma1 works at
-u-precision T = max(40, 2p + 1 + deg phi), so it too refuses such a p; a
+u-precision T = max(40, 2p + 1 + 4h + 2 + e) for a module of rank h over
+an E of degree e, so it too refuses such a p; a
 search, or grid sweep, over more than --budget candidates is refused, and
 so is a cor5 scan of more cor5_check calls.
 JSON output carries a versioned `schema` field and renders every integer

@@ -216,8 +216,9 @@ class UniformizerChange:
 def berkowitz_charpoly(A: list[list[int]], q: int) -> list[int]:
     """det(x*I - A) over Z/q via the Samuelson-Berkowitz recurrence.
 
-    Division-free on purpose: Z/q is not a domain, so elimination-style
-    charpoly algorithms are unavailable.  Returns ascending coefficients
+    The division-free O(n^4) reference for charpoly_mod, which eliminates
+    by least-valuation pivots instead: nothing in src/ calls it, the tests
+    and perfbench's tracer do.  Returns ascending coefficients
     [c_0, ..., c_{n-1}, 1]."""
     poly = [1]  # descending coefficients for the 0x0 leading block
     for r, row in enumerate(A):

@@ -438,9 +438,9 @@ class WeierstrassFactorization:
 def weierstrass_prep(a: TruncatedSeries) -> WeierstrassFactorization:
     """Factor a as p^c * U * W with W a Weierstrass polynomial and U a unit.
 
-    b = a / p^c is lifted digit by digit up the p-adic filtration; Newton
+    b = a / p^c is refined digit by digit up the p-adic filtration; Newton
     iteration is deliberately avoided.  Mod p, d is the u-order of b, and
-    U = v = (b / u^d) mod p, W = u^d.  Each of the n - c - 1 lifting steps
+    U = v = (b / u^d) mod p, W = u^d.  Each of the n - c - 1 digit steps
     works on raw residue lists and reads only what it uses:
       - err = b - U*W, as one shifted row of U per nonzero coefficient of W
         (at most d + 1 rows of T); the step's digit is err / p^(k+1) mod p;
@@ -450,7 +450,7 @@ def weierstrass_prep(a: TruncatedSeries) -> WeierstrassFactorization:
       - u_digit = (digit - v*w_low) / u^d, as d shifted rows of v;
     and W, U gain p^(k+1) * w_low and p^(k+1) * u_digit.  Every coefficient
     stays below p^(n-c) <= p^n, so no reduction mod p^n is needed, and the
-    two series are built once, at the end.  The lift costs O(n*d*T), and
+    two series are built once, at the end.  The digit steps cost O(n*d*T), and
     the inverse O(d^2)."""
     prec = a.prec
     if a.is_zero():

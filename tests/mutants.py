@@ -34,4 +34,37 @@ MUTANTS = [
     Mutant("prop2-kill-check-skipped", "oracle.py",
            "if kill > 1:", "if False:",
            ("tests/test_oracle.py::test_prop2_kill_check_catches_a_wrong_tau",)),
+    # Prop 2's depth re-check reads membership, not the depth itself
+    Mutant("prop2-recheck-depth-as-membership", "oracle.py",
+           "reverified &= (E_s * twisted).ord_u() == best_t",
+           "reverified &= (E_s * twisted).ord_u() >= best_t",
+           ("tests/test_oracle.py::test_prop2_reverification_catches_a_wrong_twist",)),
+    # the re-check at T = t*, where every witness product is 0 mod u^T
+    Mutant("prop2-recheck-at-t-star", "oracle.py",
+           "prec = Precision(p, n, max(best_t, e) + 1)", "prec = Precision(p, n, best_t)",
+           ("tests/test_oracle.py::test_prop2_witnesses_reverified_through_the_ring",)),
+    # Lemma 1's hypothesis never rejects, so elements outside it are tallied
+    Mutant("lemma1-rejection-dropped", "suites.py",
+           "if x.is_zero() or breuil.apply_phi(M, x).pole > t:", "if x.is_zero():",
+           ("tests/test_cli.py::test_cmd_verify_lemma1_small",)),
+    Mutant("scale-unreduced", "series.py",
+           "tuple((c * a) % q for a in self.coeffs)", "tuple(c * a for a in self.coeffs)",
+           ("tests/test_series.py::test_scale_returns_canonical_residues",)),
+    # a ring result sent back through the public constructor's check
+    Mutant("mul-through-public-constructor", "series.py",
+           "return _series(self.prec, tuple([c % q for c in out]))",
+           "return TruncatedSeries(self.prec, tuple([c % q for c in out]))",
+           ("tests/test_series.py::test_ring_results_never_run_the_public_check",)),
+    # pi^e folded as +(a_0 + ... + a_{e-1} pi^{e-1})
+    Mutant("charpoly-column-fold-sign", "eisenstein.py",
+           "col = [(y - a * top) % q", "col = [(y + a * top) % q",
+           ("tests/test_eisenstein.py::test_substitute_examples",)),
+    # an n = 1 module whose Smith exponent equals e, refused
+    Mutant("cokernel-gate-at-e", "breuil.py",
+           "a is None or a > self.eis.e", "a is None or a >= self.eis.e",
+           ("tests/test_breuil.py::test_n1_cokernel_gate",)),
+    # str.isdigit() accepts non-ASCII digits such as U+0662, which int() reads
+    Mutant("decimal-non-ascii-digits", "series.py",
+           "if not (digits.isascii() and digits.isdigit()):", "if not digits.isdigit():",
+           ("tests/test_cli.py::test_integer_flags_read_ascii_decimals_only[bound-e]",)),
 ]

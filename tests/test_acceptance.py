@@ -130,8 +130,6 @@ def test_criterion_6_pole_growth_membership():
             rep = suites.suite_lemma1(p, 2, seeds=100)
             assert rep["ok"]
             tallies = rep["assertions"]
-            assert tallies["module-sampled"]["pass"] == 100
-            assert tallies["module-sampled"]["fail"] == 0
             assert tallies["twist-membership"]["fail"] == 0
             assert tallies["twist-membership"]["pass"] >= 100
 

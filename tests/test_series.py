@@ -277,6 +277,12 @@ def test_ring_axioms(triple):
     assert a * (b + c) == a * b + a * c
 
 
+def test_scale_returns_canonical_residues():
+    # c = -2 is 7 mod q = 9, and 7*8 and 7*5 reach past q
+    scaled = S(Precision(3, 2, 4), 8, 5, 1, 0).scale(-2)
+    assert scaled.coeffs == (2, 8, 7, 0)
+
+
 # -- frobenius ------------------------------------------------------------------------
 
 def test_frobenius_examples():
