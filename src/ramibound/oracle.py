@@ -247,7 +247,7 @@ def prop2_max_t(cfg: SearchConfig) -> Prop2Result:
         reverified &= (E_s * twisted).ord_u() == best_t
         if kill > 1:
             reverified &= twisted.scale(kill).in_ideal(best_t)
-        witnesses.append(WitnessReport(coeffs=c))
+        witnesses.append(WitnessReport(c))
     assertions["witnesses-reverified"] = reverified
     return Prop2Result(
         t_star=best_t, witnesses=witnesses, candidates_visited=visited,

@@ -15,6 +15,10 @@ T canonical residues.  A ring result (from_coeffs, +, -, *, scale,
 shift_down, frobenius, dot, invert_unit) reduces every coefficient mod p^n
 and keeps T of them by construction, so it is built by _series, which
 skips that check; in a depth scan the check cost as much as the products.
+Every ring result carries the Precision object of its inputs, so the
+operands of one computation share it and pass the precision check of +, -,
+* and dot by two identity tests; an equal Precision built apart is compared
+by value (_require_prec).
 Membership is asked only in (u^t, p^n) at the working n, so it reads the
 first t coefficients as 0.  Next to BudgetExceededError sits the one size
 rule every refusal shares, and the one place that raises it: a count is
@@ -205,9 +209,9 @@ class TruncatedSeries:
     @classmethod
     def from_coeffs(cls, prec: Precision, coeffs) -> "TruncatedSeries":
         """Build a series from any integer coefficients (reduced, padded, truncated)."""
-        q = prec.modulus
-        cs = [c % q for c in coeffs[: prec.T]]
-        cs.extend(0 for _ in range(prec.T - len(cs)))
+        q, T = prec.modulus, prec.T
+        cs = [c % q for c in coeffs[:T]]
+        cs += [0] * (T - len(cs))
         return _series(prec, tuple(cs))
 
     @classmethod
@@ -230,42 +234,45 @@ class TruncatedSeries:
 
     # -- ring operations -----------------------------------------------
 
-    def _require_same_prec(self, other: "TruncatedSeries"):
-        if not isinstance(other, TruncatedSeries):
-            raise TypeError(f"expected TruncatedSeries, got {type(other).__name__}")
-        if self.prec != other.prec:
-            raise PrecisionMismatchError(
-                f"precision mismatch: {self.prec} vs {other.prec}"
-            )
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_same_prec(other)
-        q = self.prec.modulus
-        return _series(self.prec, tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs)))
+        prec = self.prec
+        if other.__class__ is not TruncatedSeries or other.prec is not prec:
+            _require_prec(prec, other)
+        q = prec.modulus
+        return _series(prec, tuple([(a + b) % q for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "TruncatedSeries":
         q = self.prec.modulus
-        return _series(self.prec, tuple((-a) % q for a in self.coeffs))
+        return _series(self.prec, tuple([-a % q for a in self.coeffs]))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_same_prec(other)
-        q = self.prec.modulus
-        return _series(self.prec, tuple((a - b) % q for a, b in zip(self.coeffs, other.coeffs)))
+        prec = self.prec
+        if other.__class__ is not TruncatedSeries or other.prec is not prec:
+            _require_prec(prec, other)
+        q = prec.modulus
+        return _series(prec, tuple([(a - b) % q for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_same_prec(other)
-        q = self.prec.modulus
-        out = _mul_raw(self.coeffs, other.coeffs, self.prec.T, q)
-        return _series(self.prec, tuple([c % q for c in out]))
+        prec = self.prec
+        if other.__class__ is not TruncatedSeries or other.prec is not prec:
+            _require_prec(prec, other)
+        q = prec.modulus
+        out = _mul_raw(self.coeffs, other.coeffs, prec.T, q)
+        return _series(prec, tuple([c % q for c in out]))
 
     def scale(self, c: int) -> "TruncatedSeries":
         """Multiply by an integer scalar."""
         q = self.prec.modulus
         c %= q
-        return _series(self.prec, tuple((c * a) % q for a in self.coeffs))
+        return _series(self.prec, tuple([c * a % q for a in self.coeffs]))
 
     def shift_down(self, k: int) -> "TruncatedSeries":
-        """Exact division by u^k; the k lowest coefficients must vanish."""
+        """Exact division by u^k; the k lowest coefficients must vanish.
+        Raises ValueError for k < 0 and PrecisionError for k > T."""
+        if not 0 <= k <= self.prec.T:
+            if k < 0:
+                raise ValueError(f"shift exponent must be >= 0, got {k}")
+            raise PrecisionError(f"cannot divide by u^{k} at u-precision T = {self.prec.T}")
         if k == 0:
             return self
         if any(self.coeffs[:k]):
@@ -279,9 +286,11 @@ class TruncatedSeries:
 
     def ord_u(self) -> int | None:
         """Index of the lowest nonzero coefficient; None when a = 0 (>= T)."""
-        for i, c in enumerate(self.coeffs):
+        i = 0  # a counter costs less than enumerate at the T of a depth scan
+        for c in self.coeffs:
             if c:
                 return i
+            i += 1
         return None
 
     def degree(self) -> int | None:
@@ -308,8 +317,10 @@ class TruncatedSeries:
     def in_ideal(self, t: int) -> bool:
         """Membership in the ideal (u^t, p^n) at the working n: the
         coefficients are canonical residues mod p^n, so those of u^i, i < t,
-        must be 0."""
-        if t > self.prec.T:
+        must be 0.  Raises ValueError for t < 0."""
+        if not 0 <= t <= self.prec.T:
+            if t < 0:
+                raise ValueError(f"ideal exponent must be >= 0, got {t}")
             raise PrecisionError(f"cannot test (u^{t}, ...) at u-precision T = {self.prec.T}")
         return not any(self.coeffs[:t])
 
@@ -317,6 +328,21 @@ class TruncatedSeries:
         return poly_text(self.coeffs)
 
 
+def _require_prec(prec: Precision, x) -> None:
+    """The precision check of +, -, * and dot: x must be a TruncatedSeries
+    (else TypeError) whose precision equals prec in value (else
+    PrecisionMismatchError), so an equal but distinct Precision passes.
+
+    Those operations first test `x.__class__ is TruncatedSeries and x.prec
+    is prec`, which holds for operands sharing one Precision object, and
+    call this only for an operand that fails it."""
+    if not isinstance(x, TruncatedSeries):
+        raise TypeError(f"expected TruncatedSeries, got {type(x).__name__}")
+    if x.prec != prec:
+        raise PrecisionMismatchError(f"precision mismatch: {prec} vs {x.prec}")
+
+
+_new = object.__new__
 _set_prec = TruncatedSeries.prec.__set__
 _set_coeffs = TruncatedSeries.coeffs.__set__
 
@@ -326,8 +352,10 @@ def _series(prec: Precision, coeffs: tuple[int, ...]) -> TruncatedSeries:
 
     Such a result passes the public constructor's check by construction, so
     it is built without __init__ and that check: the two slots are set
-    directly on a bare instance."""
-    s = object.__new__(TruncatedSeries)
+    directly on a bare instance.  In a depth scan at T <= 9 each ring call
+    costs more in this wrapping than in arithmetic, so the callers build the
+    coefficient tuple from a list, never from a generator."""
+    s = _new(TruncatedSeries)
     _set_prec(s, prec)
     _set_coeffs(s, coeffs)
     return s
@@ -377,13 +405,14 @@ def frobenius(a: TruncatedSeries) -> TruncatedSeries:
     """Frobenius twist: sum a_i u^i  ->  sum a_i u^(p*i), truncated at the input T.
 
     Coefficients are fixed.  Only a_i with i < ceil(T/p) reach the image, so
-    callers wanting an untruncated image allocate T for the twisted degree."""
-    p, T = a.prec.p, a.prec.T
+    callers wanting an untruncated image allocate T for the twisted degree.
+    Positions 0, p, 2p, ... below T are exactly ceil(T/p) slots, so the
+    image is written by one strided slice assignment."""
+    prec = a.prec
+    p, T = prec.p, prec.T
     cs = [0] * T
-    for i, c in enumerate(a.coeffs[: -(-T // p)]):
-        if c:
-            cs[p * i] = c
-    return _series(a.prec, tuple(cs))
+    cs[::p] = a.coeffs[:-(-T // p)]
+    return _series(prec, tuple(cs))
 
 
 def dot(xs, ys) -> TruncatedSeries:
@@ -391,16 +420,20 @@ def dot(xs, ys) -> TruncatedSeries:
 
     The unreduced products are added up as integers and reduced mod p^n
     once, so h pairs build one series rather than 2h - 1.  Raises
-    PrecisionMismatchError on mixed precisions, and ValueError on an empty
-    or unpaired input."""
+    PrecisionMismatchError on mixed precisions, TypeError on an operand that
+    is not a series, and ValueError on an empty or unpaired input.  Each
+    pair takes the operators' identity test first."""
     if not xs or len(xs) != len(ys):
         raise ValueError(f"dot needs paired nonempty inputs, got {len(xs)} and {len(ys)}")
+    if not isinstance(xs[0], TruncatedSeries):
+        raise TypeError(f"expected TruncatedSeries, got {type(xs[0]).__name__}")
     prec = xs[0].prec
     T, q = prec.T, prec.modulus
     acc = None
     for x, y in zip(xs, ys):
-        if x.prec != prec or y.prec != prec:
-            raise PrecisionMismatchError(f"precision mismatch: {prec} vs {x.prec}, {y.prec}")
+        if not (x.__class__ is y.__class__ is TruncatedSeries and x.prec is prec and y.prec is prec):
+            _require_prec(prec, x)
+            _require_prec(prec, y)
         out = _mul_raw(x.coeffs, y.coeffs, T, q)
         acc = out if acc is None else list(map(add, acc, out))
     return _series(prec, tuple([c % q for c in acc]))

@@ -20,6 +20,12 @@ class Mutant(NamedTuple):
 
 
 KERNEL_TEST = "tests/test_eisenstein.py::test_charpoly_mod_on_seeded_matrices"
+TWIST_TEST = "tests/test_series.py::test_frobenius_matches_a_plain_loop"
+# __mul__'s precision test and the two lines after it, since + and - repeat the test
+MUL_GUARD = ("""        if other.__class__ is not TruncatedSeries or other.prec is not prec:
+            _require_prec(prec, other)
+        q = prec.modulus
+        out = _mul_raw(""")
 
 MUTANTS = [
     # the first nonzero entry below the subdiagonal, not the least valuation
@@ -48,12 +54,12 @@ MUTANTS = [
            "if x.is_zero() or breuil.apply_phi(M, x).pole > t:", "if x.is_zero():",
            ("tests/test_cli.py::test_cmd_verify_lemma1_small",)),
     Mutant("scale-unreduced", "series.py",
-           "tuple((c * a) % q for a in self.coeffs)", "tuple(c * a for a in self.coeffs)",
+           "tuple([c * a % q for a in self.coeffs])", "tuple([c * a for a in self.coeffs])",
            ("tests/test_series.py::test_scale_returns_canonical_residues",)),
     # a ring result sent back through the public constructor's check
     Mutant("mul-through-public-constructor", "series.py",
-           "return _series(self.prec, tuple([c % q for c in out]))",
-           "return TruncatedSeries(self.prec, tuple([c % q for c in out]))",
+           "return _series(prec, tuple([c % q for c in out]))",
+           "return TruncatedSeries(prec, tuple([c % q for c in out]))",
            ("tests/test_series.py::test_ring_results_never_run_the_public_check",)),
     # pi^e folded as +(a_0 + ... + a_{e-1} pi^{e-1})
     Mutant("charpoly-column-fold-sign", "eisenstein.py",
@@ -63,6 +69,33 @@ MUTANTS = [
     Mutant("cokernel-gate-at-e", "breuil.py",
            "a is None or a > self.eis.e", "a is None or a >= self.eis.e",
            ("tests/test_breuil.py::test_n1_cokernel_gate",)),
+    # the twist written from slot 1, not 0
+    Mutant("frobenius-twist-offset", "series.py",
+           "cs[::p] = a.coeffs", "cs[1::p] = a.coeffs", (TWIST_TEST,)),
+    # floor(T/p) slots, one short of the partial block when p does not divide T
+    Mutant("frobenius-twist-floor", "series.py",
+           "a.coeffs[:-(-T // p)]", "a.coeffs[:T // p]", (TWIST_TEST,)),
+    # the identity test without the class test reads .prec off any operand
+    Mutant("mul-shortcut-without-class-test", "series.py",
+           MUL_GUARD, MUL_GUARD.replace("other.__class__ is not TruncatedSeries or ", ""),
+           ("tests/test_series.py::test_non_series_operands_raise_type_error",)),
+    # identity trusted as the whole check: an equal but distinct Precision refused
+    Mutant("mul-shortcut-identity-alone", "series.py",
+           MUL_GUARD, MUL_GUARD.replace("_require_prec(prec, other)",
+                                        "raise PrecisionMismatchError(prec)"),
+           ("tests/test_series.py::test_equal_but_distinct_precisions_are_accepted",)),
+    # `and` for `or`: a series at another precision skips the value check
+    Mutant("mul-shortcut-accepts-mismatch", "series.py",
+           MUL_GUARD, MUL_GUARD.replace(" or other.prec", " and other.prec"),
+           ("tests/test_series.py::test_mismatched_precisions_are_refused",)),
+    Mutant("dot-shortcut-without-class-test", "series.py",
+           "if not (x.__class__ is y.__class__ is TruncatedSeries and x.prec",
+           "if not (x.prec",
+           ("tests/test_series.py::test_non_series_operands_raise_type_error",)),
+    Mutant("dot-shortcut-identity-alone", "series.py",
+           "            _require_prec(prec, x)\n            _require_prec(prec, y)\n",
+           "            raise PrecisionMismatchError(prec)\n",
+           ("tests/test_series.py::test_equal_but_distinct_precisions_are_accepted",)),
     # str.isdigit() accepts non-ASCII digits such as U+0662, which int() reads
     Mutant("decimal-non-ascii-digits", "series.py",
            "if not (digits.isascii() and digits.isdigit()):", "if not digits.isdigit():",

@@ -1,6 +1,7 @@
 """Truncated-ring arithmetic: frozen examples plus algebraic properties."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,52 @@ def test_add_precision_mismatch():
         S(Precision(2, 2, 3), 1) + S(Precision(2, 2, 4), 1)
     with pytest.raises(PrecisionMismatchError):
         S(Precision(2, 2, 3), 1) + S(Precision(2, 3, 3), 1)
+
+
+# -- the precision check: identity first, value behind it ------------------------------
+
+BINARY = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "dot": lambda a, b: dot([a, b], [b, a]),
+}
+
+
+@pytest.mark.parametrize("op", BINARY)
+def test_equal_but_distinct_precisions_are_accepted(op):
+    # operands are first compared by identity of their Precision; one built
+    # apart but equal in value must still pass, with the same result
+    shared, twin = Precision(3, 2, 5), Precision(3, 2, 5)
+    assert twin == shared and twin is not shared
+    a, b = S(shared, 1, 4, 0, 7, 2), S(shared, 5, 0, 8, 1)
+    b_twin = S(twin, 5, 0, 8, 1)
+    assert BINARY[op](a, b_twin) == BINARY[op](a, b)
+    assert BINARY[op](b_twin, a) == BINARY[op](b, a)
+
+
+@pytest.mark.parametrize("other", [Precision(3, 2, 6), Precision(3, 3, 5), Precision(5, 2, 5)],
+                         ids=["T", "n", "p"])
+@pytest.mark.parametrize("op", BINARY)
+def test_mismatched_precisions_are_refused(op, other):
+    a, b = S(Precision(3, 2, 5), 1, 4, 0, 7, 2), S(other, 5, 0, 8, 1)
+    with pytest.raises(PrecisionMismatchError):
+        BINARY[op](a, b)
+    with pytest.raises(PrecisionMismatchError):
+        BINARY[op](b, a)
+
+
+@pytest.mark.parametrize("expr", [
+    "a * 3", "a + 1", "a - 1", "a * lookalike", "a + lookalike", "a - lookalike",
+    "dot([a], [3])", "dot([3], [a])", "dot([a, a], [a, 3])", "dot([a], [lookalike])",
+])
+def test_non_series_operands_raise_type_error(expr):
+    # not AttributeError: the identity test reads .prec only after the
+    # class test, and an object that merely carries the same .prec is no series
+    a = S(Precision(3, 2, 5), 1, 4)
+    lookalike = SimpleNamespace(prec=a.prec, coeffs=a.coeffs)
+    with pytest.raises(TypeError, match="expected TruncatedSeries"):
+        eval(expr, {"dot": dot}, {"a": a, "lookalike": lookalike})
 
 
 # -- multiplication -----------------------------------------------------------------
@@ -285,6 +332,31 @@ def test_scale_returns_canonical_residues():
 
 # -- frobenius ------------------------------------------------------------------------
 
+def plain_twist(a):
+    """The Frobenius twist by a plain loop over every coefficient."""
+    p, T = a.prec.p, a.prec.T
+    out = [0] * T
+    for i, c in enumerate(a.coeffs):
+        if p * i < T:
+            out[p * i] = c
+    return TruncatedSeries(a.prec, tuple(out))
+
+
+@pytest.mark.parametrize("p, n, T", [(2, 2, 5), (3, 2, 7), (2, 2, 1), (3, 1, 1), (5, 1, 7),
+                                     (2, 2, 6), (3, 2, 9)])
+def test_frobenius_matches_a_plain_loop(p, n, T):
+    # p does not divide T in the first five: the image has ceil(T/p) slots,
+    # and the last one is a partial block
+    prec = Precision(p, n, T)
+    q = prec.modulus
+    rng = random.Random(f"twist-{p}-{n}-{T}")
+    inputs = [TruncatedSeries.from_coeffs(prec, [1 + i % (q - 1) for i in range(T)])]
+    inputs += [TruncatedSeries.from_coeffs(prec, [rng.randrange(q) for _ in range(T)])
+               for _ in range(20)]
+    for a in inputs:
+        assert frobenius(a) == plain_twist(a)
+
+
 def test_frobenius_examples():
     prec = Precision(2, 2, 5)
     assert frobenius(S(prec, 2, 1)) == S(prec, 2, 0, 1)  # u+2 -> u^2+2
@@ -366,6 +438,26 @@ def test_in_ideal_errors():
     prec = Precision(2, 2, 3)
     with pytest.raises(PrecisionError):
         S(prec, 1).in_ideal(4)
+    # a negative exponent is refused: coeffs[:-3] would read a wrong prefix
+    with pytest.raises(ValueError, match="must be >= 0"):
+        S(Precision(2, 2, 4), 0, 1).in_ideal(-3)
+
+
+def test_shift_down_examples_and_errors():
+    prec = Precision(2, 2, 4)
+    u3 = TruncatedSeries.monomial(prec, 3)
+    assert u3.shift_down(2) == TruncatedSeries.monomial(prec, 1)
+    assert u3.shift_down(3) == TruncatedSeries.one(prec)
+    assert u3.shift_down(0) is u3
+    with pytest.raises(ValueError, match="not divisible"):
+        u3.shift_down(4)
+    # unrefused, shift_down(-1) returns one coefficient at T = 4, and a
+    # shift past T returns k coefficients, even on the zero series
+    with pytest.raises(ValueError, match="must be >= 0"):
+        u3.shift_down(-1)
+    assert TruncatedSeries.zero(prec).shift_down(4) == TruncatedSeries.zero(prec)
+    with pytest.raises(PrecisionError):
+        TruncatedSeries.zero(prec).shift_down(6)
 
 
 @given(
