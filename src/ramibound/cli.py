@@ -60,7 +60,7 @@ from .eisenstein import (
     EisensteinValidationError,
     tau_v_search,
 )
-from .series import DecimalError, decimal, poly_text
+from .series import BudgetExceededError, DecimalError, decimal, poly_text
 
 SCHEMA = 1
 EXIT_OK, EXIT_ASSERTION, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
@@ -364,7 +364,7 @@ def main(argv=None) -> int:
         for violation in err.violations:
             print(f"  - {violation}", file=sys.stderr)
         return EXIT_USAGE
-    except oracle.BudgetExceededError as err:
+    except BudgetExceededError as err:
         print(f"budget exceeded: {err}; {BUDGET_FLAGS[args.command]}", file=sys.stderr)
         return EXIT_BUDGET
     except oracle.OracleViolationError as err:

@@ -194,9 +194,10 @@ class UniformizerChange:
         require_prime(self.p)
         if self.precision < 1:
             raise ValueError("digit precision must be >= 1")
-        q = self.p**self.precision
-        if any(not (0 <= c < q) for c in self.cs):
-            raise ValueError(f"digits must be canonical residues in [0, {q})")
+        # c < 2^precision <= p^precision needs no power; a longer c does
+        if any(c < 0 or c.bit_length() > self.precision and c >= self.p**self.precision
+               for c in self.cs):
+            raise ValueError(f"digits must be canonical residues in [0, {self.p**self.precision})")
         if len(self.cs) == 0:
             raise ValueError("at least one digit required")
         if len(self.cs) >= 2:

@@ -36,7 +36,9 @@ OracleViolationError is raised only for a walk that misses part of the
 space, and by a strict lemma4_check.  check_budget refuses an oversized
 search, or sweep over a grid, before any power of p is computed, and
 check_scan_budget so refuses an oversized cor5 scan; both refuse through
-series._oversize, the one size rule, as the tau search does its cap.
+series._oversize, the one size rule, as the tau search does its cap.  Each
+gate returns the size it priced, which is the one its caller reports:
+prop2_max_t's space_size and suite_cor5's instances.
 lemma4_check reads ord_p of each witness coefficient once and the
 valuation staircase off that list.
 """
@@ -49,14 +51,7 @@ from itertools import product
 
 from . import breuil
 from .eisenstein import EisensteinPolynomial
-from .series import (
-    BudgetExceededError,
-    Precision,
-    TruncatedSeries,
-    _oversize,
-    frobenius,
-    int_valuation,
-)
+from .series import Precision, TruncatedSeries, _oversize, frobenius, int_valuation
 
 
 class OracleViolationError(AssertionError):
@@ -75,7 +70,7 @@ class SearchConfig:
     largest d with p*d < t_max; a monomial c_l u^l with p*l >= t_max cannot
     touch a coefficient below u^t_max of E * twist(C), so truncating C to
     degree d keeps its depth.  The space holds c_0 in [1, p^n) and
-    c_1..c_d in [0, p^n); the budget bounds its size before any work."""
+    c_1..c_d in [0, p^n); check_budget bounds its size before any work."""
 
     eis: EisensteinPolynomial
     n: int
@@ -103,11 +98,6 @@ class SearchConfig:
     def degree_bound(self) -> int:
         return (self.n * self.e) // self.p
 
-    @property
-    def space_size(self) -> int:
-        q = self.p**self.n
-        return (q - 1) * q**self.degree_bound
-
 
 def default_config(eis: EisensteinPolynomial, n: int,
                    budget: int = DEFAULT_BUDGET) -> SearchConfig:
@@ -128,12 +118,9 @@ class Prop2Result:
     t_star: int
     witnesses: list[WitnessReport]
     candidates_visited: int
+    space_size: int
     assertions: dict[str, bool]
     config: SearchConfig
-
-    @property
-    def space_size(self) -> int:
-        return self.config.space_size
 
 
 def weierstrass_degree(c: tuple[int, ...], p: int) -> int | None:
@@ -145,18 +132,20 @@ def weierstrass_degree(c: tuple[int, ...], p: int) -> int | None:
     return deg
 
 
-def check_budget(p: int, e: int, n: int, budget: int, sweep: bool = False) -> None:
-    """Refuse a prop2 search at (p, e, n) over more than budget candidates,
-    and with sweep=True one over every polynomial of eisenstein_grid(p, e, n),
-    by raising BudgetExceededError before any work.
+def check_budget(p: int, e: int, n: int, budget: int, sweep: bool = False) -> int:
+    """The candidate count of one prop2 search at (p, e, n).  Refuse a
+    search over more than budget candidates, and with sweep=True one over
+    every polynomial of eisenstein_grid(p, e, n), by raising
+    BudgetExceededError before any work.
 
     One search visits (q - 1) * q^d candidates, q = p^n and d = n*e // p;
     the grid holds (p - 1) * p^(n*e - 1) polynomials.  The single search
     is checked first, so its message is the one a sweep of oversized
     searches reports."""
     d = n * e // p
-    _oversize(p, n * (d + 1), lambda: (p**n - 1) * p**(n * d), f"({p}^{n} - 1)*{p}^{n * d}",
-              budget, f"the prop2 search at n = {n} would visit {{}} candidates, "
+    space = _oversize(p, n * (d + 1), lambda: (p**n - 1) * p**(n * d),
+                      f"({p}^{n} - 1)*{p}^{n * d}", budget,
+                      f"the prop2 search at n = {n} would visit {{}} candidates, "
                       f"over the budget of {budget}")
     if sweep:
         _oversize(p, n * (e + d + 1),
@@ -164,18 +153,19 @@ def check_budget(p: int, e: int, n: int, budget: int, sweep: bool = False) -> No
                   f"{p - 1}*{p}^{n * e - 1}*({p}^{n} - 1)*{p}^{n * d}", budget,
                   f"the prop2 sweep over the degree-{e} grid at n = {n} would visit {{}} "
                   f"candidates, over the budget of {budget}")
+    return space
 
 
-def check_scan_budget(p: int, e: int, n: int, witnesses: int, budget: int) -> None:
-    """Refuse, before its first call, a cor5 scan of more than budget
-    cor5_check calls: each staircase witness meets the p^((n-1)l)
+def check_scan_budget(p: int, e: int, n: int, witnesses: int, budget: int) -> int:
+    """The cor5_check call count of a cor5 scan, refused before its first
+    call when over budget: each staircase witness meets the p^((n-1)l)
     Weierstrass polynomials of each degree l < e, p^((n-1)(e-1)) or more."""
     per = f"({p}^{(n - 1) * e} - 1)/({p}^{n - 1} - 1)" if n > 1 else str(e)
-    _oversize(p, (n - 1) * (e - 1) if witnesses else 0,
-              lambda: witnesses * sum(p**((n - 1) * l) for l in range(e)),
-              f"{witnesses}*{per}", budget,
-              f"the cor5 scan at n = {n} would make {{}} cor5_check calls, "
-              f"over the budget of {budget}")
+    return _oversize(p, (n - 1) * (e - 1) if witnesses else 0,
+                     lambda: witnesses * sum(p**((n - 1) * l) for l in range(e)),
+                     f"{witnesses}*{per}", budget,
+                     f"the cor5 scan at n = {n} would make {{}} cor5_check calls, "
+                     f"over the budget of {budget}")
 
 
 def _walk(cfg: SearchConfig):
@@ -220,12 +210,11 @@ def _walk(cfg: SearchConfig):
 
 def prop2_max_t(cfg: SearchConfig) -> Prop2Result:
     """Exhaustive maximal depth and all witnesses, with the invariants in the
-    returned assertion map.  Past the budget check, it raises only when the
-    walk misses part of the space."""
+    returned assertion map.  The budget check comes before any power of p;
+    past it, it raises only when the walk misses part of the space."""
     p, e, n = cfg.p, cfg.e, cfg.n
+    space = check_budget(p, e, n, cfg.budget)
     q = p**n
-    check_budget(p, e, n, cfg.budget)
-    space = cfg.space_size
     best_t, cylinders, visited = _walk(cfg)
     if visited != space:
         raise OracleViolationError(f"enumeration incomplete: visited {visited} of {space}")
@@ -251,7 +240,7 @@ def prop2_max_t(cfg: SearchConfig) -> Prop2Result:
     assertions["witnesses-reverified"] = reverified
     return Prop2Result(
         t_star=best_t, witnesses=witnesses, candidates_visited=visited,
-        assertions=assertions, config=cfg,
+        space_size=space, assertions=assertions, config=cfg,
     )
 
 

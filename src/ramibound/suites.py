@@ -144,16 +144,14 @@ def suite_cor5(p: int, n: int, poly=None, e: int | None = None,
             _tally(assertions, "membership-forces-degree", True, 0)
         staircases += [(count, c, res.t_star) for c in passing]
     degree = family[0][0].e
-    oracle.check_scan_budget(p, degree, n, sum(size for size, _, _ in staircases), budget)
-    scanned = 0
+    calls = oracle.check_scan_budget(p, degree, n, sum(s for s, _, _ in staircases), budget)
     for size, c, t in staircases:
         for l in range(degree):
             for e2 in oracle.weierstrass_polys(p, n, l):
-                scanned += size
                 _tally(assertions, "membership-forces-degree",
                        oracle.cor5_check(p, n, e2, c, t), size)
     config = {"p": p, "n": n, "polynomials": sum(count for _, count in family),
-              "instances": scanned, "budget": budget}
+              "instances": calls, "budget": budget}
     return _finish("cor5", config, assertions, started)
 
 

@@ -19,6 +19,14 @@ class Mutant(NamedTuple):
     kills: tuple[str, ...]
 
 
+class NoPower(int):
+    """An exponent that raises when a power is taken to it, so a test that
+    passes one as n or precision kills a mutant computing that power."""
+
+    def __rpow__(self, base, mod=None):
+        raise AssertionError(f"{base}**{int(self)} computed")
+
+
 KERNEL_TEST = "tests/test_eisenstein.py::test_charpoly_mod_on_seeded_matrices"
 TWIST_TEST = "tests/test_series.py::test_frobenius_matches_a_plain_loop"
 # __mul__'s precision test and the two lines after it, since + and - repeat the test
@@ -100,4 +108,14 @@ MUTANTS = [
     Mutant("decimal-non-ascii-digits", "series.py",
            "if not (digits.isascii() and digits.isdigit()):", "if not digits.isdigit():",
            ("tests/test_cli.py::test_integer_flags_read_ascii_decimals_only[bound-e]",)),
+    # p^n taken before the gate prices the space: a huge --n hangs, not exits 3
+    Mutant("prop2-power-before-gate", "oracle.py",
+           "    space = check_budget(p, e, n, cfg.budget)\n    q = p**n\n",
+           "    q = p**n\n    space = check_budget(p, e, n, cfg.budget)\n",
+           ("tests/test_oracle.py::test_prop2_gate_comes_before_any_power_of_p",)),
+    # every digit checked against p^precision, built even when the digit is short
+    Mutant("digit-check-builds-power", "eisenstein.py",
+           "c < 0 or c.bit_length() > self.precision and c >= self.p**self.precision",
+           "c < 0 or c >= self.p**self.precision",
+           ("tests/test_eisenstein.py::test_digit_range_check_builds_no_power_for_short_digits",)),
 ]

@@ -513,6 +513,16 @@ def test_cmd_bound_search_over_the_cap_names_the_work_and_the_flag(capsys):
                    "8388608 candidates, over the cap of 1000000; lower --search-prec\n")
 
 
+def test_cmd_bound_search_prec_ends_at_once_when_p_does_not_divide_e(capsys):
+    # m = 0 searches nothing: any digit precision gives the identity change
+    _, small, _ = run_json(capsys, "bound", "--p", "2", "--poly", "u^3+2", "--search-prec", "2")
+    start = time.perf_counter()
+    code, big, _ = run_json(capsys, "bound", "--p", "2", "--poly", "u^3+2",
+                            "--search-prec", "99999999999")
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_OK and big["tau_search"] == small["tau_search"]
+
+
 # -- verify ----------------------------------------------------------------------------
 
 def test_cmd_verify_example3(capsys):
@@ -561,6 +571,17 @@ def test_cmd_verify_cor5_scan_over_budget_ends_at_once(capsys):
     assert err == ("budget exceeded: the cor5 scan at n = 2 would make 28531167061 "
                    "cor5_check calls, over the budget of 100000000; "
                    "raise --budget or lower --n\n")
+
+
+@pytest.mark.parametrize("suite", ["prop2", "lemma4", "cor5"])
+def test_cmd_verify_huge_n_is_refused_before_any_power(capsys, suite):
+    # 2^n at n = 99999999999 would not finish; the gate prices it by exponent
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--suite", suite, "--p", "2",
+                         "--poly", "u^2+2", "--n", "99999999999")
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_BUDGET and out == ""
+    assert "the prop2 search at n = 99999999999 would visit (2^99999999999 - 1)*2^" in err
 
 
 @pytest.mark.parametrize("argv, code, message", [

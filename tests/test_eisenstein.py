@@ -9,8 +9,9 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mutants import NoPower
 
-from ramibound import eisenstein, oracle
+from ramibound import eisenstein
 from ramibound.eisenstein import (
     INF,
     TAU_SEARCH_CAP,
@@ -266,6 +267,17 @@ def test_substitute_rejects_small_N_and_non_units():
         substitute(eis, UniformizerChange(2, 2, (1, 1)), 1)
     with pytest.raises(ValueError, match="unit"):
         UniformizerChange(2, 2, (1, 2))
+
+
+def test_digit_range_check_builds_no_power_for_short_digits():
+    # a digit below 2^precision is below p^precision, read off its bit length
+    assert UniformizerChange(2, NoPower(10**11), (0, 1, 0)).cs == (0, 1, 0)
+    witness = tau_v_search(EisensteinPolynomial(2, (2, 0, 0)), NoPower(10**11)).witness
+    assert witness.cs == (0, 1, 0)  # m = 0: the identity, nothing searched
+    with pytest.raises(ValueError, match=r"canonical residues in \[0, 4\)"):
+        UniformizerChange(2, 2, (0, 1, 4))
+    with pytest.raises(ValueError, match=r"canonical residues in \[0, 9\)"):
+        UniformizerChange(3, 2, (0, 1, -1))
 
 
 def test_substitute_inverse_shifts():
@@ -542,7 +554,7 @@ def test_tau_search_refuses_spaces_over_the_cap(monkeypatch):
     u8m2 = EisensteinPolynomial(2, (-2,) + (0,) * 7)
     with pytest.raises(BudgetExceededError, match=f"8388608 candidates.*cap of {TAU_SEARCH_CAP}"):
         tau_v_search(u8m2, 3)
-    with pytest.raises(oracle.BudgetExceededError, match=r"1\*2\^7999999999 candidates"):
+    with pytest.raises(BudgetExceededError, match=r"1\*2\^7999999999 candidates"):
         tau_v_search(u8m2, 10**9)
     with pytest.raises(BudgetExceededError, match="7812500 candidates"):  # 4 * 5^(2*5-1)
         tau_v_search(EisensteinPolynomial(5, (5, 0, 0, 0, 0)), 2)

@@ -8,11 +8,11 @@ import tracemalloc
 from itertools import product
 
 import pytest
+from mutants import NoPower
 
 from ramibound import breuil, oracle, suites
 from ramibound.eisenstein import EisensteinPolynomial
 from ramibound.oracle import (
-    BudgetExceededError,
     OracleViolationError,
     SearchConfig,
     WitnessReport,
@@ -27,7 +27,7 @@ from ramibound.oracle import (
     weierstrass_degree,
     weierstrass_polys,
 )
-from ramibound.series import Precision, TruncatedSeries
+from ramibound.series import BudgetExceededError, Precision, TruncatedSeries
 
 E22 = EisensteinPolynomial(2, (-2, 0))       # tau infinite
 E221 = EisensteinPolynomial(2, (2, 2))       # tau = 1, iota = 1
@@ -73,7 +73,7 @@ def test_prop2_u4_minus_2_at_n3_pinned_with_small_peak():
     finally:
         tracemalloc.stop()
     assert r.t_star == 12 and len(r.witnesses) == 256
-    assert r.candidates_visited == r.space_size == cfg.space_size == 7 * 8**6
+    assert r.candidates_visited == r.space_size == check_budget(2, 4, 3, cfg.budget) == 7 * 8**6
     assert peak < 10 * 2**20  # only the cylinders tied at the best depth are kept
 
 
@@ -290,11 +290,11 @@ def test_check_budget_matches_the_closed_forms(p, e, n, budget):
         with pytest.raises(BudgetExceededError, match="the prop2 search at"):
             check_budget(p, e, n, budget, sweep=True)
     elif total > budget:
-        check_budget(p, e, n, budget)
+        assert check_budget(p, e, n, budget) == space
         with pytest.raises(BudgetExceededError, match="the prop2 sweep over"):
             check_budget(p, e, n, budget, sweep=True)
     else:
-        check_budget(p, e, n, budget, sweep=True)
+        assert check_budget(p, e, n, budget, sweep=True) == space
 
 
 def test_check_budget_prints_huge_sizes_as_powers():
@@ -314,7 +314,7 @@ def test_check_budget_prints_huge_sizes_as_powers():
 def test_check_scan_budget_counts_every_multiplier(p, e, n, witnesses):
     # the closed form against the multipliers the scan enumerates
     calls = witnesses * sum(1 for l in range(e) for _ in weierstrass_polys(p, n, l))
-    check_scan_budget(p, e, n, witnesses, calls)
+    assert check_scan_budget(p, e, n, witnesses, calls) == calls
     if calls:
         with pytest.raises(BudgetExceededError, match=f"would make {calls} cor5_check"):
             check_scan_budget(p, e, n, witnesses, calls - 1)
@@ -326,13 +326,20 @@ def test_check_scan_budget_prints_huge_counts_as_powers():
         check_scan_budget(2, 256, 100, 3, 10**8)
 
 
+def test_prop2_gate_comes_before_any_power_of_p():
+    # p**n at n = 10^11 would not finish; the gate prices the space by exponent
+    with pytest.raises(BudgetExceededError, match=re.escape("would visit (2^100000000000 - 1)")):
+        prop2_max_t(default_config(E22, NoPower(10**11)))
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="n must be"):
         SearchConfig(eis=E22, n=0)
     with pytest.raises(ValueError, match="exact"):
         SearchConfig(eis=EisensteinPolynomial(2, (2,), precision=3), n=1)
     cfg = SearchConfig(eis=EisensteinPolynomial(3, (3, 0, 0, 0)), n=2)
-    assert (cfg.t_max, cfg.degree_bound, cfg.space_size) == (9, 2, 8 * 9**2)
+    assert (cfg.t_max, cfg.degree_bound) == (9, 2)
+    assert check_budget(cfg.p, cfg.e, cfg.n, cfg.budget) == prop2_max_t(cfg).space_size == 8 * 9**2
 
 
 # -- the Weierstrass witness profile ------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from ramibound import breuil, cli, oracle, suites
 from ramibound.eisenstein import EisensteinPolynomial
-from ramibound.series import PrecisionError, TruncatedSeries
+from ramibound.series import BudgetExceededError, PrecisionError, TruncatedSeries
 
 
 REPORT_KEYS = {"suite", "config", "assertions", "ok", "runtime_s"}
@@ -184,7 +184,7 @@ def test_cor5_scan_over_budget_is_refused_before_any_check(monkeypatch):
         raise AssertionError("cor5_check ran")
 
     monkeypatch.setattr(oracle, "cor5_check", unreachable)
-    with pytest.raises(oracle.BudgetExceededError,
+    with pytest.raises(BudgetExceededError,
                        match="would make 137257 cor5_check calls, over the budget of 137256"):
         suites.suite_cor5(7, 2, poly=E7, budget=137256)
 
