@@ -33,17 +33,22 @@ has no caller here: the tests keep it as the independent reference.
 
 Exhaustive search over digit-truncated changes gives a certified upper
 bound for the minimal tau over all uniformizers.  Its result is that of a
-lexicographic walk over the digit vectors, but it calls the kernel once per
-key class: the winning key has tau <= m + 1, so it is read off the residues
-mod p^(m+2), which fix c_0 mod p^(m+1) and the other digits mod p^(m+2);
-once the digits reach p^(m+2), one class per orbit under scaling by units
-(c_1 = 1) is enough.  The search works on the raw residues: it checks
-inline that each charpoly is Eisenstein (raising what the constructor
-would), reads (tau, iota) once, off the least E_1 key, and builds the
-witness change only.  It is certified exact only at tau = 1.  A search over
-more than TAU_SEARCH_CAP digit vectors is refused (BudgetExceededError)
-before the first charpoly by series._oversize, the size rule that also
-raises for the oracle's budgets.
+lexicographic walk over the digit vectors, but it reads one key per key
+class: the winning key has tau <= m + 1, so it is read off the residues
+mod p^(m+2), which fix c_0 mod p^(m+1) and the other digits mod p^(m+2).
+The walk goes tail by tail, (c_1, ..., c_{e-1}) in digit order with c_0
+innermost, and builds each tail's matrix once: x = y + c_0 p with
+y = (0, c_1, ...) has the matrix of y plus c_0 p I.  Scaling pi~ by a unit
+keeps the key, and the tails with c_1 = 1 come first, so a class with
+c_1 != 1 reads the key of its multiple with c_1 = 1 when that multiple was
+enumerated, and calls the kernel otherwise; once the digits reach
+p^(m+2), every such class reads.  The search works on the raw residues: it
+checks inline that each charpoly is Eisenstein (raising what the
+constructor would), reads (tau, iota) once, off the least E_1 key, and
+builds the witness change only.  It is certified exact only at tau = 1.
+A search over more than TAU_SEARCH_CAP digit vectors is refused
+(BudgetExceededError) before the first charpoly by series._oversize, the
+size rule that also raises for the oracle's budgets.
 """
 
 from __future__ import annotations
@@ -305,22 +310,38 @@ def charpoly_mod(A: list[list[int]], q: int) -> list[int]:
     return polys[n]
 
 
-def _charpoly_residues(coeffs, x, q: int) -> list[int]:
-    """(a_0, ..., a_{e-1}) mod q of the charpoly of multiplication by
+def _columns(coeffs, x, q: int) -> list:
+    """The columns x, x pi, ..., x pi^{e-1} of multiplication by
     x_0 + x_1 pi + ... + x_{e-1} pi^{e-1} on the basis 1, pi, ..., pi^{e-1}
-    of Z_p[u]/(E), where coeffs = (a_0, ..., a_{e-1}) of E.  For the
-    uniformizer change pi~, x = (c_0 p, c_1, ..., c_{e-1})."""
-    # column j is x * pi^j; multiplying a column by pi shifts it up one place
-    # and folds the top entry through pi^e = -(a_0 + ... + a_{e-1} pi^{e-1}).
-    # Column 0 may be unreduced: the charpoly reduces every product.
+    of Z_p[u]/(E), where coeffs = (a_0, ..., a_{e-1}) of E.  The first is x
+    itself, which may be unreduced: the charpoly reduces every product."""
+    # multiplying a column by pi shifts it up one place and folds the top
+    # entry through pi^e = -(a_0 + ... + a_{e-1} pi^{e-1})
     col = x
     cols = [col]
     for _ in range(len(coeffs) - 1):
         top = col[-1]
         col = [(y - a * top) % q for y, a in zip((0, *col), coeffs)]  # zip drops the old top
         cols.append(col)
+    return cols
+
+
+def _shifted_residues(cols, c: int, q: int) -> list[int]:
+    """(a_0, ..., a_{e-1}) mod q of the charpoly of M + cI, where cols are
+    the columns of M, from _columns."""
+    if c:
+        cols = [[*col] for col in cols]
+        for j, col in enumerate(cols):
+            col[j] += c
     # det(xI - B) = det(xI - B^T): the columns go in as rows
     return charpoly_mod(cols, q)[:-1]
+
+
+def _charpoly_residues(coeffs, x, q: int) -> list[int]:
+    """(a_0, ..., a_{e-1}) mod q of the charpoly of multiplication by
+    x_0 + x_1 pi + ... + x_{e-1} pi^{e-1}, as in _columns.  For the
+    uniformizer change pi~, x = (c_0 p, c_1, ..., c_{e-1})."""
+    return _shifted_residues(_columns(coeffs, x, q), 0, q)
 
 
 def substitute(E: EisensteinPolynomial, change: UniformizerChange, N: int) -> EisensteinPolynomial:
@@ -348,9 +369,9 @@ class TauSearchResult:
     all uniformizers, and never exceeds ceiling = m + 1 (witnessed by the
     pair pi, pi + p).  It is certified exact only at the unconditional floor
     tau = 1, which the m = 0 fiat value also reads.  candidates counts the
-    digit vectors searched; charpolys counts the key classes visited, one
-    kernel call each (the orbit route re-checks its witness with one call
-    more)."""
+    digit vectors searched; charpolys counts the key classes whose key was
+    computed, one kernel call each, not those that read the key of a unit
+    multiple, nor the witness re-check."""
 
     tau: int
     iota: int
@@ -378,10 +399,13 @@ def tau_v_search(E: EisensteinPolynomial, digit_precision: int) -> TauSearchResu
     winning key has tau <= m + 1 and is read off the charpoly mod p^L, which
     depends only on c_0 mod p^(L-1) and the other digits mod p^L; the least
     member of a class comes first in digit order.  So c_0 runs below
-    p^(L-1).  Once digit_precision >= L, scaling pi~ by a unit v of Z_p
-    scales a_i by v^(e-i) and keeps (tau, iota); every orbit of classes
-    holds one with c_1 = 1, so only those are visited, and the witness is
-    the least class in the orbits of the minimizers.  Its charpoly is
+    p^(L-1), innermost, under each tail (c_1, ..., c_{e-1}), whose columns
+    are built once.  Scaling pi~ by a unit v of Z_p scales a_i by v^(e-i)
+    and keeps (tau, iota).  The tails with c_1 = 1 come first and store
+    their keys; a class with c_1 != 1 reads the key of its multiple by
+    v = 1/c_1 mod p^L when that multiple was enumerated, which it always
+    was once digit_precision >= L.  The witness is the first minimizer of
+    (key, digit vector); if its key was read, its own charpoly is
     recomputed, checked like every other, and must reach the minimum."""
     if E.precision is not None:
         raise ValueError("tau search requires exact integer coefficients")
@@ -406,42 +430,58 @@ def tau_v_search(E: EisensteinPolynomial, digit_precision: int) -> TauSearchResu
     e1 = [i for i in range(1, e) if i % p]
     weight = [N * e] + [int_valuation(a, p) * e for a in range(1, q)]
 
-    def key_of(x):
-        """The key of the charpoly of x, checked inline to be Eisenstein
-        (raising what the constructor would)."""
-        res = _charpoly_residues(coeffs, x, q)
+    def key_of(res):
+        """The key of the charpoly residues res, checked inline to be
+        Eisenstein (raising what the constructor would)."""
         if res[0] % (p * p) == 0 or any(map(p.__rmod__, res)):
             raise EisensteinValidationError(_eisenstein_violations(p, res, N))
         return min([weight[res[i]] + i for i in e1])
 
     R = p**(m + 2)  # p^L
-    orbit = digit_precision >= m + 2
     digits = range(min(p**digit_precision, R))
-    c1s = (1,) if orbit else [c for c in digits if c % p]  # c_1 must be a unit
-    # one vector x = (c_0 p, c_1, ..., c_{e-1}) per class, in the
-    # lexicographic digit order: c_0 below p^(L-1), and on the orbit route
-    # c_1 = 1 and the other digits below p^L
-    c0ps = range(0, min(p**(digit_precision + 1), R), p)
-    best_key, ties, charpolys = N * e, [], 0
-    for charpolys, x in enumerate(product(c0ps, c1s, *[digits] * (e - 2)), 1):
-        key = key_of(x)
-        if key < best_key:  # strict: the first minimizer in digit order
-            best_key, ties = key, [x]
-        elif key == best_key and orbit:
-            ties.append(x)
+    stop = min(p**(digit_precision + 1), R)
+    c0ps = range(0, stop, p)
+    D, C = len(digits), len(c0ps)
+    # the key of each class with c_1 = 1, one small int per class in digit
+    # order: those tails come first, so keys[i*C + c_0] is filled in order
+    # for the i-th of them before any c_1 != 1 tail reads it
+    keys = []
+    best_key, best_x, read, charpolys = N * e, None, False, 0
+    for tail in product([c for c in digits if c % p], *[digits] * (e - 2)):
+        cols = _columns(coeffs, (0, *tail), q)
+        # v pi~ with v = 1/c_1 mod R has c_1 = 1; the first digit vector of
+        # its class is (v c_0 p mod R, 1, v c_2 mod R, ...), and its key is
+        # stored when that vector was enumerated
+        v = pow(tail[0], -1, R)
+        rest = [v * c % R for c in tail[1:]]
+        at = -1  # where the multiple's tail starts in keys, if enumerated
+        if v != 1 and max(rest, default=0) < D:
+            at = 0
+            for c in rest:
+                at = at * D + c
+            at *= C
+        for c0p in c0ps:
+            y = v * c0p % R
+            stored = at >= 0 and y < stop
+            if stored:
+                key = keys[at + y // p]
+            else:
+                # x = (c_0 p, *tail): the tail's matrix plus c_0 p I
+                key = key_of(_shifted_residues(cols, c0p, q))
+                charpolys += 1
+                if v == 1:
+                    keys.append(key)
+            # the first minimizer in digit order
+            if key < best_key or key == best_key and (c0p, *tail) < best_x:
+                best_key, best_x, read = key, (c0p, *tail), stored
     tau, iota = divmod(best_key, e)
     if tau > m + 1:
         raise AssertionError("tau ceiling m + 1 violated; pi and pi + p were enumerated")
-    x = ties[0]
-    if orbit:
-        # the first digit vector of the class v*r is its residues: v r_0 mod
-        # R (p times v c_0 mod p^(L-1)), then v, then v r_i mod R
-        units = [v for v in range(1, R) if v % p]
-        x = min((v * r[0] % R, v, *[v * c % R for c in r[2:]]) for r in ties for v in units)
-        if key_of(x) != best_key:
-            raise AssertionError("the witness's key differs from the minimum of its orbit")
+    # a stored key is that of a unit multiple: the witness must reach it itself
+    if read and key_of(_charpoly_residues(coeffs, best_x, q)) != best_key:
+        raise AssertionError("the witness's key differs from the minimum of its orbit")
     return TauSearchResult(
         tau=tau, iota=iota,
-        witness=UniformizerChange(p, digit_precision, (x[0] // p, *x[1:])),
+        witness=UniformizerChange(p, digit_precision, (best_x[0] // p, *best_x[1:])),
         ceiling=m + 1, candidates=candidates, charpolys=charpolys,
     )

@@ -28,6 +28,7 @@ class NoPower(int):
 
 
 KERNEL_TEST = "tests/test_eisenstein.py::test_charpoly_mod_on_seeded_matrices"
+UNIT_MULTIPLES_TEST = "tests/test_eisenstein.py::test_tau_search_reads_the_keys_of_unit_multiples"
 TWIST_TEST = "tests/test_series.py::test_frobenius_matches_a_plain_loop"
 # __mul__'s precision test and the two lines after it, since + and - repeat the test
 MUL_GUARD = ("""        if other.__class__ is not TruncatedSeries or other.prec is not prec:
@@ -73,6 +74,24 @@ MUTANTS = [
     Mutant("charpoly-column-fold-sign", "eisenstein.py",
            "col = [(y - a * top) % q", "col = [(y + a * top) % q",
            ("tests/test_eisenstein.py::test_substitute_examples",)),
+    # the tail's matrix taken for that of x, without c_0 p on the diagonal
+    Mutant("charpoly-diagonal-shift-dropped", "eisenstein.py",
+           "col[j] += c", "col[j] += 0", ("tests/test_eisenstein.py::test_tau_search_examples",)),
+    # the tau search reads the key of c_1 * pi~, not of pi~ / c_1
+    Mutant("tau-multiple-by-c1", "eisenstein.py",
+           "v = pow(tail[0], -1, R)", "v = tail[0]", (UNIT_MULTIPLES_TEST + "[dp2]",)),
+    # a multiple whose digits c_2, ... lie past the enumerated range, read
+    Mutant("tau-multiple-digit-range-dropped", "eisenstein.py",
+           "if v != 1 and max(rest, default=0) < D:", "if v != 1:",
+           (UNIT_MULTIPLES_TEST + "[dp1]",)),
+    # a multiple whose c_0 p lies past the enumerated range, read
+    Mutant("tau-multiple-c0-range-dropped", "eisenstein.py",
+           "stored = at >= 0 and y < stop", "stored = at >= 0",
+           (UNIT_MULTIPLES_TEST + "[dp1]",)),
+    # a witness whose key was read is not recomputed
+    Mutant("tau-witness-recheck-skipped", "eisenstein.py",
+           "if read and key_of(", "if False and key_of(",
+           ("tests/test_eisenstein.py::test_tau_search_rechecks_its_witness",)),
     # an n = 1 module whose Smith exponent equals e, refused
     Mutant("cokernel-gate-at-e", "breuil.py",
            "a is None or a > self.eis.e", "a is None or a >= self.eis.e",

@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -443,19 +444,31 @@ def reference_tau_search(eis, dp):
 
 
 # (p, e, digit precision) with p | e; each shape enumerates at most 2500
-# changes.  The e = 2 shapes at dp >= 3 = m + 2 take the orbit route.
+# changes.  The e = 2 shapes at dp >= 3 = m + 2 read the key of every class
+# with c_1 != 1.
 TAU_SHAPES = [(2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 4, 1),
-              (2, 4, 2), (2, 6, 1), (3, 3, 1), (3, 3, 2), (3, 6, 1), (5, 5, 1)]
+              (2, 4, 2), (2, 4, 3), (2, 6, 1), (3, 3, 1), (3, 3, 2), (3, 6, 1),
+              (5, 5, 1)]
 
 
 def tau_search_charpolys(p, e, dp):
-    """Closed-form count of the key classes tau_v_search visits (m >= 1):
-    c_0 below p^(m+1), and past dp = m + 2 one orbit per class (c_1 = 1,
-    the other digits mod p^(m+2))."""
+    """The key classes tau_v_search computes a charpoly for (m >= 1),
+    counted class by class: c_0 below p^(m+1) and the other digits below
+    p^(m+2).  A class with c_1 != 1 reads its key, and is not counted, when
+    its multiple by 1/c_1, the digits taken mod p^(m+2), is an enumerated
+    class with c_1 = 1."""
     m = int_valuation(e, p)
-    if dp >= m + 2:
-        return p**(m + 1) * p**((m + 2) * (e - 2))
-    return p**min(dp, m + 1) * (p - 1) * p**(dp - 1) * p**(dp * (e - 2))
+    R = p**(m + 2)
+    digits = range(min(p**dp, R))
+    c0s = range(min(p**dp, R // p))
+    stored = set(itertools.product(c0s, [1], *[digits] * (e - 2)))
+    computed = 0
+    for c0, c1, *rest in itertools.product(c0s, [c for c in digits if c % p],
+                                           *[digits] * (e - 2)):
+        v = pow(c1, -1, R)
+        multiple = (v * c0 % (R // p), 1, *[v * c % R for c in rest])
+        computed += c1 == 1 or multiple not in stored
+    return computed
 
 
 def test_tau_search_agrees_with_per_candidate_route():
@@ -470,6 +483,9 @@ def test_tau_search_agrees_with_per_candidate_route():
         cases.append((random_eisenstein(rng, p, e, spread=9), dp))
     for p, e in [(2, 3), (3, 4), (5, 2), (2, 5), (3, 2), (5, 6)]:  # m = 0
         cases.append((random_eisenstein(rng, p, e), rng.choice([1, 2])))
+    # the shapes where some c_1 != 1 classes read a key and others compute it
+    for p, e, dp in [(2, 4, 3), (3, 3, 2), (5, 5, 1)]:
+        cases.append((random_eisenstein(rng, p, e, spread=9), dp))
     for eis, dp in cases:
         found = tau_v_search(eis, dp)
         if eis.m == 0:
@@ -480,41 +496,89 @@ def test_tau_search_agrees_with_per_candidate_route():
         assert found.charpolys == tau_search_charpolys(eis.p, eis.e, dp)
 
 
+def digit_kernel(key_of_x):
+    """A stand-in for the kernel _shifted_residues(cols, c, q) that returns
+    key_of_x(x) for the first column x = (c_0 p, c_1, ...) of M + cI: the
+    search passes a tail's columns, (0, c_1, ...) first, and c = c_0 p;
+    substitute passes the columns of x and c = 0."""
+    return lambda cols, c, q: key_of_x((cols[0][0] + c, *cols[0][1:]))
+
+
 @pytest.mark.parametrize("dp", [3, 4, 5])
 def test_tau_search_witness_is_the_least_class_of_the_tied_orbits(monkeypatch, dp):
     # a kernel whose key depends on the orbit only, through t = c_0 / c_1
     # mod 4: tau = 1 exactly when t = 3.  The first such digit vector is
     # (1, 3); the classes with c_1 = 1 alone would give (3, 1)
-    def orbit_kernel(coeffs, x, q):
+    def orbit_kernel(x):
         t = x[0] // 2 * pow(x[1], -1, 4) % 4
         return [2, 2 if t == 3 else 4]
 
-    monkeypatch.setattr(eisenstein, "_charpoly_residues", orbit_kernel)
+    monkeypatch.setattr(eisenstein, "_shifted_residues", digit_kernel(orbit_kernel))
     eis = EisensteinPolynomial(2, (2, 0))
     found = tau_v_search(eis, dp)
     assert found.witness.cs == (1, 3) and (found.tau, found.iota) == (1, 1)
     assert found == reference_tau_search(eis, dp)
 
 
+@pytest.mark.parametrize("dp, target, witness", [
+    # (1, 2, 0) has the multiple (5, 1, 0), past c_0 < 3: it computes its
+    # key, and the one minimizer is (2, 1, 1)
+    (1, (2, 1), (2, 1, 1)),
+    # the first minimizer (1, 5, 0) reads the key of (2, 1, 0), by 1/5 = 11
+    # mod 27; (1, 2, 0) reads that of (5, 1, 0), by 1/2 = 14
+    (2, (2, 0), (1, 5, 0)),
+], ids=["dp1", "dp2"])
+def test_tau_search_reads_the_keys_of_unit_multiples(monkeypatch, dp, target, witness):
+    # at p = 3, e = 3 a kernel whose key depends on the orbit only, through
+    # (c_0 / c_1 mod 9, c_2 / c_1 mod 27): tau = 1 exactly on target's orbit
+    def orbit_kernel(x):
+        v = pow(x[1], -1, 27)
+        return [3, 3 if (x[0] // 3 * v % 9, x[2] * v % 27) == target else 9, 9]
+
+    monkeypatch.setattr(eisenstein, "_shifted_residues", digit_kernel(orbit_kernel))
+    eis = EisensteinPolynomial(3, (3, 0, 0))
+    found = tau_v_search(eis, dp)
+    assert found.witness.cs == witness and (found.tau, found.iota) == (1, 1)
+    assert found == reference_tau_search(eis, dp)
+    assert found.charpolys == tau_search_charpolys(3, 3, dp)
+
+
 def test_tau_search_rechecks_its_witness(monkeypatch):
     # a kernel without the scaling invariance: only (c_0, c_1) = (3, 1)
-    # reaches tau = 1, and the least class of its orbit, (1, 3), does not
-    monkeypatch.setattr(eisenstein, "_charpoly_residues",
-                        lambda coeffs, x, q: [2, 2 if x[:2] == (6, 1) else 4])
+    # reaches tau = 1, and (1, 3), which reads its key, does not
+    monkeypatch.setattr(eisenstein, "_shifted_residues",
+                        digit_kernel(lambda x: [2, 2 if x[:2] == (6, 1) else 4]))
     with pytest.raises(AssertionError, match="witness's key differs"):
         tau_v_search(EisensteinPolynomial(2, (2, 0)), 3)
 
 
-def test_tau_search_charpolys_closed_form():
-    # class counts on both routes, with searches too large for the
-    # per-candidate route: dp = 4 at (3, 3) is 354294 changes, (2, 4, 4) 32768
+def test_tau_search_charpolys_pinned():
+    # class counts, with searches too large for the per-candidate route:
+    # dp = 4 at (3, 3) is 354294 changes, (2, 4, 4) 32768.  At dp >= m + 2
+    # every c_1 != 1 class reads, so one class per orbit is computed
     for p, coeffs, dp, classes in [(3, (3, 0, 0), 3, 243), (3, (3, 0, 0), 4, 243),
-                                   (2, (-2, 0, 0, 0), 4, 2048), (2, (2, 2, 0, 2), 3, 2048),
-                                   (2, (-2, 0), 5, 4), (5, (5, 0, 0, 0, 0), 1, 2500)]:
+                                   (2, (-2, 0, 0, 0), 4, 2048), (2, (2, 2, 0, 2), 3, 1520),
+                                   (2, (-2, 0), 5, 4), (5, (5, 0, 0, 0, 0), 1, 2387)]:
         eis = EisensteinPolynomial(p, coeffs)
         found = tau_v_search(eis, dp)
         assert found.charpolys == classes == tau_search_charpolys(p, eis.e, dp)
         assert found.candidates == (p - 1) * p**(dp * eis.e - 1)
+
+
+def test_tau_search_stores_one_small_int_per_class(monkeypatch):
+    # (2, 6, 2) stores the keys of its 1024 classes with c_1 = 1; with a
+    # constant kernel the search's peak is its store: 11 KB, where a dict
+    # keyed by digit tuples peaked at 127 KB
+    monkeypatch.setattr(eisenstein, "_shifted_residues", lambda cols, c0p, q: [2, 4, 4, 4, 4, 4])
+    eis = EisensteinPolynomial(2, (2, 0, 0, 0, 0, 0))
+    tracemalloc.start()
+    try:
+        found = tau_v_search(eis, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (found.tau, found.iota) == (2, 1) and found.charpolys == 1724
+    assert peak < 32 * 1024
 
 
 @pytest.mark.parametrize("bad", [
@@ -528,15 +592,15 @@ def test_tau_search_charpolys_closed_form():
 @pytest.mark.parametrize("coeffs", [(2, 2, 0, 2), (2, 0, 0, 0)])
 def test_tau_search_checks_each_charpoly_inline(monkeypatch, bad, coeffs):
     # a charpoly that is not Eisenstein raises what the constructor raises
-    kernel = eisenstein._charpoly_residues
+    kernel = eisenstein._shifted_residues
     calls = []
 
-    def faulty(coeffs, x, q):
-        res = kernel(coeffs, x, q)
+    def faulty(cols, c0p, q):
+        res = kernel(cols, c0p, q)
         calls.append(res)
         return [c % q for c in bad(res)] if len(calls) == 3 else res
 
-    monkeypatch.setattr(eisenstein, "_charpoly_residues", faulty)
+    monkeypatch.setattr(eisenstein, "_shifted_residues", faulty)
     with pytest.raises(EisensteinValidationError) as err:
         tau_v_search(EisensteinPolynomial(2, coeffs), 1)
     assert len(calls) == 3
@@ -550,7 +614,7 @@ def test_tau_search_refuses_spaces_over_the_cap(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(eisenstein, "_charpoly_residues", no_enumeration)
+    monkeypatch.setattr(eisenstein, "_shifted_residues", no_enumeration)
     u8m2 = EisensteinPolynomial(2, (-2,) + (0,) * 7)
     with pytest.raises(BudgetExceededError, match=f"8388608 candidates.*cap of {TAU_SEARCH_CAP}"):
         tau_v_search(u8m2, 3)
