@@ -282,7 +282,7 @@ def cmd_heights(args) -> int:
         with open(args.module_file, "r", encoding="utf-8") as fh:
             try:  # a JSON integer obeys the digit rule of every other input
                 data = json.load(fh, parse_int=decimal)
-            except DecimalError as err:
+            except (DecimalError, RecursionError) as err:  # or nests too deep
                 raise ValueError(f"malformed module file: {err}") from None
         module = breuil.module_from_json(data)
         payload["h"] = module.h

@@ -45,7 +45,9 @@ enumerated, and calls the kernel otherwise; once the digits reach
 p^(m+2), every such class reads.  The search works on the raw residues: it
 checks inline that each charpoly is Eisenstein (raising what the
 constructor would), reads (tau, iota) once, off the least E_1 key, and
-builds the witness change only.  It is certified exact only at tau = 1.
+builds the witness change only.  Every witness it reports is then checked
+by the public route, substitute and invariants(), which must give the same
+(tau, iota).  It is certified exact only at tau = 1.
 A search over more than TAU_SEARCH_CAP digit vectors is refused
 (BudgetExceededError) before the first charpoly by series._oversize, the
 size rule that also raises for the oracle's budgets.
@@ -337,13 +339,6 @@ def _shifted_residues(cols, c: int, q: int) -> list[int]:
     return charpoly_mod(cols, q)[:-1]
 
 
-def _charpoly_residues(coeffs, x, q: int) -> list[int]:
-    """(a_0, ..., a_{e-1}) mod q of the charpoly of multiplication by
-    x_0 + x_1 pi + ... + x_{e-1} pi^{e-1}, as in _columns.  For the
-    uniformizer change pi~, x = (c_0 p, c_1, ..., c_{e-1})."""
-    return _shifted_residues(_columns(coeffs, x, q), 0, q)
-
-
 def substitute(E: EisensteinPolynomial, change: UniformizerChange, N: int) -> EisensteinPolynomial:
     """The Eisenstein polynomial (mod p^N) of the uniformizer pi~ given by
     `change`: the characteristic polynomial of multiplication by pi~ on the
@@ -357,7 +352,8 @@ def substitute(E: EisensteinPolynomial, change: UniformizerChange, N: int) -> Ei
     if E.precision is not None and E.precision < N:
         raise ValueError(f"input known only mod p^{E.precision}, cannot output mod p^{N}")
     x = (change.cs[0] * E.p, *change.cs[1:])
-    char = _charpoly_residues(E.coeffs, x, E.p**N)
+    q = E.p**N
+    char = _shifted_residues(_columns(E.coeffs, x, q), 0, q)
     return EisensteinPolynomial(E.p, tuple(char), precision=N)
 
 
@@ -371,7 +367,7 @@ class TauSearchResult:
     tau = 1, which the m = 0 fiat value also reads.  candidates counts the
     digit vectors searched; charpolys counts the key classes whose key was
     computed, one kernel call each, not those that read the key of a unit
-    multiple, nor the witness re-check."""
+    multiple, nor the witness re-check through substitute."""
 
     tau: int
     iota: int
@@ -401,12 +397,13 @@ def tau_v_search(E: EisensteinPolynomial, digit_precision: int) -> TauSearchResu
     member of a class comes first in digit order.  So c_0 runs below
     p^(L-1), innermost, under each tail (c_1, ..., c_{e-1}), whose columns
     are built once.  Scaling pi~ by a unit v of Z_p scales a_i by v^(e-i)
-    and keeps (tau, iota).  The tails with c_1 = 1 come first and store
+    and keeps (tau, iota).  The tails with c_1 = 1 come first and keep
     their keys; a class with c_1 != 1 reads the key of its multiple by
     v = 1/c_1 mod p^L when that multiple was enumerated, which it always
     was once digit_precision >= L.  The witness is the first minimizer of
-    (key, digit vector); if its key was read, its own charpoly is
-    recomputed, checked like every other, and must reach the minimum."""
+    (key, digit vector).  Whether its key was read or computed, the change
+    returned is substituted at precision m + 3, and its invariants() must
+    give the minimum (AssertionError otherwise)."""
     if E.precision is not None:
         raise ValueError("tau search requires exact integer coefficients")
     if digit_precision < 1:
@@ -446,12 +443,12 @@ def tau_v_search(E: EisensteinPolynomial, digit_precision: int) -> TauSearchResu
     # order: those tails come first, so keys[i*C + c_0] is filled in order
     # for the i-th of them before any c_1 != 1 tail reads it
     keys = []
-    best_key, best_x, read, charpolys = N * e, None, False, 0
+    best_key, best_x, charpolys = N * e, None, 0
     for tail in product([c for c in digits if c % p], *[digits] * (e - 2)):
         cols = _columns(coeffs, (0, *tail), q)
         # v pi~ with v = 1/c_1 mod R has c_1 = 1; the first digit vector of
-        # its class is (v c_0 p mod R, 1, v c_2 mod R, ...), and its key is
-        # stored when that vector was enumerated
+        # its class is (v c_0 p mod R, 1, v c_2 mod R, ...), and its key was
+        # kept when that vector was enumerated
         v = pow(tail[0], -1, R)
         rest = [v * c % R for c in tail[1:]]
         at = -1  # where the multiple's tail starts in keys, if enumerated
@@ -462,8 +459,7 @@ def tau_v_search(E: EisensteinPolynomial, digit_precision: int) -> TauSearchResu
             at *= C
         for c0p in c0ps:
             y = v * c0p % R
-            stored = at >= 0 and y < stop
-            if stored:
+            if at >= 0 and y < stop:
                 key = keys[at + y // p]
             else:
                 # x = (c_0 p, *tail): the tail's matrix plus c_0 p I
@@ -473,15 +469,14 @@ def tau_v_search(E: EisensteinPolynomial, digit_precision: int) -> TauSearchResu
                     keys.append(key)
             # the first minimizer in digit order
             if key < best_key or key == best_key and (c0p, *tail) < best_x:
-                best_key, best_x, read = key, (c0p, *tail), stored
+                best_key, best_x = key, (c0p, *tail)
     tau, iota = divmod(best_key, e)
     if tau > m + 1:
         raise AssertionError("tau ceiling m + 1 violated; pi and pi + p were enumerated")
-    # a stored key is that of a unit multiple: the witness must reach it itself
-    if read and key_of(_charpoly_residues(coeffs, best_x, q)) != best_key:
+    witness = UniformizerChange(p, digit_precision, (best_x[0] // p, *best_x[1:]))
+    # the reported change must reach the minimum itself, by the public route
+    inv = substitute(E, witness, N).invariants()
+    if (inv.tau, inv.iota) != (tau, iota):
         raise AssertionError("the witness's key differs from the minimum of its orbit")
-    return TauSearchResult(
-        tau=tau, iota=iota,
-        witness=UniformizerChange(p, digit_precision, (best_x[0] // p, *best_x[1:])),
-        ceiling=m + 1, candidates=candidates, charpolys=charpolys,
-    )
+    return TauSearchResult(tau=tau, iota=iota, witness=witness, ceiling=m + 1,
+                           candidates=candidates, charpolys=charpolys)

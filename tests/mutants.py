@@ -86,11 +86,11 @@ MUTANTS = [
            (UNIT_MULTIPLES_TEST + "[dp1]",)),
     # a multiple whose c_0 p lies past the enumerated range, read
     Mutant("tau-multiple-c0-range-dropped", "eisenstein.py",
-           "stored = at >= 0 and y < stop", "stored = at >= 0",
+           "if at >= 0 and y < stop:", "if at >= 0:",
            (UNIT_MULTIPLES_TEST + "[dp1]",)),
-    # a witness whose key was read is not recomputed
+    # the reported witness is not checked through substitute and invariants()
     Mutant("tau-witness-recheck-skipped", "eisenstein.py",
-           "if read and key_of(", "if False and key_of(",
+           "if (inv.tau, inv.iota) != (tau, iota):", "if False:",
            ("tests/test_eisenstein.py::test_tau_search_rechecks_its_witness",)),
     # an n = 1 module whose Smith exponent equals e, refused
     Mutant("cokernel-gate-at-e", "breuil.py",

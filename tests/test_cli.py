@@ -965,6 +965,21 @@ def test_cmd_heights_names_what_is_wrong_with_the_module_file(capsys, tmp_path, 
     assert err == f"error: malformed module file: {message}\n"
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,
+    '{"p":' * 50000 + "1" + "}" * 50000,
+], ids=["nested-lists", "nested-objects"])
+def test_cmd_heights_deeply_nested_module_file(capsys, tmp_path, text):
+    # nesting past Python's recursion limit once ended in a RecursionError
+    # traceback with exit 1
+    path = tmp_path / "module.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "heights", "--module-file", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: malformed module file: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _json_paths(node, path=()):
     """The path of every node of a JSON document, the root included."""
     yield path

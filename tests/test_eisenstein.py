@@ -520,6 +520,16 @@ def test_tau_search_witness_is_the_least_class_of_the_tied_orbits(monkeypatch, d
     assert found == reference_tau_search(eis, dp)
 
 
+def p3_orbit_kernel(target):
+    """At p = 3, e = 3 a kernel whose key depends on the orbit only, through
+    (c_0 / c_1 mod 9, c_2 / c_1 mod 27): tau = 1 exactly on target's orbit."""
+    def orbit_kernel(x):
+        v = pow(x[1], -1, 27)
+        return [3, 3 if (x[0] // 3 * v % 9, x[2] * v % 27) == target else 9, 9]
+
+    return digit_kernel(orbit_kernel)
+
+
 @pytest.mark.parametrize("dp, target, witness", [
     # (1, 2, 0) has the multiple (5, 1, 0), past c_0 < 3: it computes its
     # key, and the one minimizer is (2, 1, 1)
@@ -529,13 +539,7 @@ def test_tau_search_witness_is_the_least_class_of_the_tied_orbits(monkeypatch, d
     (2, (2, 0), (1, 5, 0)),
 ], ids=["dp1", "dp2"])
 def test_tau_search_reads_the_keys_of_unit_multiples(monkeypatch, dp, target, witness):
-    # at p = 3, e = 3 a kernel whose key depends on the orbit only, through
-    # (c_0 / c_1 mod 9, c_2 / c_1 mod 27): tau = 1 exactly on target's orbit
-    def orbit_kernel(x):
-        v = pow(x[1], -1, 27)
-        return [3, 3 if (x[0] // 3 * v % 9, x[2] * v % 27) == target else 9, 9]
-
-    monkeypatch.setattr(eisenstein, "_shifted_residues", digit_kernel(orbit_kernel))
+    monkeypatch.setattr(eisenstein, "_shifted_residues", p3_orbit_kernel(target))
     eis = EisensteinPolynomial(3, (3, 0, 0))
     found = tau_v_search(eis, dp)
     assert found.witness.cs == witness and (found.tau, found.iota) == (1, 1)
@@ -550,6 +554,26 @@ def test_tau_search_rechecks_its_witness(monkeypatch):
                         digit_kernel(lambda x: [2, 2 if x[:2] == (6, 1) else 4]))
     with pytest.raises(AssertionError, match="witness's key differs"):
         tau_v_search(EisensteinPolynomial(2, (2, 0)), 3)
+
+
+def test_tau_search_substitutes_each_witness_once(monkeypatch):
+    # the change a search returns goes through substitute exactly once,
+    # whether its key was computed or read off a unit multiple
+    real, calls = eisenstein.substitute, []
+
+    def counted(E, change, N):
+        calls.append(change.cs)
+        return real(E, change, N)
+
+    monkeypatch.setattr(eisenstein, "substitute", counted)
+    # dp = 1 at u^2 + 2: c_1 = 1 on every tail, so every key is computed
+    found = tau_v_search(EisensteinPolynomial(2, (2, 0)), 1)
+    assert calls == [found.witness.cs] and found.charpolys == found.candidates == 2
+    # the dp2 case above: the witness (1, 5, 0) reads the key of (2, 1, 0)
+    calls.clear()
+    monkeypatch.setattr(eisenstein, "_shifted_residues", p3_orbit_kernel((2, 0)))
+    found = tau_v_search(EisensteinPolynomial(3, (3, 0, 0)), 2)
+    assert calls == [(1, 5, 0)] == [found.witness.cs]
 
 
 def test_tau_search_charpolys_pinned():

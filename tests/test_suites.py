@@ -20,7 +20,7 @@ REPORT_KEYS = {"suite", "config", "assertions", "ok", "runtime_s"}
         ("prop2", dict(p=2, n=1, e=2)),
         ("lemma4", dict(p=2, n=2, e=2)),
         ("cor5", dict(p=2, n=2, e=2)),
-        ("lemma1", dict(p=2, n=1, seeds=10)),
+        ("lemma1", dict(p=3, n=1, seeds=10)),
         ("lemma2", dict(p=2, n=3, e=4)),
         ("example3", dict(p=3, n=4)),
         ("heights", dict(seeds=10)),
