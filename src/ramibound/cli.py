@@ -185,7 +185,7 @@ def _emit(payload: dict, as_json: bool):
 def cmd_invariants(args) -> int:
     eis = eisenstein_from_text(args.p, args.poly)
     inv = eis.invariants()
-    split = eis.split()
+    e0, e1 = eis.split()
     payload = {
         "command": "invariants",
         "p": eis.p,
@@ -195,8 +195,8 @@ def cmd_invariants(args) -> int:
         "tau": inv.tau,
         "iota": inv.iota,
         "t_pi": inv.t_pi,
-        "E0": poly_text(split.e0),
-        "E1": poly_text(split.e1),
+        "E0": poly_text(e0),
+        "E1": poly_text(e1),
     }
     _emit(payload, args.json)
     return EXIT_OK

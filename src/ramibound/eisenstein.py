@@ -26,8 +26,10 @@ to Hessenberg form, then the Hessenberg recurrence (Cohen, GTM 138, 2.2).
 Z/p^N admits no general division, but it is a chain ring: the ideal of an
 entry is fixed by its valuation, so the entry of least valuation in a column
 divides every other entry there, with a unit quotient part.  Elimination by
-that pivot is a unimodular similarity, exact over Z/p^N.  One kernel call
-returns the residues; substitute wraps them in an EisensteinPolynomial.
+that pivot is a unimodular similarity, exact over Z/p^N.  substitute and
+the search call charpoly_mod directly, as BreuilModule's det-unit gate does:
+substitute hands it the columns of x, the search those of each tail plus
+c_0 p on the diagonal, and each drops the leading 1 of the result.
 berkowitz_charpoly, the division-free O(n^4) Samuelson-Berkowitz recurrence,
 has no caller here: the tests keep it as the independent reference.
 
@@ -110,8 +112,9 @@ class EisensteinPolynomial:
         """(a_0, ..., a_{e-1}, 1) including the leading coefficient."""
         return self.coeffs + (1,)
 
-    def split(self) -> "E0E1Split":
-        """Separate E into the p-power-exponent part E_0 and the rest E_1."""
+    def split(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(E_0, E_1), ascending coefficients with a_e := 1 included: E_0 is
+        supported on the exponents divisible by p, E_1 on the rest."""
         e0 = [0] * (self.e + 1)
         e1 = [0] * (self.e + 1)
         for i, a in enumerate(self.all_coeffs()):
@@ -119,7 +122,7 @@ class EisensteinPolynomial:
                 e0[i] = a
             else:
                 e1[i] = a
-        return E0E1Split(tuple(e0), tuple(e1))
+        return tuple(e0), tuple(e1)
 
     def invariants(self) -> "UniformizerInvariants":
         """The tuple (m, tau, iota, t_pi) attached to the uniformizer."""
@@ -163,14 +166,6 @@ def _eisenstein_violations(p, coeffs, precision) -> list[str]:
     elif v0 != 1:
         violations.append(f"ord_p(a_0) must be exactly 1, got {v0}")
     return violations
-
-
-@dataclass(frozen=True)
-class E0E1Split:
-    """E = E0 + E1 with E0 supported on exponents in pN (a_e := 1 included)."""
-
-    e0: tuple[int, ...]
-    e1: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -328,21 +323,12 @@ def _columns(coeffs, x, q: int) -> list:
     return cols
 
 
-def _shifted_residues(cols, c: int, q: int) -> list[int]:
-    """(a_0, ..., a_{e-1}) mod q of the charpoly of M + cI, where cols are
-    the columns of M, from _columns."""
-    if c:
-        cols = [[*col] for col in cols]
-        for j, col in enumerate(cols):
-            col[j] += c
-    # det(xI - B) = det(xI - B^T): the columns go in as rows
-    return charpoly_mod(cols, q)[:-1]
-
-
 def substitute(E: EisensteinPolynomial, change: UniformizerChange, N: int) -> EisensteinPolynomial:
     """The Eisenstein polynomial (mod p^N) of the uniformizer pi~ given by
     `change`: the characteristic polynomial of multiplication by pi~ on the
-    basis 1, pi, ..., pi^{e-1} of Z_p[u]/(E)."""
+    basis 1, pi, ..., pi^{e-1} of Z_p[u]/(E).  charpoly_mod takes the
+    columns of that matrix, from _columns, as its rows, since
+    det(xI - B) = det(xI - B^T)."""
     if N < 2:
         raise ValueError("N >= 2 required to certify the Eisenstein conditions")
     if change.p != E.p:
@@ -353,8 +339,8 @@ def substitute(E: EisensteinPolynomial, change: UniformizerChange, N: int) -> Ei
         raise ValueError(f"input known only mod p^{E.precision}, cannot output mod p^{N}")
     x = (change.cs[0] * E.p, *change.cs[1:])
     q = E.p**N
-    char = _shifted_residues(_columns(E.coeffs, x, q), 0, q)
-    return EisensteinPolynomial(E.p, tuple(char), precision=N)
+    char = charpoly_mod(_columns(E.coeffs, x, q), q)
+    return EisensteinPolynomial(E.p, tuple(char[:-1]), precision=N)
 
 
 @dataclass(frozen=True)
@@ -396,8 +382,9 @@ def tau_v_search(E: EisensteinPolynomial, digit_precision: int) -> TauSearchResu
     depends only on c_0 mod p^(L-1) and the other digits mod p^L; the least
     member of a class comes first in digit order.  So c_0 runs below
     p^(L-1), innermost, under each tail (c_1, ..., c_{e-1}), whose columns
-    are built once.  Scaling pi~ by a unit v of Z_p scales a_i by v^(e-i)
-    and keeps (tau, iota).  The tails with c_1 = 1 come first and keep
+    are built once; a class with c_0 != 0 hands charpoly_mod a copy of them
+    with c_0 p added on the diagonal.  Scaling pi~ by a unit v of Z_p
+    scales a_i by v^(e-i) and keeps (tau, iota).  The tails with c_1 = 1 come first and keep
     their keys; a class with c_1 != 1 reads the key of its multiple by
     v = 1/c_1 mod p^L when that multiple was enumerated, which it always
     was once digit_precision >= L.  The witness is the first minimizer of
@@ -463,7 +450,12 @@ def tau_v_search(E: EisensteinPolynomial, digit_precision: int) -> TauSearchResu
                 key = keys[at + y // p]
             else:
                 # x = (c_0 p, *tail): the tail's matrix plus c_0 p I
-                key = key_of(_shifted_residues(cols, c0p, q))
+                shifted = cols
+                if c0p:
+                    shifted = [[*col] for col in cols]
+                    for j, col in enumerate(shifted):
+                        col[j] += c0p
+                key = key_of(charpoly_mod(shifted, q)[:-1])
                 charpolys += 1
                 if v == 1:
                     keys.append(key)

@@ -120,7 +120,6 @@ class Prop2Result:
     candidates_visited: int
     space_size: int
     assertions: dict[str, bool]
-    config: SearchConfig
 
 
 def weierstrass_degree(c: tuple[int, ...], p: int) -> int | None:
@@ -240,7 +239,7 @@ def prop2_max_t(cfg: SearchConfig) -> Prop2Result:
     assertions["witnesses-reverified"] = reverified
     return Prop2Result(
         t_star=best_t, witnesses=witnesses, candidates_visited=visited,
-        space_size=space, assertions=assertions, config=cfg,
+        space_size=space, assertions=assertions,
     )
 
 
@@ -286,7 +285,7 @@ def lemma4_check(cfg: SearchConfig, c: tuple[int, ...], t: int,
     if p * d >= t:
         raise ValueError(f"need p*deg(C) = {p * d} < t = {t}")
 
-    if not _twisted_in_ideal(p, n, cfg.eis.split().e0, c, t):
+    if not _twisted_in_ideal(p, n, cfg.eis.split()[0], c, t):
         raise ValueError("E_0 * twist(C) does not lie in (u^t, p^n)")
 
     # ord_p of each residue, a zero read as n: above every step's floor

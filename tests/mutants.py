@@ -76,7 +76,7 @@ MUTANTS = [
            ("tests/test_eisenstein.py::test_substitute_examples",)),
     # the tail's matrix taken for that of x, without c_0 p on the diagonal
     Mutant("charpoly-diagonal-shift-dropped", "eisenstein.py",
-           "col[j] += c", "col[j] += 0", ("tests/test_eisenstein.py::test_tau_search_examples",)),
+           "col[j] += c0p", "col[j] += 0", ("tests/test_eisenstein.py::test_tau_search_examples",)),
     # the tau search reads the key of c_1 * pi~, not of pi~ / c_1
     Mutant("tau-multiple-by-c1", "eisenstein.py",
            "v = pow(tail[0], -1, R)", "v = tail[0]", (UNIT_MULTIPLES_TEST + "[dp2]",)),

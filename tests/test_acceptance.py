@@ -104,7 +104,8 @@ def test_criterion_5_exhaustive_depth_oracle():
             for n in (1, 2):
                 for eis in oracle.eisenstein_grid(2, e, n):
                     polys += 1
-                    res = oracle.prop2_max_t(oracle.default_config(eis, n))
+                    cfg = oracle.default_config(eis, n)
+                    res = oracle.prop2_max_t(cfg)
                     inv = eis.invariants()
                     if math.isinf(inv.tau):
                         assert res.t_star <= n * e
@@ -114,8 +115,7 @@ def test_criterion_5_exhaustive_depth_oracle():
                     assert all(res.assertions.values())
                     for w in res.witnesses:
                         try:
-                            report = oracle.lemma4_check(res.config, w.coeffs,
-                                                         res.t_star)
+                            report = oracle.lemma4_check(cfg, w.coeffs, res.t_star)
                         except ValueError:
                             continue
                         eligible += 1

@@ -55,6 +55,16 @@ def test_compute_s_input_validation():
         compute_s(4, 4, 1, 1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: compute_s(2, 2, 1, 1, "other"), "unknown variant 'other'"),
+    (lambda: bound_f11(2, 0), "e = 0 must be >= 1"),
+], ids=["unknown-variant", "f11-e0"])
+def test_refusals_raise_their_documented_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
 # -- closed form for p not dividing e ----------------------------------------------
 
 def test_example2_agreement_and_window():

@@ -105,6 +105,63 @@ def test_bad_certificate_is_refused():
                      normal_decomp=NormalDecomposition(1, mat_identity(prec, 1)))
 
 
+P5, P6 = Precision(2, 1, 5), Precision(2, 1, 6)
+ONE5, ONE6 = TruncatedSeries.one(P5), TruncatedSeries.one(P6)
+
+
+def M5():
+    return rank1_module(2, 1, 5, E22)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: eisenstein_series(E22, Precision(3, 1, 5)), ValueError, "prime mismatch"),
+    (lambda: eisenstein_series(E22, Precision(2, 1, 2)), PrecisionError,
+     "T = 2 too small to hold a degree-2 polynomial"),
+    (lambda: BreuilModule(prec=P5, eis=E22, phi=()), ValueError, "rank must be >= 1"),
+    (lambda: BreuilModule(prec=Precision(3, 1, 5), eis=E22,
+                          phi=((TruncatedSeries.one(Precision(3, 1, 5)),),)),
+     ValueError, "prime mismatch between module and Eisenstein polynomial"),
+    (lambda: BreuilModule(prec=P5, eis=E22, phi=((ONE5, ONE5),)), ValueError,
+     "phi must be 1x1"),
+    (lambda: BreuilModule(prec=P5, eis=E22, phi=((ONE6,),)), ValueError,
+     "phi entries must carry the module precision"),
+    (lambda: BreuilModule(prec=P5, eis=E22, phi=((ONE5,),),
+                          normal_decomp=NormalDecomposition(2, mat_identity(P5, 1))),
+     ValueError, "d = 2 out of range [0, 1]"),
+    (lambda: BreuilModule(prec=P5, eis=E22, phi=((ONE5,),),
+                          normal_decomp=NormalDecomposition(1, ())),
+     ValueError, "change_of_basis has wrong shape"),
+    (lambda: FractionalElement(-1, (ONE5,)), ValueError, "pole order must be >= 0"),
+    (lambda: FractionalElement(0, ()), ValueError, "empty coordinate vector"),
+    (lambda: FractionalElement(0, (ONE5, ONE6)), ValueError,
+     "mixed precisions in coordinate vector"),
+    (lambda: FractionalElement(6, (ONE5,)), PrecisionError, "pole 6 exceeds u-precision 5"),
+    (lambda: apply_phi(M5(), FractionalElement(0, (ONE5, ONE5))), ValueError,
+     "expected 1 coordinates, got 2"),
+    (lambda: snf_mod_uT(()), ValueError, "empty matrix"),
+    (lambda: verify_inclusion_p_s(M5(), [], -1), ValueError, "s must be >= 0"),
+    (lambda: verify_inclusion_p_s(M5(), [FractionalElement(0, (ONE5, ONE5))], 0), ValueError,
+     "generator has 2 coordinates, expected 1"),
+    (lambda: verify_inclusion_p_s(M5(), [FractionalElement(0, (ONE6,))], 0), ValueError,
+     "generator precision does not match the module"),
+    (lambda: example3_identity(2, 0), ValueError, "n must be >= 1"),
+    (lambda: build_bt_module(P5, E22, 3, 2, seed=0), ValueError, "d = 3 out of range [0, 2]"),
+    (lambda: extension_module(M5(), rank1_module(2, 1, 6, E22), 0), ValueError,
+     "extensions need matching precision and Eisenstein data"),
+    (lambda: extension_module(rank1_module(2, 2, 5, E22), rank1_module(2, 2, 5, E22), 0),
+     ValueError, "extensions are built at n = 1, where they are verifiable"),
+], ids=["series-prime", "series-short-T", "module-rank-0", "module-prime",
+        "module-phi-shape", "module-phi-precision", "module-d-range", "module-basis-shape",
+        "pole-negative", "no-coordinates", "mixed-precisions", "pole-past-T",
+        "apply-phi-coordinates", "snf-empty", "inclusion-negative-s",
+        "inclusion-coordinates", "inclusion-precision", "example3-n0", "bt-d-range",
+        "extension-mismatch", "extension-n2"])
+def test_refusals_raise_their_documented_message(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_det_unit_certificate_agrees_with_mat_det():
     # construction certifies det V by the charpoly of V(0) mod p; the gate's
     # accept/refuse verdict is compared with the cofactor determinant, on

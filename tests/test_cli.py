@@ -500,7 +500,7 @@ def test_cmd_bound_search_over_the_cap(capsys, monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(eisenstein, "_shifted_residues", no_enumeration)
+    monkeypatch.setattr(eisenstein, "charpoly_mod", no_enumeration)
     code, out, err = run(capsys, "bound", "--p", "2", "--poly", "u^8-2", "--search-prec", "3")
     assert code == EXIT_BUDGET and out == ""
     assert err.startswith("budget exceeded:") and "8388608 candidates" in err
@@ -509,11 +509,20 @@ def test_cmd_bound_search_over_the_cap(capsys, monkeypatch):
 def test_cmd_bound_reports_a_failed_search_invariant(capsys, monkeypatch):
     # a kernel without the scaling invariance, as in test_eisenstein's
     # witness re-check: one line on stderr and exit 1, not a traceback
-    monkeypatch.setattr(eisenstein, "_shifted_residues",
-                        lambda cols, c, q: [2, 2 if (cols[0][0] + c, cols[0][1]) == (6, 1) else 4])
+    monkeypatch.setattr(eisenstein, "charpoly_mod",
+                        lambda cols, q: [2, 2 if tuple(cols[0][:2]) == (6, 1) else 4, 1])
     code, out, err = run(capsys, "bound", "--p", "2", "--poly", "u^2+2", "--search-prec", "3")
     assert (code, out) == (EXIT_ASSERTION, "")
     assert err == "assertion failed: the witness's key differs from the minimum of its orbit\n"
+
+
+def test_cmd_bound_reports_a_violated_tau_ceiling(capsys, monkeypatch):
+    # the kernel of test_eisenstein's ceiling test: key 7 at u^2 + 2, tau = 3
+    monkeypatch.setattr(eisenstein, "charpoly_mod", lambda cols, q: [2, 8, 1])
+    code, out, err = run(capsys, "bound", "--p", "2", "--poly", "u^2+2", "--search-prec", "1")
+    assert (code, out) == (EXIT_ASSERTION, "")
+    assert err == ("assertion failed: tau ceiling m + 1 violated; "
+                   "pi and pi + p were enumerated\n")
 
 
 def test_cmd_bound_search_over_the_cap_names_the_work_and_the_flag(capsys):

@@ -115,15 +115,32 @@ def test_residue_polynomials_need_n_at_least_2():
         EisensteinPolynomial(2, (2,), precision=1)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: EisensteinPolynomial(2, (4, 0), precision=2), EisensteinValidationError,
+     "residue coefficients must lie in [0, 4)"),
+    (lambda: UniformizerChange(2, 0, (0, 1)), ValueError, "digit precision must be >= 1"),
+    (lambda: UniformizerChange(2, 1, ()), ValueError, "at least one digit required"),
+    (lambda: substitute(EisensteinPolynomial(2, (2, 0)), UniformizerChange(3, 1, (0, 1)), 3),
+     ValueError, "prime mismatch between polynomial and change"),
+    (lambda: substitute(EisensteinPolynomial(2, (2, 0)), UniformizerChange(2, 1, (0, 1, 0)), 3),
+     ValueError, "expected 2 digits, got 3"),
+    (lambda: substitute(EisensteinPolynomial(2, (2, 0), precision=3),
+                        UniformizerChange(2, 1, (0, 1)), 4),
+     ValueError, "input known only mod p^3, cannot output mod p^4"),
+], ids=["residue-range", "change-precision", "change-no-digits", "substitute-prime",
+        "substitute-digits", "substitute-precision"])
+def test_refusals_raise_their_documented_message(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
 # -- the E0/E1 split -----------------------------------------------------------------
 
 def test_split_examples():
-    s = EisensteinPolynomial(2, (2, 2)).split()
-    assert s.e0 == (2, 0, 1) and s.e1 == (0, 2, 0)  # u^2+2 and 2u
-    s = EisensteinPolynomial(3, (3, 3, 0)).split()
-    assert s.e0 == (3, 0, 0, 1) and s.e1 == (0, 3, 0, 0)  # u^3+3 and 3u
-    s = EisensteinPolynomial(3, (3, 0)).split()
-    assert s.e0 == (3, 0, 0) and s.e1 == (0, 0, 1)  # 3 and u^2
+    assert EisensteinPolynomial(2, (2, 2)).split() == ((2, 0, 1), (0, 2, 0))  # u^2+2 and 2u
+    assert EisensteinPolynomial(3, (3, 3, 0)).split() == ((3, 0, 0, 1), (0, 3, 0, 0))  # u^3+3, 3u
+    assert EisensteinPolynomial(3, (3, 0)).split() == ((3, 0, 0), (0, 0, 1))  # 3 and u^2
 
 
 @given(st.data())
@@ -132,11 +149,11 @@ def test_split_partition_property(data):
     p = data.draw(st.sampled_from([2, 3, 5]))
     e = data.draw(st.integers(1, 6))
     eis = random_eisenstein(rng, p, e)
-    s = eis.split()
+    e0, e1 = eis.split()
     full = eis.all_coeffs()
-    assert tuple(a + b for a, b in zip(s.e0, s.e1)) == full
-    assert all(c == 0 for i, c in enumerate(s.e0) if i % p != 0)
-    assert all(c == 0 for i, c in enumerate(s.e1) if i % p == 0)
+    assert tuple(a + b for a, b in zip(e0, e1)) == full
+    assert all(c == 0 for i, c in enumerate(e0) if i % p != 0)
+    assert all(c == 0 for i, c in enumerate(e1) if i % p == 0)
 
 
 # -- invariants -----------------------------------------------------------------------
@@ -496,12 +513,11 @@ def test_tau_search_agrees_with_per_candidate_route():
         assert found.charpolys == tau_search_charpolys(eis.p, eis.e, dp)
 
 
-def digit_kernel(key_of_x):
-    """A stand-in for the kernel _shifted_residues(cols, c, q) that returns
-    key_of_x(x) for the first column x = (c_0 p, c_1, ...) of M + cI: the
-    search passes a tail's columns, (0, c_1, ...) first, and c = c_0 p;
-    substitute passes the columns of x and c = 0."""
-    return lambda cols, c, q: key_of_x((cols[0][0] + c, *cols[0][1:]))
+def digit_kernel(residues_of_x):
+    """A stand-in for charpoly_mod(cols, q) that returns residues_of_x(x)
+    plus the leading 1, where x = (c_0 p, c_1, ...) is the first column it
+    is handed: substitute and the search both pass the columns of x."""
+    return lambda cols, q: [*residues_of_x(tuple(cols[0])), 1]
 
 
 @pytest.mark.parametrize("dp", [3, 4, 5])
@@ -513,7 +529,7 @@ def test_tau_search_witness_is_the_least_class_of_the_tied_orbits(monkeypatch, d
         t = x[0] // 2 * pow(x[1], -1, 4) % 4
         return [2, 2 if t == 3 else 4]
 
-    monkeypatch.setattr(eisenstein, "_shifted_residues", digit_kernel(orbit_kernel))
+    monkeypatch.setattr(eisenstein, "charpoly_mod", digit_kernel(orbit_kernel))
     eis = EisensteinPolynomial(2, (2, 0))
     found = tau_v_search(eis, dp)
     assert found.witness.cs == (1, 3) and (found.tau, found.iota) == (1, 1)
@@ -539,7 +555,7 @@ def p3_orbit_kernel(target):
     (2, (2, 0), (1, 5, 0)),
 ], ids=["dp1", "dp2"])
 def test_tau_search_reads_the_keys_of_unit_multiples(monkeypatch, dp, target, witness):
-    monkeypatch.setattr(eisenstein, "_shifted_residues", p3_orbit_kernel(target))
+    monkeypatch.setattr(eisenstein, "charpoly_mod", p3_orbit_kernel(target))
     eis = EisensteinPolynomial(3, (3, 0, 0))
     found = tau_v_search(eis, dp)
     assert found.witness.cs == witness and (found.tau, found.iota) == (1, 1)
@@ -550,10 +566,18 @@ def test_tau_search_reads_the_keys_of_unit_multiples(monkeypatch, dp, target, wi
 def test_tau_search_rechecks_its_witness(monkeypatch):
     # a kernel without the scaling invariance: only (c_0, c_1) = (3, 1)
     # reaches tau = 1, and (1, 3), which reads its key, does not
-    monkeypatch.setattr(eisenstein, "_shifted_residues",
+    monkeypatch.setattr(eisenstein, "charpoly_mod",
                         digit_kernel(lambda x: [2, 2 if x[:2] == (6, 1) else 4]))
     with pytest.raises(AssertionError, match="witness's key differs"):
         tau_v_search(EisensteinPolynomial(2, (2, 0)), 3)
+
+
+def test_tau_search_asserts_its_ceiling(monkeypatch):
+    # every charpoly read as u^2 + 8u + 2: key 7, so tau = 3 > m + 1 = 2,
+    # which the enumerated pair pi, pi + p rules out for a true kernel
+    monkeypatch.setattr(eisenstein, "charpoly_mod", lambda cols, q: [2, 8, 1])
+    with pytest.raises(AssertionError, match="tau ceiling m \\+ 1 violated"):
+        tau_v_search(EisensteinPolynomial(2, (2, 0)), 1)
 
 
 def test_tau_search_substitutes_each_witness_once(monkeypatch):
@@ -571,7 +595,7 @@ def test_tau_search_substitutes_each_witness_once(monkeypatch):
     assert calls == [found.witness.cs] and found.charpolys == found.candidates == 2
     # the dp2 case above: the witness (1, 5, 0) reads the key of (2, 1, 0)
     calls.clear()
-    monkeypatch.setattr(eisenstein, "_shifted_residues", p3_orbit_kernel((2, 0)))
+    monkeypatch.setattr(eisenstein, "charpoly_mod", p3_orbit_kernel((2, 0)))
     found = tau_v_search(EisensteinPolynomial(3, (3, 0, 0)), 2)
     assert calls == [(1, 5, 0)] == [found.witness.cs]
 
@@ -593,7 +617,7 @@ def test_tau_search_stores_one_small_int_per_class(monkeypatch):
     # (2, 6, 2) stores the keys of its 1024 classes with c_1 = 1; with a
     # constant kernel the search's peak is its store: 11 KB, where a dict
     # keyed by digit tuples peaked at 127 KB
-    monkeypatch.setattr(eisenstein, "_shifted_residues", lambda cols, c0p, q: [2, 4, 4, 4, 4, 4])
+    monkeypatch.setattr(eisenstein, "charpoly_mod", lambda cols, q: [2, 4, 4, 4, 4, 4, 1])
     eis = EisensteinPolynomial(2, (2, 0, 0, 0, 0, 0))
     tracemalloc.start()
     try:
@@ -616,15 +640,15 @@ def test_tau_search_stores_one_small_int_per_class(monkeypatch):
 @pytest.mark.parametrize("coeffs", [(2, 2, 0, 2), (2, 0, 0, 0)])
 def test_tau_search_checks_each_charpoly_inline(monkeypatch, bad, coeffs):
     # a charpoly that is not Eisenstein raises what the constructor raises
-    kernel = eisenstein._shifted_residues
+    kernel = eisenstein.charpoly_mod
     calls = []
 
-    def faulty(cols, c0p, q):
-        res = kernel(cols, c0p, q)
+    def faulty(cols, q):
+        res = kernel(cols, q)[:-1]
         calls.append(res)
-        return [c % q for c in bad(res)] if len(calls) == 3 else res
+        return [*(c % q for c in (bad(res) if len(calls) == 3 else res)), 1]
 
-    monkeypatch.setattr(eisenstein, "_shifted_residues", faulty)
+    monkeypatch.setattr(eisenstein, "charpoly_mod", faulty)
     with pytest.raises(EisensteinValidationError) as err:
         tau_v_search(EisensteinPolynomial(2, coeffs), 1)
     assert len(calls) == 3
@@ -638,7 +662,7 @@ def test_tau_search_refuses_spaces_over_the_cap(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(eisenstein, "_shifted_residues", no_enumeration)
+    monkeypatch.setattr(eisenstein, "charpoly_mod", no_enumeration)
     u8m2 = EisensteinPolynomial(2, (-2,) + (0,) * 7)
     with pytest.raises(BudgetExceededError, match=f"8388608 candidates.*cap of {TAU_SEARCH_CAP}"):
         tau_v_search(u8m2, 3)

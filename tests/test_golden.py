@@ -39,6 +39,8 @@ CASES = {
     "bound_search_u3p3_dp4": ["bound", "--p", "3", "--poly", "u^3+3", "--search-prec", "4"],
     "bound_search_unramified": ["bound", "--p", "3", "--poly", "u^2+3", "--search-prec",
                                 "2"],
+    # e = 1: the only search whose identity change is pi~ = p, digits (1,)
+    "bound_search_e1": ["bound", "--p", "2", "--poly", "u+2", "--search-prec", "1"],
     "bound_poly": ["bound", "--p", "2", "--poly", "u^2+2u+2"],
     "bound_modified": ["bound", "--p", "3", "--e", "4", "--tau", "1", "--iota", "0",
                        "--variant", "modified"],

@@ -58,10 +58,11 @@ def test_prop2_examples():
 
 def test_prop2_counts_cover_the_space():
     for eis, n in [(E221, 1), (E221, 2), (E22, 2)]:
-        r = searched(default_config(eis, n))
+        cfg = default_config(eis, n)
+        r = searched(cfg)
         assert r.candidates_visited == r.space_size
         q = eis.p**n
-        assert r.space_size == (q - 1) * q**r.config.degree_bound
+        assert r.space_size == (q - 1) * q**cfg.degree_bound
 
 
 def test_prop2_u4_minus_2_at_n3_pinned_with_small_peak():
@@ -377,6 +378,17 @@ def test_lemma4_requires_p_dividing_e():
     cfg = default_config(eis, 1)
     with pytest.raises(ValueError, match="divides"):
         lemma4_check(cfg, (1,), 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    # C = (4, 1) reduces to u mod 4: Weierstrass of degree 1, but c_0 = 0
+    (lambda: lemma4_check(default_config(E22, 2), (4, 1), 3),
+     "constant term vanishes mod p^n"),
+], ids=["lemma4-c0-vanishes"])
+def test_refusals_raise_their_documented_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
 
 
 @pytest.mark.parametrize("p, e, n, eligible", [(2, 4, 2, 192), (2, 2, 3, 16), (3, 3, 2, 486)])

@@ -739,3 +739,15 @@ def test_weierstrass_prep_matches_reference_at_real_size():
         cs[d] |= 1
         _assert_prep_matches_reference(
             TruncatedSeries.from_coeffs(prec, [2**c * x for x in cs]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TruncatedSeries(Precision(2, 1, 3), (0, 0)), "expected 3 coefficients, got 2"),
+    (lambda: TruncatedSeries(Precision(2, 1, 3), (0, 0, 2)),
+     "coefficients must be canonical residues in [0, 2)"),
+    (lambda: TruncatedSeries.monomial(Precision(2, 1, 3), -1), "monomial exponent must be >= 0"),
+], ids=["length", "residue-range", "negative-monomial"])
+def test_refusals_raise_their_documented_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message

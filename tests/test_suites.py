@@ -359,7 +359,8 @@ def _reference_sweep(suite, p, e, n, budget=oracle.DEFAULT_BUDGET):
     polys = list(oracle.eisenstein_grid(p, e, n))
     eligible_total = scanned = 0
     for eis in polys:
-        res = oracle.prop2_max_t(oracle.default_config(eis, n, budget=budget))
+        cfg = oracle.default_config(eis, n, budget=budget)
+        res = oracle.prop2_max_t(cfg)
         for name, ok in res.assertions.items():
             tally(name, ok)
         if suite == "prop2":
@@ -368,7 +369,7 @@ def _reference_sweep(suite, p, e, n, budget=oracle.DEFAULT_BUDGET):
             d = oracle.weierstrass_degree(w.coeffs, p)
             if d is None or p * d >= res.t_star:
                 continue
-            report = oracle.lemma4_check(res.config, w.coeffs, res.t_star, strict=False)
+            report = oracle.lemma4_check(cfg, w.coeffs, res.t_star, strict=False)
             for name, ok in report.checks.items():
                 if name != "t-le-ne":
                     tally(name, ok)
@@ -413,12 +414,13 @@ def _class_members(p, e, n):
 def _search_profile(eis, n):
     """What a sweep reads off one search: t*, witnesses, assertions and the
     Lemma 4 report of every eligible witness."""
-    res = oracle.prop2_max_t(oracle.default_config(eis, n))
+    cfg = oracle.default_config(eis, n)
+    res = oracle.prop2_max_t(cfg)
     lemma4 = []
     for w in res.witnesses:
         d = oracle.weierstrass_degree(w.coeffs, eis.p)
         if d is not None and eis.p * d < res.t_star:
-            report = oracle.lemma4_check(res.config, w.coeffs, res.t_star, strict=False)
+            report = oracle.lemma4_check(cfg, w.coeffs, res.t_star, strict=False)
             lemma4.append((report.coeffs, report.checks))
     return res.t_star, [w.coeffs for w in res.witnesses], res.assertions, lemma4
 
