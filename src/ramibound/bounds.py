@@ -41,8 +41,6 @@ class BoundTrace:
 
     p: int
     e: int
-    tau: int
-    iota: int
     variant: str
     pairs: tuple[tuple[int, int], ...]
 
@@ -93,7 +91,7 @@ def compute_s(p: int, e: int, tau: int, iota: int, variant: str = "standard") ->
         if (drop <= step) if variant == "standard" else (drop < step):
             break
         pairs.append((t // p, s + step))
-    return BoundTrace(p=p, e=e, tau=tau, iota=iota, variant=variant, pairs=tuple(pairs))
+    return BoundTrace(p=p, e=e, variant=variant, pairs=tuple(pairs))
 
 
 def reference_log_bound(p: int, e: int) -> int:

@@ -375,8 +375,6 @@ def build_bt_module(
 ) -> BreuilModule:
     """Module with a normal decomposition: phi = V * diag(E,...,E,1,...,1),
     V a seeded pseudorandom product of elementary matrices and a unit diagonal."""
-    if not 0 <= d <= h:
-        raise ValueError(f"d = {d} out of range [0, {h}]")
     E_s = eisenstein_series(eis, prec)
     rng = random.Random(seed)
     deg_cap = eis.e if max_entry_degree is None else max_entry_degree
@@ -416,12 +414,11 @@ def extension_module(M1: BreuilModule, M2: BreuilModule, seed: int) -> BreuilMod
     """Block-triangular extension of M2 by M1 (M1 sits as a submodule).
 
     The off-diagonal block is phi_1 * Y for a seeded random Y, which keeps the
-    cokernel annihilated by E; at n = 1 the constructor re-verifies that."""
+    cokernel annihilated by E.  The result carries no certificate, so the
+    constructor re-verifies it at n = 1 and refuses it at n > 1."""
     if M1.prec != M2.prec or M1.eis != M2.eis:
         raise ValueError("extensions need matching precision and Eisenstein data")
     prec = M1.prec
-    if prec.n != 1:
-        raise ValueError("extensions are built at n = 1, where they are verifiable")
     rng = random.Random(seed)
 
     def rand_series():

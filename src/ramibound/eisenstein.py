@@ -134,8 +134,8 @@ class EisensteinPolynomial:
         if not keys:
             if self.precision is None:
                 return UniformizerInvariants(m=m, tau=INF, iota=None, t_pi=INF)
-            # residues mod p^N all vanish: the content is at least N - 1
-            return UniformizerInvariants(m=m, tau=self.precision - 1, iota=None, t_pi=None)
+            # E_1 vanishes mod p^N, so every E_1 key is at least N*e: tau >= N
+            return UniformizerInvariants(m=m, tau=self.precision, iota=None, t_pi=None)
         key = min(keys)
         tau, iota = divmod(key, e)
         return UniformizerInvariants(m=m, tau=tau, iota=iota, t_pi=key // (p - 1))
@@ -175,7 +175,7 @@ class UniformizerInvariants:
     tau is math.inf when E_1 vanishes exactly; iota is None whenever tau is
     not a finite exact value (0 by fiat when m = 0).  For residue-precision
     polynomials whose E_1 vanishes mod p^N, tau carries the certified lower
-    bound N - 1 and t_pi is undecidable (None)."""
+    bound N and t_pi is undecidable (None)."""
 
     m: int
     tau: int | float
@@ -410,7 +410,8 @@ def tau_v_search(E: EisensteinPolynomial, digit_precision: int) -> TauSearchResu
     q = p**N
     coeffs = tuple(a % q for a in E.coeffs)
     # one min() over the E1 indices reads the tie rule's key; a vanishing E1
-    # residue reads N*e, above every key, since tau <= N - 1 mod p^N
+    # residue reads N*e, the bound invariants() reports, above the key of
+    # every nonzero residue mod p^N
     e1 = [i for i in range(1, e) if i % p]
     weight = [N * e] + [int_valuation(a, p) * e for a in range(1, q)]
 

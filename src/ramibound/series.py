@@ -300,20 +300,6 @@ class TruncatedSeries:
                 return i
         return None
 
-    def content_p(self) -> int | None:
-        """Minimal p-adic valuation over the coefficients; None when a = 0 (>= n)."""
-        p = self.prec.p
-        best = None
-        for c in self.coeffs:
-            if c == 0:
-                continue
-            v = int_valuation(c, p)
-            if best is None or v < best:
-                best = v
-                if best == 0:
-                    break
-        return best
-
     def in_ideal(self, t: int) -> bool:
         """Membership in the ideal (u^t, p^n) at the working n: the
         coefficients are canonical residues mod p^n, so those of u^i, i < t,
@@ -488,8 +474,8 @@ def weierstrass_prep(a: TruncatedSeries) -> WeierstrassFactorization:
     prec = a.prec
     if a.is_zero():
         raise ValueError("cannot prepare the zero series")
-    c = a.content_p()
     p, T = prec.p, prec.T
+    c = min(int_valuation(x, p) for x in a.coeffs if x)
     pc = p**c
     b = [x // pc for x in a.coeffs]
     d = next(i for i, x in enumerate(b) if x % p)  # exists: c is the least valuation

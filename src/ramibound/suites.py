@@ -295,10 +295,8 @@ def suite_heights(seeds: int = 200) -> dict:
     assertions: dict = {}
     for seed in range(seeds // 2):
         rng = random.Random(f"heights-{seed}")
-        p = rng.choice([2, 3])
-        if rng.randint(1, 2) == 1:
-            M, d = _seeded_module(rng, p, 1)
-            _tally(assertions, "h4-matches-decomposition", breuil.h4(M) == M.h - d)
+        M, d = _seeded_module(rng, rng.choice([2, 3]), 1)
+        _tally(assertions, "h4-matches-decomposition", breuil.h4(M) == M.h - d)
     for seed in range(seeds):
         rng = random.Random(f"heights-ext-{seed}")
         p = rng.choice([2, 3])

@@ -137,4 +137,8 @@ MUTANTS = [
            "c < 0 or c.bit_length() > self.precision and c >= self.p**self.precision",
            "c < 0 or c >= self.p**self.precision",
            ("tests/test_eisenstein.py::test_digit_range_check_builds_no_power_for_short_digits",)),
+    # a residue E_1 vanishing mod p^N read as tau >= N - 1, one short of its bound
+    Mutant("residue-tau-bound-loosened", "eisenstein.py",
+           "tau=self.precision, iota=None", "tau=self.precision - 1, iota=None",
+           ("tests/test_eisenstein.py::test_substituted_tau_lower_bound_marker",)),
 ]

@@ -155,8 +155,8 @@ def test_criterion_8_heights():
     with criterion(8, 5.0, "h4 matches the decomposition on modules and extensions"):
         rep = suites.suite_heights(seeds=50)
         assert rep["ok"]
-        # 12 seeded modules at n = 1 and 50 extensions
-        assert rep["assertions"] == {"h4-matches-decomposition": {"pass": 62, "fail": 0}}
+        # 25 seeded modules at n = 1 and 50 extensions
+        assert rep["assertions"] == {"h4-matches-decomposition": {"pass": 75, "fail": 0}}
 
 
 def test_criterion_9_substitution_cross_route():

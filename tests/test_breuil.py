@@ -149,7 +149,8 @@ def M5():
     (lambda: extension_module(M5(), rank1_module(2, 1, 6, E22), 0), ValueError,
      "extensions need matching precision and Eisenstein data"),
     (lambda: extension_module(rank1_module(2, 2, 5, E22), rank1_module(2, 2, 5, E22), 0),
-     ValueError, "extensions are built at n = 1, where they are verifiable"),
+     ValueError, "n > 1 module without a normal decomposition certificate; "
+     "general solvability is not available over this ring"),
 ], ids=["series-prime", "series-short-T", "module-rank-0", "module-prime",
         "module-phi-shape", "module-phi-precision", "module-d-range", "module-basis-shape",
         "pole-negative", "no-coordinates", "mixed-precisions", "pole-past-T",

@@ -358,11 +358,16 @@ def test_substitute_agrees_with_integer_charpoly():
 
 
 def test_substituted_tau_lower_bound_marker():
-    # all E1 residues vanish mod p^N: tau reported as the lower bound N-1
+    # all E1 residues vanish mod p^N: every E1 key is at least N*e, so tau is
+    # reported as the lower bound N
     out = substitute(EisensteinPolynomial(2, (-2, 0)), UniformizerChange(2, 2, (0, 1)), 4)
     inv = out.invariants()
-    assert inv.t_pi is None and inv.tau == 3
+    assert inv.t_pi is None and inv.tau == 4
     assert inv.iota is None and inv.t_pi is None
+    # u^2 + 4u + 2 known mod 4: tau >= 2, and the exact polynomial has tau = 2
+    inv = EisensteinPolynomial(2, (2, 0), precision=2).invariants()
+    assert (inv.tau, inv.iota, inv.t_pi) == (2, None, None)
+    assert EisensteinPolynomial(2, (2, 4)).invariants().tau == 2
 
 
 def test_tau_lower_bound_iff_every_e1_residue_vanishes():

@@ -28,6 +28,11 @@ def S(prec, *coeffs):
     return TruncatedSeries.from_coeffs(prec, list(coeffs))
 
 
+def content(a):
+    """The least p-adic valuation over the coefficients of a; None when a = 0."""
+    return min((int_valuation(x, a.prec.p) for x in a.coeffs if x), default=None)
+
+
 def brute_mul(prec, a, b):
     # schoolbook convolution oracle, independent of the library loop
     out = [0] * prec.T
@@ -392,16 +397,16 @@ def test_ord_u_examples():
 
 def test_content_examples():
     prec = Precision(2, 3, 4)
-    assert S(prec, 0, 2, 4).content_p() == 1
-    assert TruncatedSeries.zero(prec).content_p() is None
-    assert S(prec, 0, 2).content_p() == 1  # the non-p-power part of u^2+2u+2
+    assert content(S(prec, 0, 2, 4)) == 1
+    assert content(TruncatedSeries.zero(prec)) is None
+    assert content(S(prec, 0, 2)) == 1  # the non-p-power part of u^2+2u+2
 
 
 @given(series_pairs())
 def test_content_superadditive(pair):
     a, b = pair
-    ca, cb = a.content_p(), b.content_p()
-    cab = (a * b).content_p()
+    ca, cb = content(a), content(b)
+    cab = content(a * b)
     if ca is None or cb is None:
         assert cab is None
         return
@@ -415,11 +420,11 @@ def test_content_superadditive(pair):
 def test_content_equality_without_truncation(pair):
     # with supports that cannot truncate, the product content is exactly the sum
     a, b = pair
-    ca, cb = a.content_p(), b.content_p()
+    ca, cb = content(a), content(b)
     if ca is None or cb is None:
         return
     if ca + cb < a.prec.n:
-        assert (a * b).content_p() == ca + cb
+        assert content(a * b) == ca + cb
 
 
 # -- ideal membership ----------------------------------------------------------------------
@@ -630,7 +635,7 @@ def _weierstrass_prep_reference(a):
     prec = a.prec
     if a.is_zero():
         raise ValueError("cannot prepare the zero series")
-    c = a.content_p()
+    c = content(a)
     pc = prec.p**c
     b = TruncatedSeries(prec, tuple(x // pc for x in a.coeffs))
     b_modp = [x % prec.p for x in b.coeffs]
