@@ -29,18 +29,26 @@ A product costs what its operands need.  With nnz(x) = T - (zeros of x),
 a pair with nnz(a) * nnz(b) <= _SPARSE_K * T is multiplied over its nonzero
 (index, coefficient) pairs only.  Any denser pair is Kronecker-packed
 (Harvey, J. Symbolic Comput. 2009): each operand becomes one integer whose
-w-byte slots hold its coefficients, w = ceil(bit_length(T * (q-1)^2) / 8),
-the two integers are multiplied once, and the low T slots are read back and
-reduced mod q.  Slot k of the product is the convolution sum over i + j = k
-of at most T terms, each at most (q-1)^2, so it is below 2^(8w): no slot
-carries into the next, and every slot read back is exact.  dot(xs, ys)
-takes the same route per pair, adds the unreduced products up as integers
-and reduces mod q once, so a sum of h products builds one series.
+slots hold its coefficients, the two integers are multiplied once, and the
+low T slots are read back and reduced mod q.  Slot k of the product is the
+convolution sum over i + j = k of at most T terms, each at most (q-1)^2, so
+it needs b = bit_length(T * (q-1)^2) bits: a slot of b bits or more never
+carries into the next, and every slot read back is exact.  When b <= 64 a
+slot is one item of the narrowest array typecode that holds b bits: each
+operand is packed by one array(code, coeffs), read as an integer in the
+host's byte order, and the product is written back in that order over
+2T - 1 slots and read by one array() and tolist().  (On a big-endian host
+both integers hold their slots in reverse, so the product does too, and
+its first item is still c_0.)  Wider slots, which module files reach with
+large p, are ceil(b / 8) bytes, packed and read one coefficient at a time.
+dot(xs, ys) takes the same route per pair, adds the unreduced products up
+as integers and reduces mod q once, so a sum of h products builds one series.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
 from argparse import ArgumentTypeError
 from dataclasses import dataclass
 from functools import cached_property
@@ -348,9 +356,17 @@ def _series(prec: Precision, coeffs: tuple[int, ...]) -> TruncatedSeries:
 
 
 # Products with nnz(a) * nnz(b) <= _SPARSE_K * T take the sparse route.
-# Timed on the same inputs at T = 11, 40 and 200, the sparse route is still
-# as fast at a ratio of 8 and loses from about 10 on (CHANGES.md).
-_SPARSE_K = 8
+# Timed per product on the same inputs (CHANGES.md), sparse / packed in us:
+# at nnz(a) * nnz(b) = 2T the sparse route wins or ties at small T (0.92 / 1.08
+# at T = 5, 1.15 / 1.16 at T = 9), and at 3T the packed route wins at every T
+# (1.19 / 1.05 at T = 5, 1.76 / 1.17 at T = 9, 5.34 / 2.48 at T = 40,
+# 29.7 / 13.2 at T = 200).
+_SPARSE_K = 2
+
+# _SLOT_CODES[b] is the narrowest array typecode whose items hold b bits,
+# for b <= 64; a wider slot takes the bytes route.
+_SLOT_CODES = tuple(min((array(c).itemsize * 8, c) for c in "BHILQ"
+                        if array(c).itemsize * 8 >= b)[1] for b in range(65))
 
 
 def _mul_raw(a, b, T, q):
@@ -378,8 +394,19 @@ def _mul_sparse(a, b, T):
 
 
 def _mul_packed(a, b, T, q):
-    """Unreduced truncated convolution by Kronecker packing into w-byte slots."""
-    w = ((T * (q - 1) ** 2).bit_length() + 7) // 8
+    """Unreduced truncated convolution by Kronecker packing: through one
+    array of _SLOT_CODES[bits] per operand and one for the product when a
+    slot of bits = bit_length(T * (q-1)^2) fits a machine word, else
+    through w = ceil(bits / 8)-byte slots, one coefficient at a time."""
+    bits = (T * (q - 1) ** 2).bit_length()
+    if bits < len(_SLOT_CODES):
+        code, order = _SLOT_CODES[bits], sys.byteorder
+        x, y = array(code, a), array(code, b)
+        raw = int.from_bytes(x, order) * int.from_bytes(y, order)
+        out = array(code, raw.to_bytes((2 * T - 1) * x.itemsize, order))
+        del out[T:]
+        return out.tolist()
+    w = (bits + 7) // 8
     order = repeat("little")
     x = int.from_bytes(b"".join(map(int.to_bytes, a, repeat(w), order)), "little")
     y = int.from_bytes(b"".join(map(int.to_bytes, b, repeat(w), order)), "little")

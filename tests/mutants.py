@@ -30,6 +30,7 @@ class NoPower(int):
 KERNEL_TEST = "tests/test_eisenstein.py::test_charpoly_mod_on_seeded_matrices"
 UNIT_MULTIPLES_TEST = "tests/test_eisenstein.py::test_tau_search_reads_the_keys_of_unit_multiples"
 TWIST_TEST = "tests/test_series.py::test_frobenius_matches_a_plain_loop"
+SLOT_TEST = "tests/test_series.py::test_packed_slots_hold_the_largest_sums"
 # __mul__'s precision test and the two lines after it, since + and - repeat the test
 MUL_GUARD = ("""        if other.__class__ is not TruncatedSeries or other.prec is not prec:
             _require_prec(prec, other)
@@ -123,6 +124,12 @@ MUTANTS = [
            "            _require_prec(prec, x)\n            _require_prec(prec, y)\n",
            "            raise PrecisionMismatchError(prec)\n",
            ("tests/test_series.py::test_equal_but_distinct_precisions_are_accepted",)),
+    # a word slot one typecode too narrow at 9, 17 and 33 bits: the top sums carry
+    Mutant("packed-slot-code-too-narrow", "series.py",
+           "_SLOT_CODES[bits], sys", "_SLOT_CODES[bits - 1], sys", (SLOT_TEST,)),
+    # a 65-bit slot sent to the machine-word route, past the last typecode
+    Mutant("packed-word-route-past-64-bits", "series.py",
+           "if bits < len(_SLOT_CODES):", "if bits <= len(_SLOT_CODES):", (SLOT_TEST,)),
     # str.isdigit() accepts non-ASCII digits such as U+0662, which int() reads
     Mutant("decimal-non-ascii-digits", "series.py",
            "if not (digits.isascii() and digits.isdigit()):", "if not digits.isdigit():",

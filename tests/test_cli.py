@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ramibound import breuil, cli, eisenstein, suites
@@ -28,7 +28,7 @@ from ramibound.cli import (
     poly_text,
 )
 from ramibound.eisenstein import EisensteinPolynomial
-from ramibound.series import Precision, decimal
+from ramibound.series import _PRIME_LIMIT, Precision, decimal
 
 GOLDEN_MODULES = Path(__file__).parent / "golden" / "modules"
 
@@ -1019,26 +1019,61 @@ _GOLDEN_MODULE_FILES = {
     name: json.loads((GOLDEN_MODULES / name).read_text(encoding="utf-8"))
     for name in ("extension_n1.json", "corner_u3_e2.json")
 }
+# the largest prime Miller-Rabin certifies, the limit itself, and past it
+_NEAR_PRIME_LIMIT = (_PRIME_LIMIT - 168, _PRIME_LIMIT - 1, _PRIME_LIMIT, _PRIME_LIMIT + 1)
+_HUGE = st.one_of(st.integers(-2**90, 2**90), st.sampled_from(
+    [-1, 2**63, 2**64 + 1, -2**64, 10**40, *_NEAR_PRIME_LIMIT]))
 _JSON_VALUES = st.one_of(
-    st.integers(-3, 40), st.floats(), st.booleans(), st.none(), st.text(max_size=4),
-    st.lists(st.integers(-3, 9), max_size=3),
+    st.integers(-3, 40), _HUGE, _HUGE.map(str), st.floats(), st.booleans(), st.none(),
+    st.text(max_size=4), st.lists(st.integers(-3, 9), max_size=3), st.lists(_HUGE, max_size=2),
+    st.dictionaries(st.sampled_from(["p", "d"]), st.integers(-3, 9), max_size=2),
 )
 
 
 @st.composite
 def module_file_mutations(draw):
+    """A golden module file with one to three nodes replaced by a value of
+    another type, a huge or negative number, or dropped; or with its header
+    p moved to the Miller-Rabin limit, E's constant term following it or not."""
     data = _GOLDEN_MODULE_FILES[draw(st.sampled_from(sorted(_GOLDEN_MODULE_FILES)))]
-    path = draw(st.sampled_from(list(_json_paths(data))))
-    return _mutated(data, path, draw(_JSON_VALUES), draw(st.booleans()))
+    if draw(st.booleans()):
+        data = _mutated(data, ("p",), draw(st.sampled_from(_NEAR_PRIME_LIMIT)), False)
+        if draw(st.booleans()):
+            data = _mutated(data, ("eisenstein", 0), data["p"], False)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(data))))
+        data = _mutated(data, path, draw(_JSON_VALUES), draw(st.booleans()))
+    return data
 
 
-@settings(max_examples=100, deadline=None)
-@given(module_file_mutations())
-def test_cli_on_mutated_module_files_exits_0_or_2(data):
+def _heights_on(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "module.json"
         path.write_text(json.dumps(data))
-        code, err = _exit_code(["heights", "--module-file", str(path), "--json"])
+        return _exit_code(["heights", "--module-file", str(path), "--json"])
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("extension_n1.json", (EXIT_OK, "")),
+    ("corner_u3_e2.json",
+     (EXIT_USAGE, "error: cokernel of phi is not annihilated by E (at precision T)\n")),
+])
+def test_cli_reads_module_files_at_the_prime_limit(name, expected):
+    # the largest prime Miller-Rabin certifies is read (and the corner
+    # module then refused by its gate); the limit itself is refused
+    data = _mutated(_GOLDEN_MODULE_FILES[name], ("p",), _PRIME_LIMIT - 168, False)
+    data = _mutated(data, ("eisenstein", 0), data["p"], False)
+    assert _heights_on(data) == expected
+    data["p"] = _PRIME_LIMIT
+    code, err = _heights_on(data)
+    assert code == EXIT_USAGE and err.startswith(f"error: p = {_PRIME_LIMIT} is too large")
+
+
+@seed(20260)
+@settings(max_examples=300, deadline=None)
+@given(module_file_mutations())
+def test_cli_on_mutated_module_files_exits_0_or_2(data):
+    code, err = _heights_on(data)
     assert code in (EXIT_OK, EXIT_USAGE)
     assert "Traceback" not in err
 

@@ -1,6 +1,7 @@
 """Truncated-ring arithmetic: frozen examples plus algebraic properties."""
 
 import random
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -233,7 +234,7 @@ def test_mul_routes_match_brute_force_at_real_sizes(monkeypatch, p, n, T):
     prec = Precision(p, n, T)
     rng = random.Random(f"mul-{p}-{n}-{T}")
     K = series._SPARSE_K
-    shapes = [(T, T), (T, 3), (1, T), (T, K), (T - 1, K), (T, K + 1), (T // 2, 2 * K)]
+    shapes = [(T, T), (3, 3), (1, T), (T, K), (T - 1, K), (T, K + 1), (T // 2, 2 * K)]
     expected = {"sparse": 0, "packed": 0}
     for na, nb in shapes:
         expected["sparse" if na * nb <= K * T else "packed"] += 1
@@ -244,6 +245,53 @@ def test_mul_routes_match_brute_force_at_real_sizes(monkeypatch, p, n, T):
     # all-maximal coefficients fill every packed slot as far as it can go
     top = TruncatedSeries(prec, (prec.modulus - 1,) * T)
     assert top * top == brute_mul(prec, top, top)
+
+
+# (p, n, T, b): b = bit_length(T * (q - 1)^2), the bits a packed slot needs,
+# on both sides of each machine-word width and past the widest one
+SLOT_WIDTHS = [
+    (2, 2, 28, 8), (2, 2, 29, 9), (2, 3, 5, 8), (2, 3, 6, 9),
+    (2, 6, 16, 16), (2, 6, 17, 17), (7, 2, 28, 16), (7, 2, 29, 17),
+    (2, 14, 16, 32), (2, 14, 17, 33), (101, 2, 41, 32), (101, 2, 42, 33),
+    (2, 30, 16, 64), (2, 30, 17, 65), (5, 13, 12, 64), (5, 13, 13, 65),
+    (10007, 3, 40, 86),
+]
+SLOT_IDS = [f"{b}bit-{p}^{n}-T{T}" for p, n, T, b in SLOT_WIDTHS]
+
+
+@pytest.mark.parametrize("p, n, T, bits", SLOT_WIDTHS, ids=SLOT_IDS)
+def test_packed_slots_hold_the_largest_sums(monkeypatch, p, n, T, bits):
+    # all-(q - 1) squares fill every slot as far as it can go: slot k is
+    # (k + 1) * (q - 1)^2, and slot T - 1 needs all b bits
+    prec = Precision(p, n, T)
+    q = prec.modulus
+    assert (T * (q - 1) ** 2).bit_length() == bits
+    top = TruncatedSeries(prec, (q - 1,) * T)
+    assert series._mul_packed(top.coeffs, top.coeffs, T, q) == [
+        (k + 1) * (q - 1) ** 2 for k in range(T)]
+    routes = count_routes(monkeypatch)
+    assert top * top == brute_mul(prec, top, top)
+    assert routes == {"sparse": 0, "packed": 1}
+
+
+@pytest.mark.parametrize("p, n, T, bits", SLOT_WIDTHS, ids=SLOT_IDS)
+def test_packed_slot_widths_match_brute_force(p, n, T, bits):
+    prec = Precision(p, n, T)
+    q = prec.modulus
+    rng = random.Random(f"slots-{p}-{n}-{T}")
+    for _ in range(4):
+        a = TruncatedSeries(prec, tuple(rng.randrange(q) for _ in range(T)))
+        b = TruncatedSeries(prec, tuple(rng.randrange(q - q // 4, q) for _ in range(T)))
+        assert a * b == brute_mul(prec, a, b)
+        assert b * b == brute_mul(prec, b, b)
+
+
+def test_slot_codes_are_the_narrowest_that_hold_each_width():
+    sizes = {array(c).itemsize * 8 for c in "BHILQ"}
+    for b, code in enumerate(series._SLOT_CODES):
+        width = array(code).itemsize * 8
+        assert width >= b and not any(b <= s < width for s in sizes)
+    assert len(series._SLOT_CODES) == 65
 
 
 def test_invert_and_prepare_at_real_size():
