@@ -26,8 +26,10 @@ compared with its budget without the power once its bit length settles it,
 and printed into the caller's message, in decimal up to 256 bits.
 
 A product costs what its operands need.  With nnz(x) = T - (zeros of x),
-a pair with nnz(a) * nnz(b) <= _SPARSE_K * T is multiplied over its nonzero
-(index, coefficient) pairs only.  Any denser pair is Kronecker-packed
+a pair with a zero operand costs no product: _mul_raw returns no terms, and
+* builds the zero series directly.  A pair with nnz(a) * nnz(b) <=
+_SPARSE_K * T is multiplied over its nonzero (index, coefficient) pairs
+only.  Any denser pair is Kronecker-packed
 (Harvey, J. Symbolic Comput. 2009): each operand becomes one integer whose
 slots hold its coefficients, the two integers are multiplied once, and the
 low T slots are read back and reduced mod q.  Slot k of the product is the
@@ -41,8 +43,9 @@ host's byte order, and the product is written back in that order over
 both integers hold their slots in reverse, so the product does too, and
 its first item is still c_0.)  Wider slots, which module files reach with
 large p, are ceil(b / 8) bytes, packed and read one coefficient at a time.
-dot(xs, ys) takes the same route per pair, adds the unreduced products up
-as integers and reduces mod q once, so a sum of h products builds one series.
+dot(xs, ys) takes the same route per pair, drops the pairs with a zero
+operand, adds the other unreduced products up as integers and reduces mod q
+once, so a sum of h products builds one series.
 """
 
 from __future__ import annotations
@@ -266,7 +269,7 @@ class TruncatedSeries:
             _require_prec(prec, other)
         q = prec.modulus
         out = _mul_raw(self.coeffs, other.coeffs, prec.T, q)
-        return _series(prec, tuple([c % q for c in out]))
+        return _series(prec, tuple([c % q for c in out]) if out else (0,) * prec.T)
 
     def scale(self, c: int) -> "TruncatedSeries":
         """Multiply by an integer scalar."""
@@ -371,8 +374,12 @@ _SLOT_CODES = tuple(min((array(c).itemsize * 8, c) for c in "BHILQ"
 
 def _mul_raw(a, b, T, q):
     """Unreduced truncated convolution of residue tuples a and b, by the
-    sparse route when nnz(a) * nnz(b) <= _SPARSE_K * T and packed otherwise."""
+    sparse route when nnz(a) * nnz(b) <= _SPARSE_K * T and packed otherwise.
+    When a or b is all zero no route runs: the result is [], no terms, which
+    the callers read as the zero series."""
     za, zb = a.count(0), b.count(0)
+    if za == T or zb == T:
+        return []
     if (T - za) * (T - zb) <= _SPARSE_K * T:
         return _mul_sparse(a, b, T) if za <= zb else _mul_sparse(b, a, T)
     return _mul_packed(a, b, T, q)
@@ -432,7 +439,9 @@ def dot(xs, ys) -> TruncatedSeries:
     """sum_i xs[i] * ys[i] over paired series of one precision.
 
     The unreduced products are added up as integers and reduced mod p^n
-    once, so h pairs build one series rather than 2h - 1.  Raises
+    once, so h pairs build one series rather than 2h - 1.  A pair with a
+    zero operand adds no term (_mul_raw returns []), and when no pair adds
+    one the sum is the zero series.  Raises
     PrecisionMismatchError on mixed precisions, TypeError on an operand that
     is not a series, and ValueError on an empty or unpaired input.  Each
     pair takes the operators' identity test first."""
@@ -442,14 +451,15 @@ def dot(xs, ys) -> TruncatedSeries:
         raise TypeError(f"expected TruncatedSeries, got {type(xs[0]).__name__}")
     prec = xs[0].prec
     T, q = prec.T, prec.modulus
-    acc = None
+    acc = []
     for x, y in zip(xs, ys):
         if not (x.__class__ is y.__class__ is TruncatedSeries and x.prec is prec and y.prec is prec):
             _require_prec(prec, x)
             _require_prec(prec, y)
         out = _mul_raw(x.coeffs, y.coeffs, T, q)
-        acc = out if acc is None else list(map(add, acc, out))
-    return _series(prec, tuple([c % q for c in acc]))
+        if out:
+            acc = list(map(add, acc, out)) if acc else out
+    return _series(prec, tuple([c % q for c in acc]) if acc else (0,) * T)
 
 
 def invert_unit(a: TruncatedSeries) -> TruncatedSeries:

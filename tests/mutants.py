@@ -31,11 +31,19 @@ KERNEL_TEST = "tests/test_eisenstein.py::test_charpoly_mod_on_seeded_matrices"
 UNIT_MULTIPLES_TEST = "tests/test_eisenstein.py::test_tau_search_reads_the_keys_of_unit_multiples"
 TWIST_TEST = "tests/test_series.py::test_frobenius_matches_a_plain_loop"
 SLOT_TEST = "tests/test_series.py::test_packed_slots_hold_the_largest_sums"
+ZERO_TEST = "tests/test_series.py::test_zero_operands_take_no_product_route"
 # __mul__'s precision test and the two lines after it, since + and - repeat the test
 MUL_GUARD = ("""        if other.__class__ is not TruncatedSeries or other.prec is not prec:
             _require_prec(prec, other)
         q = prec.modulus
         out = _mul_raw(""")
+# dot's precision test of a pair and the product after it
+DOT_GUARD = """\
+        if not (x.__class__ is y.__class__ is TruncatedSeries and x.prec is prec and y.prec is prec):
+            _require_prec(prec, x)
+            _require_prec(prec, y)
+        out = _mul_raw(x.coeffs, y.coeffs, T, q)
+"""
 
 MUTANTS = [
     # the first nonzero entry below the subdiagonal, not the least valuation
@@ -68,8 +76,8 @@ MUTANTS = [
            ("tests/test_series.py::test_scale_returns_canonical_residues",)),
     # a ring result sent back through the public constructor's check
     Mutant("mul-through-public-constructor", "series.py",
-           "return _series(prec, tuple([c % q for c in out]))",
-           "return TruncatedSeries(prec, tuple([c % q for c in out]))",
+           "return _series(prec, tuple([c % q for c in out]) if out",
+           "return TruncatedSeries(prec, tuple([c % q for c in out]) if out",
            ("tests/test_series.py::test_ring_results_never_run_the_public_check",)),
     # pi^e folded as +(a_0 + ... + a_{e-1} pi^{e-1})
     Mutant("charpoly-column-fold-sign", "eisenstein.py",
@@ -124,6 +132,15 @@ MUTANTS = [
            "            _require_prec(prec, x)\n            _require_prec(prec, y)\n",
            "            raise PrecisionMismatchError(prec)\n",
            ("tests/test_series.py::test_equal_but_distinct_precisions_are_accepted",)),
+    # an operand with one nonzero coefficient read as zero, so its products vanish
+    Mutant("zero-shortcut-on-monomial", "series.py",
+           "if za == T or zb == T:", "if za >= T - 1 or zb >= T - 1:", (ZERO_TEST,)),
+    # a pair with a zero operand skipped before its precision test, so dot
+    # accepts a zero at another precision
+    Mutant("dot-zero-skip-before-precision-check", "series.py",
+           DOT_GUARD, "        out = _mul_raw(x.coeffs, y.coeffs, T, q)\n"
+                      "        if not out:\n            continue\n" + DOT_GUARD,
+           ("tests/test_series.py::test_mismatched_precisions_are_refused",)),
     # a word slot one typecode too narrow at 9, 17 and 33 bits: the top sums carry
     Mutant("packed-slot-code-too-narrow", "series.py",
            "_SLOT_CODES[bits], sys", "_SLOT_CODES[bits - 1], sys", (SLOT_TEST,)),

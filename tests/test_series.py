@@ -147,13 +147,16 @@ BINARY = {
 }
 
 
+@pytest.mark.parametrize("zero", [False, True], ids=["nonzero", "zero"])
 @pytest.mark.parametrize("op", BINARY)
-def test_equal_but_distinct_precisions_are_accepted(op):
+def test_equal_but_distinct_precisions_are_accepted(op, zero):
     # operands are first compared by identity of their Precision; one built
-    # apart but equal in value must still pass, with the same result
+    # apart but equal in value must still pass, with the same result, also
+    # beside a zero operand, whose product runs no route
     shared, twin = Precision(3, 2, 5), Precision(3, 2, 5)
     assert twin == shared and twin is not shared
-    a, b = S(shared, 1, 4, 0, 7, 2), S(shared, 5, 0, 8, 1)
+    a = TruncatedSeries.zero(shared) if zero else S(shared, 1, 4, 0, 7, 2)
+    b = S(shared, 5, 0, 8, 1)
     b_twin = S(twin, 5, 0, 8, 1)
     assert BINARY[op](a, b_twin) == BINARY[op](a, b)
     assert BINARY[op](b_twin, a) == BINARY[op](b, a)
@@ -161,9 +164,13 @@ def test_equal_but_distinct_precisions_are_accepted(op):
 
 @pytest.mark.parametrize("other", [Precision(3, 2, 6), Precision(3, 3, 5), Precision(5, 2, 5)],
                          ids=["T", "n", "p"])
+@pytest.mark.parametrize("zero", [False, True], ids=["nonzero", "zero"])
 @pytest.mark.parametrize("op", BINARY)
-def test_mismatched_precisions_are_refused(op, other):
-    a, b = S(Precision(3, 2, 5), 1, 4, 0, 7, 2), S(other, 5, 0, 8, 1)
+def test_mismatched_precisions_are_refused(op, other, zero):
+    # a zero operand is refused alike: the check runs before the zero test
+    prec = Precision(3, 2, 5)
+    a = TruncatedSeries.zero(prec) if zero else S(prec, 1, 4, 0, 7, 2)
+    b = S(other, 5, 0, 8, 1)
     with pytest.raises(PrecisionMismatchError):
         BINARY[op](a, b)
     with pytest.raises(PrecisionMismatchError):
@@ -173,14 +180,20 @@ def test_mismatched_precisions_are_refused(op, other):
 @pytest.mark.parametrize("expr", [
     "a * 3", "a + 1", "a - 1", "a * lookalike", "a + lookalike", "a - lookalike",
     "dot([a], [3])", "dot([3], [a])", "dot([a, a], [a, 3])", "dot([a], [lookalike])",
+    "z * 3", "z * lookalike", "a * hollow", "dot([z], [3])", "dot([3], [z])",
+    "dot([z, z], [z, 3])", "dot([z], [lookalike])", "dot([a], [hollow])",
 ])
 def test_non_series_operands_raise_type_error(expr):
     # not AttributeError: the identity test reads .prec only after the
-    # class test, and an object that merely carries the same .prec is no series
+    # class test, and an object that merely carries the same .prec is no
+    # series, even when its coefficients, or the other operand's, are all zero
     a = S(Precision(3, 2, 5), 1, 4)
+    z = TruncatedSeries.zero(a.prec)
     lookalike = SimpleNamespace(prec=a.prec, coeffs=a.coeffs)
+    hollow = SimpleNamespace(prec=a.prec, coeffs=z.coeffs)
+    names = {"a": a, "z": z, "lookalike": lookalike, "hollow": hollow}
     with pytest.raises(TypeError, match="expected TruncatedSeries"):
-        eval(expr, {"dot": dot}, {"a": a, "lookalike": lookalike})
+        eval(expr, {"dot": dot}, names)
 
 
 # -- multiplication -----------------------------------------------------------------
@@ -212,9 +225,10 @@ def _operand(rng, prec, nnz):
 
 
 def count_routes(monkeypatch) -> dict:
-    """Count the calls of each product route from here on."""
-    routes = {"sparse": 0, "packed": 0}
-    for name in routes:
+    """Count the calls of each product route from here on, and as "none"
+    the products that _mul_raw answers with no terms (a zero operand)."""
+    routes = {"sparse": 0, "packed": 0, "none": 0}
+    for name in ("sparse", "packed"):
         kernel = getattr(series, f"_mul_{name}")
 
         def counted(*args, kernel=kernel, name=name):
@@ -222,6 +236,14 @@ def count_routes(monkeypatch) -> dict:
             return kernel(*args)
 
         monkeypatch.setattr(series, f"_mul_{name}", counted)
+    raw = series._mul_raw
+
+    def counted_raw(*args):
+        out = raw(*args)
+        routes["none"] += not out
+        return out
+
+    monkeypatch.setattr(series, "_mul_raw", counted_raw)
     return routes
 
 
@@ -235,7 +257,7 @@ def test_mul_routes_match_brute_force_at_real_sizes(monkeypatch, p, n, T):
     rng = random.Random(f"mul-{p}-{n}-{T}")
     K = series._SPARSE_K
     shapes = [(T, T), (3, 3), (1, T), (T, K), (T - 1, K), (T, K + 1), (T // 2, 2 * K)]
-    expected = {"sparse": 0, "packed": 0}
+    expected = {"sparse": 0, "packed": 0, "none": 0}
     for na, nb in shapes:
         expected["sparse" if na * nb <= K * T else "packed"] += 1
         a, b = _operand(rng, prec, na), _operand(rng, prec, nb)
@@ -245,6 +267,34 @@ def test_mul_routes_match_brute_force_at_real_sizes(monkeypatch, p, n, T):
     # all-maximal coefficients fill every packed slot as far as it can go
     top = TruncatedSeries(prec, (prec.modulus - 1,) * T)
     assert top * top == brute_mul(prec, top, top)
+
+
+# (precision, nonzeros of a, the route a * a takes): sparse at T = 5, the
+# word-packed route at 2^8 and the bytes route at 10007^3 (86-bit slots)
+ZERO_CASES = [(Precision(3, 2, 5), 3, "sparse"), (Precision(2, 8, 40), 40, "packed"),
+              (Precision(2, 8, 200), 200, "packed"), (Precision(10007, 3, 40), 40, "packed")]
+ZERO_IDS = [f"{pr.p}^{pr.n}-T{pr.T}" for pr, _, _ in ZERO_CASES]
+
+
+@pytest.mark.parametrize("prec, nnz, route", ZERO_CASES, ids=ZERO_IDS)
+def test_zero_operands_take_no_product_route(monkeypatch, prec, nnz, route):
+    # a zero operand gives the zero series without either route; an operand
+    # with one nonzero coefficient is no zero and takes the sparse route
+    rng = random.Random(f"zero-{prec.p}-{prec.n}-{prec.T}")
+    zero, a = TruncatedSeries.zero(prec), _operand(rng, prec, nnz)
+    one_term = _operand(rng, prec, 1)
+    routes = count_routes(monkeypatch)
+    for x, y in [(a, zero), (zero, a), (zero, zero)]:
+        r = x * y
+        assert r == brute_mul(prec, x, y) == zero and r.prec is prec
+    assert routes == {"sparse": 0, "packed": 0, "none": 3}
+    assert a * a == brute_mul(prec, a, a)
+    expected = {"sparse": 0, "packed": 0, "none": 3, route: 1}
+    assert routes == expected
+    for x, y in [(a, one_term), (one_term, a), (one_term, one_term)]:
+        assert x * y == brute_mul(prec, x, y)
+    expected["sparse"] += 3
+    assert routes == expected
 
 
 # (p, n, T, b): b = bit_length(T * (q - 1)^2), the bits a packed slot needs,
@@ -271,7 +321,7 @@ def test_packed_slots_hold_the_largest_sums(monkeypatch, p, n, T, bits):
         (k + 1) * (q - 1) ** 2 for k in range(T)]
     routes = count_routes(monkeypatch)
     assert top * top == brute_mul(prec, top, top)
-    assert routes == {"sparse": 0, "packed": 1}
+    assert routes == {"sparse": 0, "packed": 1, "none": 0}
 
 
 @pytest.mark.parametrize("p, n, T, bits", SLOT_WIDTHS, ids=SLOT_IDS)
@@ -352,6 +402,24 @@ def test_dot_matches_object_level_sum(monkeypatch, prec):
             for name in in_dot:
                 in_dot[name] += routes[name] - before[name]
     assert in_dot["sparse"] and in_dot["packed"]
+
+
+@pytest.mark.parametrize("prec, nnz, route", ZERO_CASES, ids=ZERO_IDS)
+def test_dot_drops_terms_with_a_zero_operand(monkeypatch, prec, nnz, route):
+    rng = random.Random(f"dot-zero-{prec.p}-{prec.n}-{prec.T}")
+    zero, a, b = (TruncatedSeries.zero(prec), _operand(rng, prec, nnz),
+                  _operand(rng, prec, nnz))
+    routes = count_routes(monkeypatch)
+    # (xs, ys, how many terms have no zero operand)
+    cases = [([a, zero, b, a], [b, a, zero, a], 2), ([zero, a], [b, a], 1),
+             ([zero, a, zero], [b, zero, zero], 0), ([zero], [zero], 0)]
+    for xs, ys, computed in cases:
+        before = dict(routes)
+        r = dot(xs, ys)
+        ran = {name: routes[name] - before[name] for name in routes}
+        assert ran == {"sparse": 0, "packed": 0, route: computed, "none": len(xs) - computed}
+        assert r == reference_dot(xs, ys) and r.prec is prec
+        assert r.is_zero() == (computed == 0)
 
 
 def test_dot_refuses_mixed_precisions_and_unpaired_input():
@@ -595,6 +663,7 @@ def test_ring_results_never_run_the_public_check(monkeypatch):
     M = breuil.build_bt_module(prec, eis, d=1, h=2, seed=3)
     x = breuil.FractionalElement(pole=2, alphas=(S(prec, 1, 1), S(prec, 0, 3)))
     cfg = oracle.default_config(eis, 2)
+    zero = TruncatedSeries.zero(prec)
     monkeypatch.setattr(TruncatedSeries, "__post_init__", checked)
     monkeypatch.setattr(series, "_series", built)
     TruncatedSeries.one(prec)
@@ -603,6 +672,10 @@ def test_ring_results_never_run_the_public_check(monkeypatch):
     scanned = counts["built"]
     image = breuil.apply_phi(M, x)
     assert counts["checked"] == 1 and 0 < scanned < counts["built"]
+    # a zero operand's product is a ring result too
+    before = counts["built"]
+    assert x.alphas[0] * zero == zero == dot([zero, x.alphas[1]], [x.alphas[0], zero])
+    assert counts == {"checked": 1, "built": before + 2}
     assert (result.t_star, len(result.witnesses), image.pole) == (5, 64, 4)
     assert all(result.assertions.values())
 
