@@ -16,6 +16,10 @@ e.  Uncertified constructions at n > 1 are refused rather than trusted.
 Smith reduction returns the exponents only: the gate, prop1_classify and
 the height h4 (the number of exponents below e) all read them.
 
+phi is packed once per module (phi_packed, series._pack) at the slot width
+of a sum of h products, and apply_phi builds each coordinate of an image as
+one row sum of that packed row against the packed twisted coordinates.
+
 Elements with denominators u^t are carried as FractionalElement values in
 least-pole-order normal form.  Applying the semilinear map multiplies pole
 orders by p, so the u-precision contract is explicit: callers allocate
@@ -30,7 +34,18 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .eisenstein import EisensteinPolynomial, charpoly_mod
-from .series import Precision, PrecisionError, TruncatedSeries, decimal, dot, frobenius
+from .series import (
+    Precision,
+    PrecisionError,
+    TruncatedSeries,
+    _pack,
+    _require_prec,
+    _row_sum,
+    _slot_bits,
+    decimal,
+    dot,
+    frobenius,
+)
 
 Matrix = tuple[tuple[TruncatedSeries, ...], ...]
 
@@ -48,10 +63,6 @@ def mat_identity(prec: Precision, h: int) -> Matrix:
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     cols = tuple(zip(*B))
     return tuple(tuple(dot(row, col) for col in cols) for row in A)
-
-
-def mat_vec(A: Matrix, v: tuple[TruncatedSeries, ...]) -> tuple[TruncatedSeries, ...]:
-    return tuple(dot(row, v) for row in A)
 
 
 def mat_det(A: Matrix) -> TruncatedSeries:
@@ -110,6 +121,15 @@ class BreuilModule:
     def phi_degree(self) -> int:
         """Largest degree among the entries of phi; 0 when phi is zero."""
         return max((entry.degree() or 0) for row in self.phi for entry in row)
+
+    @cached_property
+    def phi_packed(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(bits, rows): every entry of phi packed once by series._pack, in
+        slots of bits = bit_length(h * T * (q-1)^2), which no row sum of h
+        products overflows."""
+        prec = self.prec
+        bits = _slot_bits(self.h, prec.T, prec.modulus)
+        return bits, tuple(tuple(_pack(x.coeffs, bits) for x in row) for row in self.phi)
 
     def __post_init__(self):
         h = self.h
@@ -200,7 +220,12 @@ def fractional(pole: int, alphas) -> FractionalElement:
 
 def apply_phi(M: BreuilModule, x: FractionalElement) -> FractionalElement:
     """Image of x: coordinates are twisted (u -> u^p), the pole becomes p*pole,
-    then the matrix acts; the result is renormalized to least pole order."""
+    then the matrix acts; the result is renormalized to least pole order.
+
+    The twisted coordinates are packed once, and each coordinate of the
+    image is one row sum against the module's packed phi (phi_packed).
+    Coordinates at a precision other than the module's, in value, raise
+    PrecisionMismatchError."""
     if len(x.alphas) != M.h:
         raise ValueError(f"expected {M.h} coordinates, got {len(x.alphas)}")
     if x.is_zero():
@@ -216,9 +241,12 @@ def apply_phi(M: BreuilModule, x: FractionalElement) -> FractionalElement:
         raise PrecisionError(
             f"numerator support would truncate: p*{alpha_deg} + {M.phi_degree} >= T = {T}"
         )
-    twisted = tuple(frobenius(a) for a in x.alphas)
-    nums = mat_vec(M.phi, twisted)
-    return fractional(p * x.pole, nums)
+    prec = M.prec
+    if x.alphas[0].prec is not prec:
+        _require_prec(prec, x.alphas[0])
+    bits, rows = M.phi_packed
+    twisted = [_pack(frobenius(a).coeffs, bits) for a in x.alphas]
+    return fractional(p * x.pole, tuple(_row_sum(prec, row, twisted, bits) for row in rows))
 
 
 # -- order and heights ---------------------------------------------------------
@@ -474,6 +502,12 @@ def _file_int(x) -> int:
         raise ValueError(f"malformed module file: {err}") from None
 
 
+def _file_ints(xs: list) -> list:
+    """The integers of a coefficient list: the list itself when one pass over
+    its types finds JSON integers only, else each item through _file_int."""
+    return xs if set(map(type, xs)) <= {int} else [_file_int(c) for c in xs]
+
+
 def _file_object(x, name: str) -> dict:
     """A JSON object of a module file: the document or its normal_decomp."""
     if not isinstance(x, dict):
@@ -510,10 +544,8 @@ def _file_matrix(prec: Precision, h: int, name: str, rows) -> tuple:
             if len(entry) > prec.T:
                 raise ValueError(f"malformed module file: a {name} entry has "
                                  f"{len(entry)} coefficients, more than T = {prec.T}")
-    return tuple(
-        tuple(TruncatedSeries.from_coeffs(prec, [_file_int(c) for c in entry]) for entry in row)
-        for row in entries
-    )
+    return tuple(tuple(TruncatedSeries.from_coeffs(prec, _file_ints(entry)) for entry in row)
+                 for row in entries)
 
 
 def module_from_json(data: dict) -> BreuilModule:
@@ -522,11 +554,13 @@ def module_from_json(data: dict) -> BreuilModule:
     A document or normal_decomp that is not an object, a missing key, an
     entry of the wrong shape, a row or entry that is not a list, a number
     that is not an integer, an entry longer than T, an eisenstein list of T
-    or more coefficients, or a header n, T or h above its MODULE_FILE_LIMITS
-    cap raises ValueError naming what is wrong.  The caps are checked before
-    anything is allocated."""
+    or more coefficients, a header h below 1, or a header n, T or h above its
+    MODULE_FILE_LIMITS cap raises ValueError naming what is wrong.  The caps
+    are checked before anything is allocated."""
     data = _file_object(data, "the top level")
     p, n, T, h = (_file_int(_file_key(data, key)) for key in ("p", "n", "T", "h"))
+    if h < 1:
+        raise ValueError(f"malformed module file: h = {h} must be at least 1")
     for key, value in (("n", n), ("T", T), ("h", h)):
         if value > MODULE_FILE_LIMITS[key]:
             raise ValueError(f"malformed module file: {key} = {value} exceeds "
@@ -536,7 +570,7 @@ def module_from_json(data: dict) -> BreuilModule:
     if len(eis_coeffs) >= T:  # E has degree len(eis_coeffs), and T must exceed it
         raise ValueError(f"malformed module file: eisenstein has {len(eis_coeffs)} "
                          f"coefficients, at least T = {T}")
-    eis = EisensteinPolynomial(prec.p, tuple(_file_int(c) for c in eis_coeffs))
+    eis = EisensteinPolynomial(prec.p, tuple(_file_ints(eis_coeffs)))
     phi = _file_matrix(prec, h, "phi", _file_key(data, "phi"))
     nd = None
     if data.get("normal_decomp") is not None:

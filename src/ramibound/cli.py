@@ -279,9 +279,17 @@ def cmd_verify(args) -> int:
 def cmd_heights(args) -> int:
     payload: dict = {"command": "heights"}
     if args.module_file is not None:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        short = limit // 2 - 1 if limit else math.inf
+
+        def json_int(text: str) -> int:
+            # int() reads ASCII text of at most D = limit // 2 - 1 characters,
+            # which decimal() accepts as is; longer text gets decimal()'s rule
+            return int(text) if len(text) <= short and text.isascii() else decimal(text)
+
         with open(args.module_file, "r", encoding="utf-8") as fh:
             try:  # a JSON integer obeys the digit rule of every other input
-                data = json.load(fh, parse_int=decimal)
+                data = json.load(fh, parse_int=json_int)
             except (DecimalError, RecursionError) as err:  # or nests too deep
                 raise ValueError(f"malformed module file: {err}") from None
         module = breuil.module_from_json(data)

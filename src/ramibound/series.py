@@ -43,9 +43,13 @@ host's byte order, and the product is written back in that order over
 both integers hold their slots in reverse, so the product does too, and
 its first item is still c_0.)  Wider slots, which module files reach with
 large p, are ceil(b / 8) bytes, packed and read one coefficient at a time.
-dot(xs, ys) takes the same route per pair, drops the pairs with a zero
-operand, adds the other unreduced products up as integers and reduces mod q
-once, so a sum of h products builds one series.
+_pack and _unpack are the one packing implementation, for * and row sums.
+A row sum adds h packed products as integers: slot k of the sum holds at
+most h * T terms, so its slots take b = bit_length(h * T * (q-1)^2) bits,
+and the sum is unpacked and reduced mod q once per row.  dot(xs, ys) is
+one row sum over its operands, each packed once, and skips the pairs with a
+zero operand, so a sum of h products builds one series.  Breuil modules
+pack phi once and take each coordinate of an image by one row sum.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from argparse import ArgumentTypeError
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
-from operator import add, mul, sub
+from operator import mul, sub
 
 
 class PrecisionMismatchError(ValueError):
@@ -326,13 +330,14 @@ class TruncatedSeries:
 
 
 def _require_prec(prec: Precision, x) -> None:
-    """The precision check of +, -, * and dot: x must be a TruncatedSeries
-    (else TypeError) whose precision equals prec in value (else
-    PrecisionMismatchError), so an equal but distinct Precision passes.
+    """The precision check of +, -, *, dot and breuil.apply_phi: x must be a
+    TruncatedSeries (else TypeError) whose precision equals prec in value
+    (else PrecisionMismatchError), so an equal but distinct Precision passes.
 
     Those operations first test `x.__class__ is TruncatedSeries and x.prec
-    is prec`, which holds for operands sharing one Precision object, and
-    call this only for an operand that fails it."""
+    is prec` (apply_phi, whose coordinates are twisted into series, only
+    the second half), which holds for operands sharing one Precision
+    object, and call this only for an operand that fails it."""
     if not isinstance(x, TruncatedSeries):
         raise TypeError(f"expected TruncatedSeries, got {type(x).__name__}")
     if x.prec != prec:
@@ -401,24 +406,55 @@ def _mul_sparse(a, b, T):
 
 
 def _mul_packed(a, b, T, q):
-    """Unreduced truncated convolution by Kronecker packing: through one
-    array of _SLOT_CODES[bits] per operand and one for the product when a
-    slot of bits = bit_length(T * (q-1)^2) fits a machine word, else
-    through w = ceil(bits / 8)-byte slots, one coefficient at a time."""
-    bits = (T * (q - 1) ** 2).bit_length()
+    """Unreduced truncated convolution by Kronecker packing: one _pack per
+    operand at bits = bit_length(T * (q-1)^2), one product, one _unpack."""
+    bits = _slot_bits(1, T, q)
+    return _unpack(_pack(a, bits) * _pack(b, bits), bits, T)
+
+
+def _slot_bits(h, T, q):
+    """Bits a slot needs to hold a sum of h packed products of T residues
+    mod q: each of its at most h * T terms is at most (q-1)^2."""
+    return (h * T * (q - 1) ** 2).bit_length()
+
+
+def _pack(cs, bits):
+    """The residues cs as one integer of slots that hold `bits` bits: one
+    item of _SLOT_CODES[bits] each, in the host's byte order, when bits <=
+    64, else ceil(bits / 8) little-endian bytes each."""
     if bits < len(_SLOT_CODES):
-        code, order = _SLOT_CODES[bits], sys.byteorder
-        x, y = array(code, a), array(code, b)
-        raw = int.from_bytes(x, order) * int.from_bytes(y, order)
-        out = array(code, raw.to_bytes((2 * T - 1) * x.itemsize, order))
+        return int.from_bytes(array(_SLOT_CODES[bits], cs), sys.byteorder)
+    w = (bits + 7) // 8
+    return int.from_bytes(b"".join(map(int.to_bytes, cs, repeat(w), repeat("little"))), "little")
+
+
+def _unpack(x, bits, T):
+    """The low T slots of x, a sum of products of two T-slot _pack(_, bits)
+    integers: x has at most 2T - 1 slots, written out in the order _pack
+    reads, of which the first T are kept."""
+    if bits < len(_SLOT_CODES):
+        out = array(_SLOT_CODES[bits])
+        out.frombytes(x.to_bytes((2 * T - 1) * out.itemsize, sys.byteorder))
         del out[T:]
         return out.tolist()
     w = (bits + 7) // 8
-    order = repeat("little")
-    x = int.from_bytes(b"".join(map(int.to_bytes, a, repeat(w), order)), "little")
-    y = int.from_bytes(b"".join(map(int.to_bytes, b, repeat(w), order)), "little")
-    raw = (x * y).to_bytes(2 * T * w, "little")
+    raw = x.to_bytes((2 * T - 1) * w, "little")
     return [int.from_bytes(raw[k:k + w], "little") for k in range(0, T * w, w)]
+
+
+def _row_sum(prec, xs, ys, bits):
+    """sum_i xs[i] * ys[i] as a series, for xs and ys packed by _pack(_,
+    bits) with bits >= _slot_bits(len(xs), T, q): a pair with a zero operand
+    adds no product, the others are added as integers, and the sum is
+    unpacked and reduced mod p^n once."""
+    acc = 0
+    for a, b in zip(xs, ys):
+        if a and b:
+            acc += a * b
+    if not acc:
+        return _series(prec, (0,) * prec.T)
+    q = prec.modulus
+    return _series(prec, tuple([c % q for c in _unpack(acc, bits, prec.T)]))
 
 
 def frobenius(a: TruncatedSeries) -> TruncatedSeries:
@@ -436,30 +472,25 @@ def frobenius(a: TruncatedSeries) -> TruncatedSeries:
 
 
 def dot(xs, ys) -> TruncatedSeries:
-    """sum_i xs[i] * ys[i] over paired series of one precision.
-
-    The unreduced products are added up as integers and reduced mod p^n
-    once, so h pairs build one series rather than 2h - 1.  A pair with a
-    zero operand adds no term (_mul_raw returns []), and when no pair adds
-    one the sum is the zero series.  Raises
-    PrecisionMismatchError on mixed precisions, TypeError on an operand that
-    is not a series, and ValueError on an empty or unpaired input.  Each
-    pair takes the operators' identity test first."""
+    """sum_i xs[i] * ys[i] over paired series of one precision, as one row
+    sum (_row_sum): each operand is packed once at the slot width of h
+    products, and the products are added as integers and reduced mod p^n
+    once.  Raises PrecisionMismatchError on mixed precisions, TypeError on
+    an operand that is not a series, and ValueError on an empty or unpaired
+    input.  Each pair takes the operators' identity test first, and every
+    pair is checked before any is packed."""
     if not xs or len(xs) != len(ys):
         raise ValueError(f"dot needs paired nonempty inputs, got {len(xs)} and {len(ys)}")
     if not isinstance(xs[0], TruncatedSeries):
         raise TypeError(f"expected TruncatedSeries, got {type(xs[0]).__name__}")
     prec = xs[0].prec
-    T, q = prec.T, prec.modulus
-    acc = []
     for x, y in zip(xs, ys):
         if not (x.__class__ is y.__class__ is TruncatedSeries and x.prec is prec and y.prec is prec):
             _require_prec(prec, x)
             _require_prec(prec, y)
-        out = _mul_raw(x.coeffs, y.coeffs, T, q)
-        if out:
-            acc = list(map(add, acc, out)) if acc else out
-    return _series(prec, tuple([c % q for c in acc]) if acc else (0,) * T)
+    bits = _slot_bits(len(xs), prec.T, prec.modulus)
+    return _row_sum(prec, [_pack(x.coeffs, bits) for x in xs],
+                    [_pack(y.coeffs, bits) for y in ys], bits)
 
 
 def invert_unit(a: TruncatedSeries) -> TruncatedSeries:

@@ -37,12 +37,11 @@ MUL_GUARD = ("""        if other.__class__ is not TruncatedSeries or other.prec 
             _require_prec(prec, other)
         q = prec.modulus
         out = _mul_raw(""")
-# dot's precision test of a pair and the product after it
+# dot's precision test of a pair, which runs before any pair is packed
 DOT_GUARD = """\
         if not (x.__class__ is y.__class__ is TruncatedSeries and x.prec is prec and y.prec is prec):
             _require_prec(prec, x)
             _require_prec(prec, y)
-        out = _mul_raw(x.coeffs, y.coeffs, T, q)
 """
 
 MUTANTS = [
@@ -138,15 +137,25 @@ MUTANTS = [
     # a pair with a zero operand skipped before its precision test, so dot
     # accepts a zero at another precision
     Mutant("dot-zero-skip-before-precision-check", "series.py",
-           DOT_GUARD, "        out = _mul_raw(x.coeffs, y.coeffs, T, q)\n"
-                      "        if not out:\n            continue\n" + DOT_GUARD,
+           DOT_GUARD, "        if not (any(x.coeffs) and any(y.coeffs)):\n"
+                      "            continue\n" + DOT_GUARD,
            ("tests/test_series.py::test_mismatched_precisions_are_refused",)),
     # a word slot one typecode too narrow at 9, 17 and 33 bits: the top sums carry
     Mutant("packed-slot-code-too-narrow", "series.py",
-           "_SLOT_CODES[bits], sys", "_SLOT_CODES[bits - 1], sys", (SLOT_TEST,)),
-    # a 65-bit slot sent to the machine-word route, past the last typecode
+           "if array(c).itemsize * 8 >= b)", "if array(c).itemsize * 8 >= b - 1)", (SLOT_TEST,)),
+    # a 65-bit slot packed by the machine-word route, past the last typecode
     Mutant("packed-word-route-past-64-bits", "series.py",
-           "if bits < len(_SLOT_CODES):", "if bits <= len(_SLOT_CODES):", (SLOT_TEST,)),
+           "if bits < len(_SLOT_CODES):\n        return",
+           "if bits <= len(_SLOT_CODES):\n        return", (SLOT_TEST,)),
+    # a row sum of h products in slots sized for one: the top sums carry
+    Mutant("row-slot-for-one-product", "series.py",
+           "(h * T * (q - 1) ** 2).bit_length()", "(T * (q - 1) ** 2).bit_length()",
+           (SLOT_TEST,)),
+    # the sparse product loses its coefficient of u^3, a kernel fault that a
+    # reference built on * would share
+    Mutant("sparse-product-drops-u3", "series.py",
+           "out[i + j] += x * y", "out[i + j] += x * y * (i + j != 3)",
+           ("tests/test_series.py::test_mul_routes_match_brute_force_at_real_sizes",)),
     # str.isdigit() accepts non-ASCII digits such as U+0662, which int() reads
     Mutant("decimal-non-ascii-digits", "series.py",
            "if not (digits.isascii() and digits.isdigit()):", "if not digits.isdigit():",

@@ -4,6 +4,7 @@ and the inclusion exponents on the cascade family."""
 import json
 import random
 from itertools import combinations, product
+from operator import add
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,7 +26,6 @@ from ramibound.breuil import (
     h4,
     mat_identity,
     mat_mul,
-    mat_vec,
     module_from_json,
     module_to_json,
     order,
@@ -35,7 +35,14 @@ from ramibound.breuil import (
     verify_inclusion_p_s,
 )
 from ramibound.eisenstein import EisensteinPolynomial, berkowitz_charpoly
-from ramibound.series import Precision, PrecisionError, TruncatedSeries, frobenius
+from ramibound.series import (
+    Precision,
+    PrecisionError,
+    PrecisionMismatchError,
+    TruncatedSeries,
+    dot,
+    frobenius,
+)
 
 
 def S(prec, *coeffs):
@@ -310,22 +317,27 @@ def test_seeded_builds_have_unit_change_of_basis():
 
 # -- matrix products over the truncated ring ------------------------------------------
 
+def schoolbook_dot(q, T, xs, ys):
+    """sum_t xs[t] * ys[t] mod q over plain coefficient lists, truncated at
+    u^T: a schoolbook convolution that runs no kernel of the library."""
+    out = [0] * T
+    for a, b in zip(xs, ys):
+        for i, x in enumerate(a):
+            if x:
+                out[i:] = map(add, out[i:], map(x.__mul__, b))
+    return [c % q for c in out]
+
+
 def reference_mat_vec(A, v):
-    # the object-level chain: h products and h - 1 sums per entry
-    return tuple(
-        sum((A[i][t] * v[t] for t in range(1, len(v))), A[i][0] * v[0])
-        for i in range(len(A))
-    )
+    prec = v[0].prec
+    q, T = prec.modulus, prec.T
+    vs = [x.coeffs for x in v]
+    return tuple(TruncatedSeries(prec, tuple(schoolbook_dot(q, T, [x.coeffs for x in row], vs)))
+                 for row in A)
 
 
 def reference_mat_mul(A, B):
-    return tuple(
-        tuple(
-            sum((A[i][t] * B[t][j] for t in range(1, len(B))), A[i][0] * B[0][j])
-            for j in range(len(B[0]))
-        )
-        for i in range(len(A))
-    )
+    return tuple(zip(*(reference_mat_vec(A, col) for col in zip(*B))))
 
 
 def random_matrix(rng, prec, rows, cols):
@@ -348,17 +360,17 @@ def random_matrix(rng, prec, rows, cols):
 
 @pytest.mark.parametrize("p, n", [(2, 8), (3, 3), (7, 4)])
 @pytest.mark.parametrize("T", [11, 40, 200])
-def test_mat_vec_and_mat_mul_match_object_level_sums(p, n, T):
+def test_dot_rows_and_mat_mul_match_schoolbook_sums(p, n, T):
     prec = Precision(p, n, T)
     rng = random.Random(f"mat-{p}-{n}-{T}")
     top = TruncatedSeries(prec, (prec.modulus - 1,) * T)
     for h in range(1, 5):
         A, B = random_matrix(rng, prec, h, h), random_matrix(rng, prec, h, h)
         v = random_matrix(rng, prec, 1, h)[0]
-        assert mat_vec(A, v) == reference_mat_vec(A, v)
+        assert tuple(dot(row, v) for row in A) == reference_mat_vec(A, v)
         assert mat_mul(A, B) == reference_mat_mul(A, B)
         full = ((top,) * h,) * h
-        assert mat_vec(full, full[0]) == reference_mat_vec(full, full[0])
+        assert tuple(dot(row, full[0]) for row in full) == reference_mat_vec(full, full[0])
         assert mat_mul(full, full) == reference_mat_mul(full, full)
     # rectangular shapes, as an extension's off-diagonal block has
     A, B = random_matrix(rng, prec, 2, 3), random_matrix(rng, prec, 3, 1)
@@ -368,10 +380,22 @@ def test_mat_vec_and_mat_mul_match_object_level_sums(p, n, T):
 # -- the semilinear map -------------------------------------------------------------
 
 def reference_apply_phi(M, x):
-    if x.is_zero():
-        return fractional(0, (TruncatedSeries.zero(M.prec),) * M.h)
-    twisted = tuple(frobenius(a) for a in x.alphas)
-    return fractional(M.prec.p * x.pole, reference_mat_vec(M.phi, twisted))
+    # the twist, the schoolbook rows and the least-pole normalization, on
+    # plain coefficient lists
+    prec = M.prec
+    p, T = prec.p, prec.T
+    twisted = []
+    for a in x.alphas:
+        cs = [0] * T
+        for i, c in enumerate(a.coeffs):
+            if p * i < T:
+                cs[p * i] = c
+        twisted.append(cs)
+    nums = [schoolbook_dot(prec.modulus, T, [e.coeffs for e in row], twisted) for row in M.phi]
+    orders = [next(i for i, c in enumerate(cs) if c) for cs in nums if any(cs)]
+    strip = min([p * x.pole, *orders]) if orders else p * x.pole
+    return FractionalElement(p * x.pole - strip, tuple(
+        TruncatedSeries(prec, tuple(cs[strip:] + [0] * strip)) for cs in nums))
 
 
 def sampled_elements(rng, M, count):
@@ -407,6 +431,11 @@ def test_apply_phi_matches_object_level_route():
         M1 = build_bt_module(prec, eis, d=k % 2, h=1 + k % 2, seed=k, max_entry_degree=2)
         M2 = build_bt_module(prec, eis, d=1, h=2, seed=k + 10, max_entry_degree=2)
         modules.append(extension_module(M1, M2, seed=k))
+    # row slots past 64 bits, as lemma1 reaches at p = 13, n = 10
+    M = build_bt_module(Precision(13, 10, 40), EisensteinPolynomial(13, (13, 13)), d=1, h=3,
+                        seed=7)
+    assert M.phi_packed[0] == 81
+    modules.append(M)
     for M in modules:
         for x in sampled_elements(rng, M, 4):
             assert apply_phi(M, x) == reference_apply_phi(M, x)
@@ -475,6 +504,18 @@ def test_apply_phi_examples():
     # zero maps to zero
     y = apply_phi(M, FractionalElement(pole=1, alphas=(TruncatedSeries.zero(prec),)))
     assert y.pole == 0 and y.is_zero()
+
+
+def test_apply_phi_checks_the_coordinates_precision():
+    # an equal but distinct Precision is accepted, another one refused
+    M = rank1_module(2, 2, 12, E22)
+    image = apply_phi(M, FractionalElement(pole=1, alphas=(S(M.prec, 1, 1),)))
+    twin = Precision(2, 2, 12)
+    assert twin == M.prec and twin is not M.prec
+    assert apply_phi(M, FractionalElement(pole=1, alphas=(S(twin, 1, 1),))) == image
+    for other in (Precision(2, 3, 12), Precision(2, 2, 13), Precision(3, 2, 12)):
+        with pytest.raises(PrecisionMismatchError):
+            apply_phi(M, FractionalElement(pole=1, alphas=(S(other, 1, 1),)))
 
 
 def test_apply_phi_precision_guard():
@@ -693,7 +734,6 @@ def test_lemma1_membership_rejection_sampled():
                 continue
             accepted += 1
             for a in x.alphas:
-                from ramibound.series import frobenius
                 assert (E_s * frobenius(a)).in_ideal(t * (p - 1))
     assert accepted >= 30
 

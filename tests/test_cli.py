@@ -962,7 +962,11 @@ def test_cmd_heights_refuses_long_eisenstein_list_up_front(capsys, tmp_path, mon
     (lambda data: {k: v for k, v in data.items() if k != "phi"}, 'missing key "phi"'),
     (lambda data: {**data, "normal_decomp": {"d": 1}},
      'missing key "change_of_basis" in normal_decomp'),
-], ids=["top-level-list", "int-normal-decomp", "no-phi", "no-change-of-basis"])
+    # once reported as "phi is not -1x-1"
+    (lambda data: {**data, "h": -1}, "h = -1 must be at least 1"),
+    (lambda data: {**data, "h": 0}, "h = 0 must be at least 1"),
+], ids=["top-level-list", "int-normal-decomp", "no-phi", "no-change-of-basis",
+        "negative-h", "zero-h"])
 def test_cmd_heights_names_what_is_wrong_with_the_module_file(capsys, tmp_path, malform,
                                                                message):
     # these shapes once printed the repr of a KeyError or TypeError

@@ -270,7 +270,8 @@ def test_mul_routes_match_brute_force_at_real_sizes(monkeypatch, p, n, T):
 
 
 # (precision, nonzeros of a, the route a * a takes): sparse at T = 5, the
-# word-packed route at 2^8 and the bytes route at 10007^3 (86-bit slots)
+# word-packed route at 2^8 and the bytes route at 10007^3 (86-bit slots);
+# dot's row sums take the same slot routes
 ZERO_CASES = [(Precision(3, 2, 5), 3, "sparse"), (Precision(2, 8, 40), 40, "packed"),
               (Precision(2, 8, 200), 200, "packed"), (Precision(10007, 3, 40), 40, "packed")]
 ZERO_IDS = [f"{pr.p}^{pr.n}-T{pr.T}" for pr, _, _ in ZERO_CASES]
@@ -307,21 +308,40 @@ SLOT_WIDTHS = [
     (10007, 3, 40, 86),
 ]
 SLOT_IDS = [f"{b}bit-{p}^{n}-T{T}" for p, n, T, b in SLOT_WIDTHS]
+# (p, n, T, h, b): b = bit_length(h * T * (q - 1)^2), the bits a slot of an
+# h-term row sum needs, on both sides of each machine-word width and past
+# the widest one; one product alone needs fewer bits in every case
+ROW_SLOT_WIDTHS = [
+    (2, 2, 9, 3, 8), (2, 2, 10, 3, 9), (2, 6, 8, 2, 16), (2, 6, 9, 2, 17),
+    (2, 14, 4, 4, 32), (2, 14, 5, 4, 33), (2, 30, 8, 2, 64), (2, 30, 9, 2, 65),
+    (13, 10, 40, 3, 81),
+]
+ROW_SLOT_IDS = [f"{b}bit-{p}^{n}-T{T}-h{h}" for p, n, T, h, b in ROW_SLOT_WIDTHS]
 
 
-@pytest.mark.parametrize("p, n, T, bits", SLOT_WIDTHS, ids=SLOT_IDS)
-def test_packed_slots_hold_the_largest_sums(monkeypatch, p, n, T, bits):
-    # all-(q - 1) squares fill every slot as far as it can go: slot k is
-    # (k + 1) * (q - 1)^2, and slot T - 1 needs all b bits
+@pytest.mark.parametrize("p, n, T, h, bits",
+                         [(p, n, T, 1, b) for p, n, T, b in SLOT_WIDTHS] + ROW_SLOT_WIDTHS,
+                         ids=SLOT_IDS + ROW_SLOT_IDS)
+def test_packed_slots_hold_the_largest_sums(monkeypatch, p, n, T, h, bits):
+    # all-(q - 1) entries fill every slot as far as it can go: slot k of a
+    # sum of h squares is h * (k + 1) * (q - 1)^2, and slot T - 1 needs all
+    # b bits; one product takes the packed route of *, and h of them dot's
+    # row sum, which calls no route of *
     prec = Precision(p, n, T)
     q = prec.modulus
-    assert (T * (q - 1) ** 2).bit_length() == bits
+    assert series._slot_bits(h, T, q) == bits
     top = TruncatedSeries(prec, (q - 1,) * T)
-    assert series._mul_packed(top.coeffs, top.coeffs, T, q) == [
-        (k + 1) * (q - 1) ** 2 for k in range(T)]
+    packed = series._pack(top.coeffs, bits)
+    assert series._unpack(h * packed * packed, bits, T) == [
+        h * (k + 1) * (q - 1) ** 2 for k in range(T)]
+    square = brute_mul(prec, top, top)
     routes = count_routes(monkeypatch)
-    assert top * top == brute_mul(prec, top, top)
-    assert routes == {"sparse": 0, "packed": 1, "none": 0}
+    if h == 1:
+        assert top * top == square
+        assert routes == {"sparse": 0, "packed": 1, "none": 0}
+    else:
+        assert dot([top] * h, [top] * h) == square.scale(h)
+        assert routes == {"sparse": 0, "packed": 0, "none": 0}
 
 
 @pytest.mark.parametrize("p, n, T, bits", SLOT_WIDTHS, ids=SLOT_IDS)
@@ -385,10 +405,25 @@ def dot_operand(rng, prec):
 DOT_PRECISIONS = [Precision(p, n, T) for p, n in [(2, 8), (3, 3), (7, 4)] for T in (11, 40, 200)]
 
 
+def count_row_sums(monkeypatch) -> list:
+    """The (packed xs, packed ys, bits) of each _row_sum call from here on."""
+    calls = []
+    row_sum = series._row_sum
+
+    def counted(prec, xs, ys, bits):
+        calls.append((xs, ys, bits))
+        return row_sum(prec, xs, ys, bits)
+
+    monkeypatch.setattr(series, "_row_sum", counted)
+    return calls
+
+
 @pytest.mark.parametrize("prec", DOT_PRECISIONS, ids=lambda pr: f"{pr.p}^{pr.n}-T{pr.T}")
 def test_dot_matches_object_level_sum(monkeypatch, prec):
+    # dot runs no product route of *: each call is one row sum at the slot
+    # width of its h products
     routes = count_routes(monkeypatch)
-    in_dot = {"sparse": 0, "packed": 0}
+    rows = count_row_sums(monkeypatch)
     rng = random.Random(f"dot-{prec.p}-{prec.n}-{prec.T}")
     top = TruncatedSeries(prec, (prec.modulus - 1,) * prec.T)
     for h in range(1, 5):
@@ -397,29 +432,33 @@ def test_dot_matches_object_level_sum(monkeypatch, prec):
                    [dot_operand(rng, prec) for _ in range(h)]) for _ in range(8)]
         for xs, ys in cases:
             want = reference_dot(xs, ys)
-            before = dict(routes)
+            before, calls = dict(routes), len(rows)
             assert dot(xs, ys) == want
-            for name in in_dot:
-                in_dot[name] += routes[name] - before[name]
-    assert in_dot["sparse"] and in_dot["packed"]
+            assert routes == before and len(rows) == calls + 1
+            assert rows[-1][2] == series._slot_bits(h, prec.T, prec.modulus)
 
 
-@pytest.mark.parametrize("prec, nnz, route", ZERO_CASES, ids=ZERO_IDS)
-def test_dot_drops_terms_with_a_zero_operand(monkeypatch, prec, nnz, route):
+@pytest.mark.parametrize("prec, nnz", [case[:2] for case in ZERO_CASES], ids=ZERO_IDS)
+def test_dot_drops_terms_with_a_zero_operand(monkeypatch, prec, nnz):
+    # a pair with a zero operand packs to a zero integer, which the row sum
+    # skips; when every pair has one, the sum is the zero series
     rng = random.Random(f"dot-zero-{prec.p}-{prec.n}-{prec.T}")
     zero, a, b = (TruncatedSeries.zero(prec), _operand(rng, prec, nnz),
                   _operand(rng, prec, nnz))
     routes = count_routes(monkeypatch)
+    rows = count_row_sums(monkeypatch)
     # (xs, ys, how many terms have no zero operand)
     cases = [([a, zero, b, a], [b, a, zero, a], 2), ([zero, a], [b, a], 1),
              ([zero, a, zero], [b, zero, zero], 0), ([zero], [zero], 0)]
     for xs, ys, computed in cases:
         before = dict(routes)
         r = dot(xs, ys)
-        ran = {name: routes[name] - before[name] for name in routes}
-        assert ran == {"sparse": 0, "packed": 0, route: computed, "none": len(xs) - computed}
+        assert routes == before
+        packed_xs, packed_ys, _ = rows[-1]
+        assert sum(bool(x and y) for x, y in zip(packed_xs, packed_ys)) == computed
         assert r == reference_dot(xs, ys) and r.prec is prec
         assert r.is_zero() == (computed == 0)
+    assert len(rows) == len(cases)
 
 
 def test_dot_refuses_mixed_precisions_and_unpaired_input():
