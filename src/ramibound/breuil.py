@@ -209,9 +209,9 @@ class FractionalElement:
 def fractional(pole: int, alphas) -> FractionalElement:
     """Normalizing constructor: strips common u-divisibility from the pole."""
     alphas = tuple(alphas)
-    if all(a.is_zero() for a in alphas):
-        return FractionalElement(0, tuple(TruncatedSeries.zero(a.prec) for a in alphas))
-    g = min(a.ord_u() for a in alphas if not a.is_zero())
+    g = min([k for k in map(TruncatedSeries.ord_u, alphas) if k is not None], default=None)
+    if g is None:  # every coordinate is zero
+        return FractionalElement(0, alphas)
     strip = min(pole, g)
     if strip:
         alphas = tuple(a.shift_down(strip) for a in alphas)
@@ -228,9 +228,12 @@ def apply_phi(M: BreuilModule, x: FractionalElement) -> FractionalElement:
     PrecisionMismatchError."""
     if len(x.alphas) != M.h:
         raise ValueError(f"expected {M.h} coordinates, got {len(x.alphas)}")
+    prec = M.prec
+    if x.alphas[0].prec is not prec:
+        _require_prec(prec, x.alphas[0])
     if x.is_zero():
-        return fractional(0, (TruncatedSeries.zero(M.prec),) * M.h)
-    p, T = M.prec.p, M.prec.T
+        return FractionalElement(0, (TruncatedSeries.zero(prec),) * M.h)
+    p, T = prec.p, prec.T
     if p * x.pole > T:
         raise PrecisionError(
             f"pole {x.pole} maps to {p * x.pole} > T = {T}; "
@@ -241,9 +244,6 @@ def apply_phi(M: BreuilModule, x: FractionalElement) -> FractionalElement:
         raise PrecisionError(
             f"numerator support would truncate: p*{alpha_deg} + {M.phi_degree} >= T = {T}"
         )
-    prec = M.prec
-    if x.alphas[0].prec is not prec:
-        _require_prec(prec, x.alphas[0])
     bits, rows = M.phi_packed
     twisted = [_pack(frobenius(a).coeffs, bits) for a in x.alphas]
     return fractional(p * x.pole, tuple(_row_sum(prec, row, twisted, bits) for row in rows))

@@ -60,7 +60,7 @@ from .eisenstein import (
     EisensteinValidationError,
     tau_v_search,
 )
-from .series import BudgetExceededError, DecimalError, decimal, poly_text
+from .series import DIGIT_CAP, BudgetExceededError, DecimalError, decimal, poly_text
 
 SCHEMA = 1
 EXIT_OK, EXIT_ASSERTION, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
@@ -276,21 +276,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_ASSERTION
 
 
+def _json_int(text: str) -> int:
+    """decimal(text), by int() when text is ASCII of at most DIGIT_CAP characters."""
+    return int(text) if len(text) <= DIGIT_CAP and text.isascii() else decimal(text)
+
+
 def cmd_heights(args) -> int:
     payload: dict = {"command": "heights"}
     if args.module_file is not None:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        short = limit // 2 - 1 if limit else math.inf
-
-        def json_int(text: str) -> int:
-            # int() reads ASCII text of at most D = limit // 2 - 1 characters,
-            # which decimal() accepts as is; longer text gets decimal()'s rule
-            return int(text) if len(text) <= short and text.isascii() else decimal(text)
-
         with open(args.module_file, "r", encoding="utf-8") as fh:
-            try:  # a JSON integer obeys the digit rule of every other input
-                data = json.load(fh, parse_int=json_int)
-            except (DecimalError, RecursionError) as err:  # or nests too deep
+            try:
+                data = json.load(fh, parse_int=_json_int)
+            except (DecimalError, RecursionError) as err:  # too long, or nested too deep
                 raise ValueError(f"malformed module file: {err}") from None
         module = breuil.module_from_json(data)
         payload["h"] = module.h

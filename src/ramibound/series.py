@@ -99,14 +99,17 @@ class DecimalError(ValueError, ArgumentTypeError):
     """Text decimal() refuses; argparse prints an ArgumentTypeError's text."""
 
 
+# D, the most digits decimal() reads, so that a product of two still prints
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+DIGIT_CAP = _INT_LIMIT // 2 - 1 if _INT_LIMIT else float("inf")  # no limit, no cap
+
+
 def decimal(text: str) -> int:
-    """ASCII `-?[0-9]+` of at most D = sys.get_int_max_str_digits() // 2 - 1
-    digits (no cap without that limit), so that a product of two still prints."""
+    """ASCII `-?[0-9]+` of at most DIGIT_CAP digits."""
     digits = text[text.startswith("-"):]
     if not (digits.isascii() and digits.isdigit()):
         raise DecimalError(f"{text!r} is not an integer")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and len(digits) > limit // 2 - 1:
+    if len(digits) > DIGIT_CAP:
         raise DecimalError(f"a {len(digits)}-digit number is too long to read")
     return int(text)
 

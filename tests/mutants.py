@@ -170,6 +170,21 @@ MUTANTS = [
            "c < 0 or c.bit_length() > self.precision and c >= self.p**self.precision",
            "c < 0 or c >= self.p**self.precision",
            ("tests/test_eisenstein.py::test_digit_range_check_builds_no_power_for_short_digits",)),
+    # the pivot's unit part left uninverted, so no similarity: substitute
+    # shares the kernel, and only an independent route sees tau = 1 on u^3 + 3
+    Mutant("charpoly-pivot-unit-part-dropped", "eisenstein.py",
+           "inv = pow(top[k] // best, -1, q)", "inv = 1",
+           ("tests/test_eisenstein.py::test_tau_search_agrees_with_per_candidate_route[1-3-3-1]",)),
+    # every coefficient of an inverse without its c_1 term: the Weierstrass
+    # digit steps solve with a wrong inverse of the unit mod (p, u^d)
+    Mutant("invert-unit-drops-c1-term", "series.py",
+           "sum(map(mul, cs[k:0:-1], out))", "sum(map(mul, cs[k:1:-1], out))",
+           ("tests/test_series.py::test_weierstrass_prep_matches_reference_at_real_size",)),
+    # a zero element's image returned before its precision test
+    Mutant("apply-phi-zero-before-precision-check", "breuil.py",
+           "    prec = M.prec\n    if x.alphas[0]", "    prec = M.prec\n    if x.is_zero():\n"
+           "        return FractionalElement(0, x.alphas)\n    if x.alphas[0]",
+           ("tests/test_breuil.py::test_apply_phi_checks_the_coordinates_precision[zero]",)),
     # a residue E_1 vanishing mod p^N read as tau >= N - 1, one short of its bound
     Mutant("residue-tau-bound-loosened", "eisenstein.py",
            "tau=self.precision, iota=None", "tau=self.precision - 1, iota=None",

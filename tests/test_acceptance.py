@@ -7,6 +7,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from reference import admissible_pairs, taylor_shift
+
 from ramibound import breuil, oracle, suites
 from ramibound.bounds import bound_f11, compute_s
 from ramibound.eisenstein import (
@@ -15,7 +17,6 @@ from ramibound.eisenstein import (
     substitute,
     tau_v_search,
 )
-from ramibound.series import int_valuation
 
 
 @contextmanager
@@ -29,17 +30,6 @@ def criterion(num: int, limit_s: float, summary: str):
     elapsed = time.perf_counter() - start
     print(f"criterion {num}: PASS - {summary} ({elapsed:.2f}s)", flush=True)
     assert elapsed < limit_s, f"criterion {num} took {elapsed:.2f}s >= {limit_s}s"
-
-
-def admissible_pairs(p, e):
-    m = int_valuation(e, p)
-    if m == 0:
-        yield (1, 0)
-        return
-    for tau in range(1, m + 2):
-        for iota in range(1, e):
-            if iota % p != 0:
-                yield (tau, iota)
 
 
 def test_criterion_1_small_degree_zero_exponent():
@@ -163,21 +153,6 @@ def test_criterion_9_substitution_cross_route():
     with criterion(9, 5.0, "matrix route equals direct shift on 100 random pairs"):
         rng = random.Random(20260810)
         N = 5
-
-        def poly_mul(a, b):
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-            return out
-
-        def shift(eis, delta):
-            res = [1]
-            for a in reversed(eis.coeffs):
-                res = poly_mul(res, [delta, 1])
-                res[0] += a
-            return res
-
         for _ in range(100):
             p = rng.choice([2, 3, 5])
             e = rng.randint(2, 4)
@@ -191,5 +166,5 @@ def test_criterion_9_substitution_cross_route():
             q = p**N
             c0 = rng.randrange(q)
             out = substitute(eis, UniformizerChange(p, N, (c0, 1) + (0,) * (e - 2)), N)
-            expected = shift(eis, -c0 * p)
+            expected = taylor_shift(eis.coeffs, -c0 * p)
             assert out.coeffs == tuple(c % q for c in expected[:e])

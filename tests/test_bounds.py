@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from reference import admissible_pairs, valuation
 
 from ramibound.bounds import (
     bound_example4,
@@ -12,18 +13,6 @@ from ramibound.bounds import (
     prop3_height_bounds,
     reference_log_bound,
 )
-from ramibound.series import int_valuation
-
-
-def admissible_pairs(p, e):
-    m = int_valuation(e, p)
-    if m == 0:
-        yield (1, 0)
-        return
-    for tau in range(1, m + 2):
-        for iota in range(1, e):
-            if iota % p != 0:
-                yield (tau, iota)
 
 
 # -- frozen traces ---------------------------------------------------------------
@@ -92,7 +81,7 @@ def test_monotone_in_tau_and_iota():
     # observed to hold on the sweep grid; tracked empirically only
     for p in (2, 3):
         for e in range(1, 30):
-            m = int_valuation(e, p)
+            m = valuation(e, p)
             if m == 0:
                 continue
             for iota in [i for i in range(1, e) if i % p != 0]:
@@ -163,7 +152,7 @@ def test_example4_exceeds_settles_a_huge_s_without_the_power():
 def test_example4_exceeds_shortcut_agrees_with_exact_powers():
     for p in (2, 3, 5, 7):
         for e in (p, 2 * p, p**2, 3 * p**2, p**3, 1000 * p):
-            B = int_valuation(e, p) + 2
+            B = valuation(e, p) + 2
             for s in range(B * B - 1, B * B + 200):
                 assert bound_example4(p, e, s)["s_below"] == (p ** (s + 1 - B * B) < e**B)
 

@@ -4,11 +4,11 @@ and the inclusion exponents on the cascade family."""
 import json
 import random
 from itertools import combinations, product
-from operator import add
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+import reference
 
 from ramibound import breuil, suites
 from ramibound.breuil import (
@@ -34,7 +34,7 @@ from ramibound.breuil import (
     snf_mod_uT,
     verify_inclusion_p_s,
 )
-from ramibound.eisenstein import EisensteinPolynomial, berkowitz_charpoly
+from ramibound.eisenstein import EisensteinPolynomial
 from ramibound.series import (
     Precision,
     PrecisionError,
@@ -203,9 +203,9 @@ def test_det_unit_certificate_agrees_with_mat_det():
     assert seen == {True, False}
 
 
-def test_det_unit_gate_agrees_with_berkowitz_up_to_rank_8():
-    # the gate reads charpoly_mod(V(0), p); Berkowitz is the independent
-    # route, at every rank a module file may hold, singular V(0) included
+def test_det_unit_gate_agrees_with_cofactors_up_to_rank_8():
+    # the gate reads charpoly_mod(V(0), p); cofactors are the independent route,
+    # at every rank a module file may hold, singular V(0) included
     seen = set()
     for seed in range(120):
         rng = random.Random(seed)
@@ -216,7 +216,7 @@ def test_det_unit_gate_agrees_with_berkowitz_up_to_rank_8():
             V0[-1] = list(V0[0])
         V = tuple(tuple(TruncatedSeries.from_coeffs(prec, [c, rng.randrange(p)]) for c in row)
                   for row in V0)
-        unit = berkowitz_charpoly(V0, p)[0] != 0
+        unit = reference.charpoly_by_cofactors(V0)[0] % p != 0
         seen.add(unit)
         eis = EisensteinPolynomial(p, (p, 0))
         E_s = eisenstein_series(eis, prec)
@@ -279,9 +279,6 @@ def test_cokernel_gate_matches_brute_force_span(p, T):
     eis = EisensteinPolynomial(p, (p, 0))
     E_s = eisenstein_series(eis, prec)
 
-    def mul(a, b):
-        return [sum(a[i] * b[k - i] for i in range(k + 1)) % p for k in range(T)]
-
     zero = (0,) * T
     targets = [(tuple(E_s.coeffs), zero), (zero, tuple(E_s.coeffs))]
     xs = list(product(product(range(p), repeat=T), repeat=2))
@@ -289,11 +286,7 @@ def test_cokernel_gate_matches_brute_force_span(p, T):
     for seed in range(40):
         rng = random.Random(seed)
         A = [[[rng.randrange(p) for _ in range(T)] for _ in range(2)] for _ in range(2)]
-        images = {
-            tuple(tuple((a + b) % p for a, b in zip(mul(row[0], x[0]), mul(row[1], x[1])))
-                  for row in A)
-            for x in xs
-        }
+        images = {tuple(tuple(reference.schoolbook_dot(p, T, row, x)) for row in A) for x in xs}
         brute = all(t in images for t in targets)
         phi = tuple(tuple(TruncatedSeries.from_coeffs(prec, a) for a in row) for row in A)
         try:
@@ -317,27 +310,8 @@ def test_seeded_builds_have_unit_change_of_basis():
 
 # -- matrix products over the truncated ring ------------------------------------------
 
-def schoolbook_dot(q, T, xs, ys):
-    """sum_t xs[t] * ys[t] mod q over plain coefficient lists, truncated at
-    u^T: a schoolbook convolution that runs no kernel of the library."""
-    out = [0] * T
-    for a, b in zip(xs, ys):
-        for i, x in enumerate(a):
-            if x:
-                out[i:] = map(add, out[i:], map(x.__mul__, b))
-    return [c % q for c in out]
-
-
-def reference_mat_vec(A, v):
-    prec = v[0].prec
-    q, T = prec.modulus, prec.T
-    vs = [x.coeffs for x in v]
-    return tuple(TruncatedSeries(prec, tuple(schoolbook_dot(q, T, [x.coeffs for x in row], vs)))
-                 for row in A)
-
-
-def reference_mat_mul(A, B):
-    return tuple(zip(*(reference_mat_vec(A, col) for col in zip(*B))))
+def coefficients(A):
+    return [[list(x.coeffs) for x in row] for row in A]
 
 
 def random_matrix(rng, prec, rows, cols):
@@ -362,40 +336,33 @@ def random_matrix(rng, prec, rows, cols):
 @pytest.mark.parametrize("T", [11, 40, 200])
 def test_dot_rows_and_mat_mul_match_schoolbook_sums(p, n, T):
     prec = Precision(p, n, T)
+    q = prec.modulus
     rng = random.Random(f"mat-{p}-{n}-{T}")
-    top = TruncatedSeries(prec, (prec.modulus - 1,) * T)
+    top = TruncatedSeries(prec, (q - 1,) * T)
+
+    def check(A, B):
+        a, b = coefficients(A), coefficients(B)
+        assert coefficients(mat_mul(A, B)) == [
+            [reference.schoolbook_dot(q, T, row, col) for col in zip(*b)] for row in a]
+        v = [x[0] for x in B]
+        assert [list(dot(row, v).coeffs) for row in A] == [
+            reference.schoolbook_dot(q, T, row, [x[0] for x in b]) for row in a]
+
     for h in range(1, 5):
-        A, B = random_matrix(rng, prec, h, h), random_matrix(rng, prec, h, h)
-        v = random_matrix(rng, prec, 1, h)[0]
-        assert tuple(dot(row, v) for row in A) == reference_mat_vec(A, v)
-        assert mat_mul(A, B) == reference_mat_mul(A, B)
-        full = ((top,) * h,) * h
-        assert tuple(dot(row, full[0]) for row in full) == reference_mat_vec(full, full[0])
-        assert mat_mul(full, full) == reference_mat_mul(full, full)
+        check(random_matrix(rng, prec, h, h), random_matrix(rng, prec, h, h))
+        check(((top,) * h,) * h, ((top,) * h,) * h)
     # rectangular shapes, as an extension's off-diagonal block has
-    A, B = random_matrix(rng, prec, 2, 3), random_matrix(rng, prec, 3, 1)
-    assert mat_mul(A, B) == reference_mat_mul(A, B)
+    check(random_matrix(rng, prec, 2, 3), random_matrix(rng, prec, 3, 1))
 
 
 # -- the semilinear map -------------------------------------------------------------
 
-def reference_apply_phi(M, x):
-    # the twist, the schoolbook rows and the least-pole normalization, on
-    # plain coefficient lists
+def reference_image(M, x):
+    """apply_phi(M, x) by reference.apply_phi, on coefficient lists."""
     prec = M.prec
-    p, T = prec.p, prec.T
-    twisted = []
-    for a in x.alphas:
-        cs = [0] * T
-        for i, c in enumerate(a.coeffs):
-            if p * i < T:
-                cs[p * i] = c
-        twisted.append(cs)
-    nums = [schoolbook_dot(prec.modulus, T, [e.coeffs for e in row], twisted) for row in M.phi]
-    orders = [next(i for i, c in enumerate(cs) if c) for cs in nums if any(cs)]
-    strip = min([p * x.pole, *orders]) if orders else p * x.pole
-    return FractionalElement(p * x.pole - strip, tuple(
-        TruncatedSeries(prec, tuple(cs[strip:] + [0] * strip)) for cs in nums))
+    pole, nums = reference.apply_phi(prec.p, prec.modulus, prec.T, coefficients(M.phi),
+                                     x.pole, [a.coeffs for a in x.alphas])
+    return FractionalElement(pole, tuple(TruncatedSeries(prec, tuple(cs)) for cs in nums))
 
 
 def sampled_elements(rng, M, count):
@@ -412,7 +379,7 @@ def sampled_elements(rng, M, count):
         yield FractionalElement(pole=rng.randint(1, 2), alphas=tuple(alphas))
 
 
-def test_apply_phi_matches_object_level_route():
+def test_apply_phi_matches_the_reference():
     rng = random.Random("apply-phi-reference")
     modules = []
     # lemma1: the suite's seeded modules, T = 40 and widened past p = 13
@@ -422,7 +389,7 @@ def test_apply_phi_matches_object_level_route():
     for p in (2, 3, 5):
         for level in range(1, 5):
             M, gen = example3_module(p, level)
-            assert apply_phi(M, gen) == reference_apply_phi(M, gen)
+            assert apply_phi(M, gen) == reference_image(M, gen)
             modules.append(M)
     # heights: block-triangular extensions of rank up to 4
     for k in range(6):
@@ -438,7 +405,7 @@ def test_apply_phi_matches_object_level_route():
     modules.append(M)
     for M in modules:
         for x in sampled_elements(rng, M, 4):
-            assert apply_phi(M, x) == reference_apply_phi(M, x)
+            assert apply_phi(M, x) == reference_image(M, x)
 
 
 def largest_entry_degree(phi):
@@ -486,7 +453,7 @@ def test_apply_phi_truncation_guard_fires_exactly_at_T(p, eis):
                     apply_phi(M, x)
                 raised.add(p * k + a)
             else:
-                assert apply_phi(M, x) == reference_apply_phi(M, x)
+                assert apply_phi(M, x) == reference_image(M, x)
                 passed.add(p * k + a)
     assert T in raised and T - 1 in passed
 
@@ -506,16 +473,18 @@ def test_apply_phi_examples():
     assert y.pole == 0 and y.is_zero()
 
 
-def test_apply_phi_checks_the_coordinates_precision():
-    # an equal but distinct Precision is accepted, another one refused
+@pytest.mark.parametrize("coeffs", [(1, 1), ()], ids=["nonzero", "zero"])
+def test_apply_phi_checks_the_coordinates_precision(coeffs):
+    # an equal but distinct Precision is accepted, another one refused, also
+    # when the element is zero: the check runs before the zero test
     M = rank1_module(2, 2, 12, E22)
-    image = apply_phi(M, FractionalElement(pole=1, alphas=(S(M.prec, 1, 1),)))
+    image = apply_phi(M, FractionalElement(pole=1, alphas=(S(M.prec, *coeffs),)))
     twin = Precision(2, 2, 12)
     assert twin == M.prec and twin is not M.prec
-    assert apply_phi(M, FractionalElement(pole=1, alphas=(S(twin, 1, 1),))) == image
+    assert apply_phi(M, FractionalElement(pole=1, alphas=(S(twin, *coeffs),))) == image
     for other in (Precision(2, 3, 12), Precision(2, 2, 13), Precision(3, 2, 12)):
         with pytest.raises(PrecisionMismatchError):
-            apply_phi(M, FractionalElement(pole=1, alphas=(S(other, 1, 1),)))
+            apply_phi(M, FractionalElement(pole=1, alphas=(S(other, *coeffs),)))
 
 
 def test_apply_phi_precision_guard():

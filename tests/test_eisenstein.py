@@ -1,14 +1,12 @@
 """Eisenstein invariants, the mod-p^N characteristic polynomial route, and
 the exhaustive minimization of tau over digit-truncated uniformizer changes."""
 
-import functools
-import itertools
-import math
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+import reference
+from hypothesis import given
 from hypothesis import strategies as st
 from mutants import NoPower
 
@@ -19,63 +17,11 @@ from ramibound.eisenstein import (
     EisensteinPolynomial,
     EisensteinValidationError,
     UniformizerChange,
-    berkowitz_charpoly,
     charpoly_mod,
     substitute,
     tau_v_search,
 )
-from ramibound.series import BudgetExceededError, int_valuation
-
-
-# -- independent oracles -----------------------------------------------------------
-
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def poly_add(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return out
-
-
-def charpoly_by_cofactors(A):
-    """det(xI - A) over Z[x] by cofactor expansion along the first row;
-    ascending coefficients.  A minor on the last rows is cached by its
-    columns, so an 8 x 8 matrix expands 2^8 minors, not 8!."""
-    n = len(A)
-    # entries of xI - A as integer polynomials in x
-    M = [[[-A[i][j], 1] if i == j else [-A[i][j]] for j in range(n)] for i in range(n)]
-
-    @functools.cache
-    def det(cols):
-        if not cols:
-            return [1]
-        row = n - len(cols)
-        total = [0]
-        for k, j in enumerate(cols):
-            term = poly_mul(M[row][j], det(cols[:k] + cols[k + 1 :]))
-            if k % 2:
-                term = [-t for t in term]
-            total = poly_add(total, term)
-        return total
-
-    return det(tuple(range(n)))
-
-
-def taylor_shift(eis, delta):
-    """E(u + delta) with exact integers, by Horner; ascending coefficients."""
-    res = [1]
-    for a in reversed(eis.coeffs):
-        res = poly_add(poly_mul(res, [delta, 1]), [a])
-    return res
+from ramibound.series import BudgetExceededError
 
 
 def random_eisenstein(rng, p, e, spread=4):
@@ -186,6 +132,7 @@ def test_tau_ignores_p_power_part():
 # -- characteristic polynomial route ----------------------------------------------------
 
 def test_berkowitz_against_cofactor_expansion():
+    from ramibound.eisenstein import berkowitz_charpoly  # kept for perfbench's tracer
     # arbitrary matrices, not only multiplication matrices; a third of them
     # sparse, so that zero coefficients reach the Toeplitz step
     rng = random.Random(11)
@@ -195,7 +142,7 @@ def test_berkowitz_against_cofactor_expansion():
         density = 0.3 if k % 3 == 0 else 1.0
         A = [[rng.randrange(q) if rng.random() < density else 0 for _ in range(n)]
              for _ in range(n)]
-        expected = [c % q for c in charpoly_by_cofactors(A)]
+        expected = [c % q for c in reference.charpoly_by_cofactors(A)]
         assert berkowitz_charpoly(A, q) == expected
 
 
@@ -219,20 +166,6 @@ def _kernel_matrix(rng, p, N, n, cleared):
     return A
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 5), st.integers(0, 8),
-       st.sets(st.integers(0, 7)), st.integers(0, 2**32))
-def test_charpoly_mod_agrees_with_cofactors_and_berkowitz(p, N, n, cleared, seed):
-    # q = p^N with N = 1 among the draws; entries 0, p-multiples and units,
-    # and columns with nothing below the subdiagonal (cleared), which the
-    # reduction must skip
-    q = p**N
-    A = _kernel_matrix(random.Random(seed), p, N, n, cleared)
-    got = charpoly_mod(A, q)
-    assert got == [c % q for c in charpoly_by_cofactors(A)]
-    assert got == berkowitz_charpoly(A, q)
-
-
 def test_charpoly_mod_on_seeded_matrices():
     # the deterministic half of the differential, which the mutants in
     # tests/mutants.py name: a pivot that is not of least valuation, a
@@ -245,6 +178,7 @@ def test_charpoly_mod_on_seeded_matrices():
         # nothing below the subdiagonal of column 0; column 1 needs a swap
         ([[1, 2, 3, 4], [5, 6, 7, 8], [0, 9, 1, 2], [0, 1, 3, 4]], 27),
         ([[0] * 5 for _ in range(5)], 8),
+        ([], 9),  # n = 0: the charpoly is 1
     ]
     rng = random.Random(26)
     for _ in range(300):
@@ -252,7 +186,7 @@ def test_charpoly_mod_on_seeded_matrices():
         cleared = rng.sample(range(n), rng.randint(0, n))
         cases.append((_kernel_matrix(rng, p, N, n, cleared), p**N))
     for A, q in cases:
-        assert charpoly_mod(A, q) == berkowitz_charpoly(A, q), (A, q)
+        assert charpoly_mod(A, q) == [c % q for c in reference.charpoly_by_cofactors(A)], (A, q)
 
 
 def test_charpoly_mod_reads_unreduced_entries():
@@ -262,7 +196,7 @@ def test_charpoly_mod_reads_unreduced_entries():
         p, N, n = rng.choice([2, 3, 5]), rng.randint(1, 4), rng.randint(1, 6)
         q = p**N
         A = [[rng.randint(-3 * q, 3 * q) for _ in range(n)] for _ in range(n)]
-        assert charpoly_mod(A, q) == berkowitz_charpoly(A, q)
+        assert charpoly_mod(A, q) == [c % q for c in reference.charpoly_by_cofactors(A)]
 
 
 def test_substitute_examples():
@@ -276,7 +210,7 @@ def test_substitute_examples():
     # pi -> pi + 3 on u^3 + 3u + 3 gives u^3 - 9u^2 + 30u - 33
     out = substitute(eis, UniformizerChange(3, 2, (1, 1, 0)), 4)
     assert out.coeffs == (-33 % 81, 30, -9 % 81)
-    assert out.coeffs == tuple(c % 81 for c in taylor_shift(eis, -3)[:3])
+    assert out.coeffs == tuple(c % 81 for c in reference.taylor_shift(eis.coeffs, -3)[:3])
 
 
 def test_substitute_rejects_small_N_and_non_units():
@@ -322,12 +256,8 @@ def test_substitute_agrees_with_taylor_shift():
         c0 = rng.randrange(q)
         chg = UniformizerChange(p, N, (c0, 1) + (0,) * (eis.e - 2))
         via_matrix = substitute(eis, chg, N)
-        via_shift = taylor_shift(eis, -c0 * p)
+        via_shift = reference.taylor_shift(eis.coeffs, -c0 * p)
         assert via_matrix.coeffs == tuple(c % q for c in via_shift[: eis.e])
-
-
-def mat_mul(A, B):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*B)] for row in A]
 
 
 def test_substitute_agrees_with_integer_charpoly():
@@ -349,10 +279,10 @@ def test_substitute_agrees_with_integer_charpoly():
         power = [[int(i == j) for j in range(e)] for i in range(e)]
         B = [[cs[0] * p * x for x in row] for row in power]
         for c in cs[1:]:
-            power = mat_mul(power, C)
+            power = reference.mat_mul(power, C)
             B = [[b + c * x for b, x in zip(rb, rx)] for rb, rx in zip(B, power)]
         q = p**N
-        expected = tuple(c % q for c in charpoly_by_cofactors(B)[:e])
+        expected = tuple(c % q for c in reference.charpoly_by_cofactors(B)[:e])
         out = substitute(eis, UniformizerChange(p, 2, tuple(cs)), N)
         assert out.coeffs == expected and out.precision == N
 
@@ -405,14 +335,6 @@ def test_tau_search_examples():
     assert found.candidates == 0 and found.certified_exact
 
 
-def test_tau_search_witness_is_consistent():
-    for coeffs, p in [((-2, 0), 2), ((2, 2), 2), ((-3, 0, 0), 3)]:
-        eis = EisensteinPolynomial(p, coeffs)
-        found = tau_v_search(eis, digit_precision=2)
-        inv = substitute(eis, found.witness, eis.m + 3).invariants()
-        assert inv.tau == found.tau and inv.iota == found.iota
-
-
 def test_tau_ceiling_over_random_polynomials():
     # tau(pi) or tau(pi + p) is at most m + 1
     rng = random.Random(23)
@@ -444,27 +366,6 @@ def test_substitute_degree_one():
         UniformizerChange(3, 2, (3,))
 
 
-def reference_tau_search(eis, dp):
-    """The per-candidate route: substitute, validate and read the invariants
-    of every digit vector with c_1 a unit, in lexicographic order."""
-    p, e, m = eis.p, eis.e, eis.m
-    best, visited = None, 0
-    for cs in itertools.product(range(p**dp), repeat=e):
-        if cs[1] % p == 0:
-            continue
-        visited += 1
-        inv = substitute(eis, UniformizerChange(p, dp, cs), m + 3).invariants()
-        if inv.t_pi is None:
-            continue
-        if best is None or (inv.tau, inv.iota) < best[0]:
-            best = ((inv.tau, inv.iota), cs)
-    (tau, iota), cs = best
-    return eisenstein.TauSearchResult(
-        tau=tau, iota=iota, witness=UniformizerChange(p, dp, cs), ceiling=m + 1,
-        candidates=visited, charpolys=visited,
-    )
-
-
 # (p, e, digit precision) with p | e; each shape enumerates at most 2500
 # changes.  The e = 2 shapes at dp >= 3 = m + 2 read the key of every class
 # with c_1 != 1.
@@ -473,27 +374,7 @@ TAU_SHAPES = [(2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 4, 1),
               (5, 5, 1)]
 
 
-def tau_search_charpolys(p, e, dp):
-    """The key classes tau_v_search computes a charpoly for (m >= 1),
-    counted class by class: c_0 below p^(m+1) and the other digits below
-    p^(m+2).  A class with c_1 != 1 reads its key, and is not counted, when
-    its multiple by 1/c_1, the digits taken mod p^(m+2), is an enumerated
-    class with c_1 = 1."""
-    m = int_valuation(e, p)
-    R = p**(m + 2)
-    digits = range(min(p**dp, R))
-    c0s = range(min(p**dp, R // p))
-    stored = set(itertools.product(c0s, [1], *[digits] * (e - 2)))
-    computed = 0
-    for c0, c1, *rest in itertools.product(c0s, [c for c in digits if c % p],
-                                           *[digits] * (e - 2)):
-        v = pow(c1, -1, R)
-        multiple = (v * c0 % (R // p), 1, *[v * c % R for c in rest])
-        computed += c1 == 1 or multiple not in stored
-    return computed
-
-
-def test_tau_search_agrees_with_per_candidate_route():
+def _tau_cases():
     rng = random.Random(31)
     cases = [(EisensteinPolynomial(2, (-2, 0, 0, 0)), 2),  # E1 = 0: u^4 - 2
              (EisensteinPolynomial(3, (3, 0, 0)), 1),
@@ -508,14 +389,28 @@ def test_tau_search_agrees_with_per_candidate_route():
     # the shapes where some c_1 != 1 classes read a key and others compute it
     for p, e, dp in [(2, 4, 3), (3, 3, 2), (5, 5, 1)]:
         cases.append((random_eisenstein(rng, p, e, spread=9), dp))
-    for eis, dp in cases:
-        found = tau_v_search(eis, dp)
-        if eis.m == 0:
-            assert (found.tau, found.iota, found.candidates) == (1, 0, 0)
-            assert found.certified_exact and found.ceiling == 1
-            continue
-        assert found == reference_tau_search(eis, dp)
-        assert found.charpolys == tau_search_charpolys(eis.p, eis.e, dp)
+    return cases
+
+
+TAU_CASES = _tau_cases()
+
+
+def searched(found):
+    """What the per-candidate reference.tau_search reports of a search."""
+    return found.tau, found.iota, found.witness.cs, found.candidates
+
+
+@pytest.mark.parametrize("eis, dp", TAU_CASES,
+                         ids=[f"{k}-{eis.p}-{eis.e}-{dp}" for k, (eis, dp) in enumerate(TAU_CASES)])
+def test_tau_search_agrees_with_per_candidate_route(eis, dp):
+    found = tau_v_search(eis, dp)
+    if eis.m == 0:
+        assert (found.tau, found.iota, found.candidates) == (1, 0, 0)
+        assert found.certified_exact and found.ceiling == 1
+        return
+    assert searched(found) == reference.tau_search(eis.p, eis.coeffs, dp)
+    assert found.ceiling == eis.m + 1 and found.witness.precision == dp
+    assert found.charpolys == reference.tau_search_charpolys(eis.p, eis.e, dp)
 
 
 def digit_kernel(residues_of_x):
@@ -538,17 +433,18 @@ def test_tau_search_witness_is_the_least_class_of_the_tied_orbits(monkeypatch, d
     eis = EisensteinPolynomial(2, (2, 0))
     found = tau_v_search(eis, dp)
     assert found.witness.cs == (1, 3) and (found.tau, found.iota) == (1, 1)
-    assert found == reference_tau_search(eis, dp)
+    assert searched(found) == reference.tau_search(2, eis.coeffs, dp, orbit_kernel)
 
 
-def p3_orbit_kernel(target):
-    """At p = 3, e = 3 a kernel whose key depends on the orbit only, through
-    (c_0 / c_1 mod 9, c_2 / c_1 mod 27): tau = 1 exactly on target's orbit."""
-    def orbit_kernel(x):
+def p3_orbit_residues(target):
+    """At p = 3, e = 3 residues of x whose key depends on the orbit only,
+    through (c_0 / c_1 mod 9, c_2 / c_1 mod 27): tau = 1 exactly on target's
+    orbit."""
+    def orbit_residues(x):
         v = pow(x[1], -1, 27)
         return [3, 3 if (x[0] // 3 * v % 9, x[2] * v % 27) == target else 9, 9]
 
-    return digit_kernel(orbit_kernel)
+    return orbit_residues
 
 
 @pytest.mark.parametrize("dp, target, witness", [
@@ -560,12 +456,12 @@ def p3_orbit_kernel(target):
     (2, (2, 0), (1, 5, 0)),
 ], ids=["dp1", "dp2"])
 def test_tau_search_reads_the_keys_of_unit_multiples(monkeypatch, dp, target, witness):
-    monkeypatch.setattr(eisenstein, "charpoly_mod", p3_orbit_kernel(target))
-    eis = EisensteinPolynomial(3, (3, 0, 0))
-    found = tau_v_search(eis, dp)
+    residues = p3_orbit_residues(target)
+    monkeypatch.setattr(eisenstein, "charpoly_mod", digit_kernel(residues))
+    found = tau_v_search(EisensteinPolynomial(3, (3, 0, 0)), dp)
     assert found.witness.cs == witness and (found.tau, found.iota) == (1, 1)
-    assert found == reference_tau_search(eis, dp)
-    assert found.charpolys == tau_search_charpolys(3, 3, dp)
+    assert searched(found) == reference.tau_search(3, (3, 0, 0), dp, residues)
+    assert found.charpolys == reference.tau_search_charpolys(3, 3, dp)
 
 
 def test_tau_search_rechecks_its_witness(monkeypatch):
@@ -600,7 +496,7 @@ def test_tau_search_substitutes_each_witness_once(monkeypatch):
     assert calls == [found.witness.cs] and found.charpolys == found.candidates == 2
     # the dp2 case above: the witness (1, 5, 0) reads the key of (2, 1, 0)
     calls.clear()
-    monkeypatch.setattr(eisenstein, "charpoly_mod", p3_orbit_kernel((2, 0)))
+    monkeypatch.setattr(eisenstein, "charpoly_mod", digit_kernel(p3_orbit_residues((2, 0))))
     found = tau_v_search(EisensteinPolynomial(3, (3, 0, 0)), 2)
     assert calls == [(1, 5, 0)] == [found.witness.cs]
 
@@ -614,7 +510,7 @@ def test_tau_search_charpolys_pinned():
                                    (2, (-2, 0), 5, 4), (5, (5, 0, 0, 0, 0), 1, 2387)]:
         eis = EisensteinPolynomial(p, coeffs)
         found = tau_v_search(eis, dp)
-        assert found.charpolys == classes == tau_search_charpolys(p, eis.e, dp)
+        assert found.charpolys == classes == reference.tau_search_charpolys(p, eis.e, dp)
         assert found.candidates == (p - 1) * p**(dp * eis.e - 1)
 
 

@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 from mutants import NoPower
+from reference import brute_prop2
 
 from ramibound import breuil, oracle, suites
 from ramibound.eisenstein import EisensteinPolynomial
@@ -508,26 +509,6 @@ def test_eisenstein_grid_rejects_degenerate_sizes(e, n):
         eisenstein_grid(2, e, n)
 
 
-def _brute_prop2(E, p, n):
-    """Reference scan: every digit vector c_0..c_d, depth by plain convolution.
-
-    Returns (t*, witnesses in lexicographic order, candidates scanned)."""
-    q, e = p**n, len(E) - 1
-    t_max, d = n * e + 1, n * e // p
-    best_t, best, count = -1, [], 0
-    for c in product(range(1, q), *[range(q)] * d):
-        count += 1
-        # coefficient j of E(u) * C(u^p) is the sum of E[j - p*l] * c_l
-        t = next((j for j in range(t_max)
-                  if sum(E[j - p * l] * x for l, x in enumerate(c)
-                         if 0 <= j - p * l <= e) % q), t_max)
-        if t > best_t:
-            best_t, best = t, []
-        if t == best_t:
-            best.append(c)
-    return best_t, best, count
-
-
 def test_prop2_full_small_grid():
     # every Eisenstein polynomial on the coefficient grid, every assertion held;
     # the walk matches the brute scan on every grid but (3, 4, 2), where it
@@ -540,7 +521,7 @@ def test_prop2_full_small_grid():
                     r = searched(default_config(eis, n))
                     if (p, e, n) == (3, 4, 2) and k not in sample:
                         continue
-                    t, wits, count = _brute_prop2(eis.all_coeffs(), p, n)
+                    t, wits, count = brute_prop2(eis.all_coeffs(), p, n)
                     assert r.t_star == t
                     assert [w.coeffs for w in r.witnesses] == wits
                     assert r.candidates_visited == count

@@ -5,6 +5,7 @@ from array import array
 from types import SimpleNamespace
 
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from ramibound.series import (
     PrecisionError,
     PrecisionMismatchError,
     TruncatedSeries,
-    WeierstrassFactorization,
     dot,
     frobenius,
     int_valuation,
@@ -34,14 +34,11 @@ def content(a):
     return min((int_valuation(x, a.prec.p) for x in a.coeffs if x), default=None)
 
 
-def brute_mul(prec, a, b):
-    # schoolbook convolution oracle, independent of the library loop
-    out = [0] * prec.T
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            if i + j < prec.T:
-                out[i + j] = (out[i + j] + x * y) % prec.modulus
-    return TruncatedSeries(prec, tuple(out))
+def brute_dot(xs, ys):
+    """sum_i xs[i] * ys[i] as a series, by reference.schoolbook_dot."""
+    prec = xs[0].prec
+    return TruncatedSeries(prec, tuple(reference.schoolbook_dot(
+        prec.modulus, prec.T, [x.coeffs for x in xs], [y.coeffs for y in ys])))
 
 
 # -- strategies ----------------------------------------------------------------
@@ -214,7 +211,7 @@ def test_mul_one_and_zero(a):
 @given(series_pairs())
 def test_mul_matches_brute_force(pair):
     a, b = pair
-    assert a * b == brute_mul(a.prec, a, b)
+    assert a * b == brute_dot([a], [b])
 
 
 def _operand(rng, prec, nnz):
@@ -261,12 +258,12 @@ def test_mul_routes_match_brute_force_at_real_sizes(monkeypatch, p, n, T):
     for na, nb in shapes:
         expected["sparse" if na * nb <= K * T else "packed"] += 1
         a, b = _operand(rng, prec, na), _operand(rng, prec, nb)
-        assert a * b == brute_mul(prec, a, b)
+        assert a * b == brute_dot([a], [b])
     # (T, K) and (T // 2, 2K) sit exactly on the switch, (T, K + 1) just past it
     assert routes == expected and expected["packed"] == 2
     # all-maximal coefficients fill every packed slot as far as it can go
     top = TruncatedSeries(prec, (prec.modulus - 1,) * T)
-    assert top * top == brute_mul(prec, top, top)
+    assert top * top == brute_dot([top], [top])
 
 
 # (precision, nonzeros of a, the route a * a takes): sparse at T = 5, the
@@ -287,13 +284,13 @@ def test_zero_operands_take_no_product_route(monkeypatch, prec, nnz, route):
     routes = count_routes(monkeypatch)
     for x, y in [(a, zero), (zero, a), (zero, zero)]:
         r = x * y
-        assert r == brute_mul(prec, x, y) == zero and r.prec is prec
+        assert r == brute_dot([x], [y]) == zero and r.prec is prec
     assert routes == {"sparse": 0, "packed": 0, "none": 3}
-    assert a * a == brute_mul(prec, a, a)
+    assert a * a == brute_dot([a], [a])
     expected = {"sparse": 0, "packed": 0, "none": 3, route: 1}
     assert routes == expected
     for x, y in [(a, one_term), (one_term, a), (one_term, one_term)]:
-        assert x * y == brute_mul(prec, x, y)
+        assert x * y == brute_dot([x], [y])
     expected["sparse"] += 3
     assert routes == expected
 
@@ -334,7 +331,7 @@ def test_packed_slots_hold_the_largest_sums(monkeypatch, p, n, T, h, bits):
     packed = series._pack(top.coeffs, bits)
     assert series._unpack(h * packed * packed, bits, T) == [
         h * (k + 1) * (q - 1) ** 2 for k in range(T)]
-    square = brute_mul(prec, top, top)
+    square = brute_dot([top], [top])
     routes = count_routes(monkeypatch)
     if h == 1:
         assert top * top == square
@@ -352,8 +349,8 @@ def test_packed_slot_widths_match_brute_force(p, n, T, bits):
     for _ in range(4):
         a = TruncatedSeries(prec, tuple(rng.randrange(q) for _ in range(T)))
         b = TruncatedSeries(prec, tuple(rng.randrange(q - q // 4, q) for _ in range(T)))
-        assert a * b == brute_mul(prec, a, b)
-        assert b * b == brute_mul(prec, b, b)
+        assert a * b == brute_dot([a], [b])
+        assert b * b == brute_dot([b], [b])
 
 
 def test_slot_codes_are_the_narrowest_that_hold_each_width():
@@ -383,11 +380,6 @@ def test_invert_and_prepare_at_real_size():
 
 
 # -- dot -----------------------------------------------------------------------------
-
-def reference_dot(xs, ys):
-    # the object-level chain: h products and h - 1 sums, each reduced mod p^n
-    return sum((x * y for x, y in zip(xs[1:], ys[1:])), xs[0] * ys[0])
-
 
 def dot_operand(rng, prec):
     """A zero, all-(q - 1), sparse or dense series, in seeded proportions."""
@@ -419,7 +411,7 @@ def count_row_sums(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("prec", DOT_PRECISIONS, ids=lambda pr: f"{pr.p}^{pr.n}-T{pr.T}")
-def test_dot_matches_object_level_sum(monkeypatch, prec):
+def test_dot_matches_schoolbook_sum(monkeypatch, prec):
     # dot runs no product route of *: each call is one row sum at the slot
     # width of its h products
     routes = count_routes(monkeypatch)
@@ -431,7 +423,7 @@ def test_dot_matches_object_level_sum(monkeypatch, prec):
         cases += [([dot_operand(rng, prec) for _ in range(h)],
                    [dot_operand(rng, prec) for _ in range(h)]) for _ in range(8)]
         for xs, ys in cases:
-            want = reference_dot(xs, ys)
+            want = brute_dot(xs, ys)
             before, calls = dict(routes), len(rows)
             assert dot(xs, ys) == want
             assert routes == before and len(rows) == calls + 1
@@ -456,7 +448,7 @@ def test_dot_drops_terms_with_a_zero_operand(monkeypatch, prec, nnz):
         assert routes == before
         packed_xs, packed_ys, _ = rows[-1]
         assert sum(bool(x and y) for x, y in zip(packed_xs, packed_ys)) == computed
-        assert r == reference_dot(xs, ys) and r.prec is prec
+        assert r == brute_dot(xs, ys) and r.prec is prec
         assert r.is_zero() == (computed == 0)
     assert len(rows) == len(cases)
 
@@ -492,16 +484,6 @@ def test_scale_returns_canonical_residues():
 
 # -- frobenius ------------------------------------------------------------------------
 
-def plain_twist(a):
-    """The Frobenius twist by a plain loop over every coefficient."""
-    p, T = a.prec.p, a.prec.T
-    out = [0] * T
-    for i, c in enumerate(a.coeffs):
-        if p * i < T:
-            out[p * i] = c
-    return TruncatedSeries(a.prec, tuple(out))
-
-
 @pytest.mark.parametrize("p, n, T", [(2, 2, 5), (3, 2, 7), (2, 2, 1), (3, 1, 1), (5, 1, 7),
                                      (2, 2, 6), (3, 2, 9)])
 def test_frobenius_matches_a_plain_loop(p, n, T):
@@ -514,7 +496,7 @@ def test_frobenius_matches_a_plain_loop(p, n, T):
     inputs += [TruncatedSeries.from_coeffs(prec, [rng.randrange(q) for _ in range(T)])
                for _ in range(20)]
     for a in inputs:
-        assert frobenius(a) == plain_twist(a)
+        assert list(frobenius(a).coeffs) == reference.twist(p, T, a.coeffs)
 
 
 def test_frobenius_examples():
@@ -789,49 +771,15 @@ def test_weierstrass_round_trip_dense():
     assert count == 63
 
 
-def _weierstrass_prep_reference(a):
-    # the object-level lifting that the raw-residue route replaced: every
-    # step inverts over all T coefficients and multiplies whole series
+def _assert_prep_matches_reference(a):
     prec = a.prec
     if a.is_zero():
-        raise ValueError("cannot prepare the zero series")
-    c = content(a)
-    pc = prec.p**c
-    b = TruncatedSeries(prec, tuple(x // pc for x in a.coeffs))
-    b_modp = [x % prec.p for x in b.coeffs]
-    d = next((i for i, x in enumerate(b_modp) if x), None)
-    if d is None:
-        raise PrecisionError("content-stripped reduction mod p vanishes below u^T")
-    p1 = Precision(prec.p, 1, prec.T)
-    v = TruncatedSeries.from_coeffs(p1, b_modp[d:])
-    v_inv = invert_unit(v)
-    w = TruncatedSeries.monomial(prec, d)
-    unit = TruncatedSeries.from_coeffs(prec, v.coeffs)
-    for k in range(prec.n - c - 1):
-        err = b - unit * w
-        pk = prec.p ** (k + 1)
-        if any(x % pk for x in err.coeffs):
-            raise AssertionError("digit lifting lost a p-digit")
-        digit = TruncatedSeries.from_coeffs(p1, [x // pk for x in err.coeffs])
-        if digit.is_zero():
-            continue
-        w_low = TruncatedSeries.from_coeffs(p1, (v_inv * digit).coeffs[:d])
-        u_digit = (digit - v * w_low).shift_down(d)
-        w = w + TruncatedSeries.from_coeffs(prec, w_low.coeffs).scale(pk)
-        unit = unit + TruncatedSeries.from_coeffs(prec, u_digit.coeffs).scale(pk)
-    return WeierstrassFactorization(content=c, wpoly=w, unit=unit)
-
-
-def _prep_outcome(prep, a):
-    try:
-        r = prep(a)
-    except Exception as err:  # the two routes must raise alike
-        return type(err), str(err)
-    return r.content, r.degree, r.wpoly, r.unit
-
-
-def _assert_prep_matches_reference(a):
-    assert _prep_outcome(weierstrass_prep, a) == _prep_outcome(_weierstrass_prep_reference, a)
+        with pytest.raises(ValueError, match="cannot prepare the zero series"):
+            weierstrass_prep(a)
+        return
+    w = weierstrass_prep(a)
+    assert (w.content, w.degree, list(w.wpoly.coeffs), list(w.unit.coeffs)) == \
+        reference.weierstrass_prep(prec.p, prec.n, a.coeffs)
 
 
 @st.composite
@@ -857,7 +805,7 @@ def prep_inputs(draw):
 
 @settings(max_examples=300)
 @given(prep_inputs())
-def test_weierstrass_prep_matches_object_level_reference(a):
+def test_weierstrass_prep_matches_the_reference(a):
     _assert_prep_matches_reference(a)
 
 
