@@ -282,8 +282,8 @@ def charpoly_mod(A: list[list[int]], q: int) -> list[int]:
             row = H[i]
             g = row[k] // best * inv % q
             gs.append(g)
-            if g:  # both rows vanish mod q left of column k
-                for j in range(k, n):
+            if g:  # below the subdiagonal, columns <= k are never read again
+                for j in range(k + 1, n):
                     row[j] = (row[j] - g * top[j]) % q
         for row in H:  # column r += sum of g_i * column i
             row[r] = sum(map(mul, gs, row[r:])) % q

@@ -50,6 +50,14 @@ and the sum is unpacked and reduced mod q once per row.  dot(xs, ys) is
 one row sum over its operands, each packed once, and skips the pairs with a
 zero operand, so a sum of h products builds one series.  Breuil modules
 pack phi once and take each coordinate of an image by one row sum.
+
+A unit a is inverted by the recurrence g_i = -g_0 * sum_{j=1..i} a_j g_{i-j}
+(T^2/2 multiplies) up to B = _NEWTON_BASE coefficients, and above B by Newton
+iteration (Sieveking 1972; Kung 1974): T is halved, rounding up, to at most
+B, and each step back up takes g = a^-1 mod u^h to g - u^h * g * e mod u^k,
+k <= 2h, e = (a*g - 1) / u^h.  It is exact over Z/p^n, as a*g - 1 = 0 mod u^h
+and the new a*g - 1 is -(a*g - 1)^2 = 0 mod u^(2h).  A step is two _mul_raw
+calls, a*g at k and g*e at k - h: 2 * ceil(log2(T / B)) products in all.
 """
 
 from __future__ import annotations
@@ -374,6 +382,14 @@ def _series(prec: Precision, coeffs: tuple[int, ...]) -> TruncatedSeries:
 # 29.7 / 13.2 at T = 200).
 _SPARSE_K = 2
 
+# invert_unit runs the recurrence alone at T <= _NEWTON_BASE.  Per call on dense
+# units (CHANGES.md), recurrence / Newton, in us: on word slots Newton wins from
+# T = 25 (21.6 / 17.9 at (2, 8, 25), 44.0 / 26.8 at (2, 8, 40), 41.9 / 26.9 at
+# (3, 3, 40), 815 / 115 at (2, 8, 200)); on wider slots, at (10007, 3), it loses
+# up to T = 25 (37.3 / 41.0 at 24 with Newton from 12, 40.1 / 42.9 at 25) and
+# wins from T = 32 (59.6 / 56.4; 90.3 / 76.1 at 40).
+_NEWTON_BASE = 24
+
 # _SLOT_CODES[b] is the narrowest array typecode whose items hold b bits,
 # for b <= 64; a wider slot takes the bytes route.
 _SLOT_CODES = tuple(min((array(c).itemsize * 8, c) for c in "BHILQ"
@@ -497,17 +513,25 @@ def dot(xs, ys) -> TruncatedSeries:
 
 
 def invert_unit(a: TruncatedSeries) -> TruncatedSeries:
-    """Inverse of a unit (constant coefficient coprime to p) in (Z/p^n)[u]/(u^T)."""
-    q = a.prec.modulus
-    c0 = a.coeffs[0]
-    if c0 % a.prec.p == 0:
+    """Inverse of a unit (constant coefficient coprime to p) in (Z/p^n)[u]/(u^T):
+    the recurrence up to _NEWTON_BASE coefficients, Newton steps above them
+    (module docstring).  ValueError for a non-unit."""
+    q, T, cs = a.prec.modulus, a.prec.T, a.coeffs
+    if cs[0] % a.prec.p == 0:
         raise ValueError("not a unit: constant coefficient divisible by p")
-    inv0 = pow(c0, -1, q)
-    out = [0] * a.prec.T
-    out[0] = inv0
-    cs = a.coeffs
-    for k in range(1, a.prec.T):
-        out[k] = (-inv0 * sum(map(mul, cs[k:0:-1], out))) % q
+    sizes = [T]
+    while sizes[-1] > _NEWTON_BASE:
+        sizes.append(-(-sizes[-1] // 2))
+    h = sizes.pop()
+    inv0 = pow(cs[0], -1, q)
+    out = [inv0] + [0] * (h - 1)
+    for i in range(1, h):
+        out[i] = (-inv0 * sum(map(mul, cs[i:0:-1], out))) % q
+    for k in reversed(sizes):
+        e = [c % q for c in _mul_raw(cs[:k], out + [0] * (k - h), k, q)[h:]]
+        corr = _mul_raw(out[:k - h], e, k - h, q) or [0] * (k - h)  # [] when e = 0
+        out += [-c % q for c in corr]
+        h = k
     return _series(a.prec, tuple(out))
 
 

@@ -32,6 +32,7 @@ UNIT_MULTIPLES_TEST = "tests/test_eisenstein.py::test_tau_search_reads_the_keys_
 TWIST_TEST = "tests/test_series.py::test_frobenius_matches_a_plain_loop"
 SLOT_TEST = "tests/test_series.py::test_packed_slots_hold_the_largest_sums"
 ZERO_TEST = "tests/test_series.py::test_zero_operands_take_no_product_route"
+INVERT_TEST = "tests/test_series.py::test_invert_unit_matches_the_reference"
 # __mul__'s precision test and the two lines after it, since + and - repeat the test
 MUL_GUARD = ("""        if other.__class__ is not TruncatedSeries or other.prec is not prec:
             _require_prec(prec, other)
@@ -178,8 +179,16 @@ MUTANTS = [
     # every coefficient of an inverse without its c_1 term: the Weierstrass
     # digit steps solve with a wrong inverse of the unit mod (p, u^d)
     Mutant("invert-unit-drops-c1-term", "series.py",
-           "sum(map(mul, cs[k:0:-1], out))", "sum(map(mul, cs[k:1:-1], out))",
+           "sum(map(mul, cs[i:0:-1], out))", "sum(map(mul, cs[i:1:-1], out))",
            ("tests/test_series.py::test_weierstrass_prep_matches_reference_at_real_size",)),
+    # a Newton step that adds its correction: g + u^h * g * e, not g - u^h * g * e
+    Mutant("newton-step-adds-the-correction", "series.py",
+           "out += [-c % q for c in", "out += [c % q for c in",
+           (INVERT_TEST + "[2-8-25-dense]",)),
+    # T halved rounding down, so a step from h asks for 2h + 1 coefficients
+    Mutant("newton-halving-rounds-down", "series.py",
+           "sizes.append(-(-sizes[-1] // 2))", "sizes.append(sizes[-1] // 2)",
+           (INVERT_TEST + "[2-8-49-dense]",)),
     # a zero element's image returned before its precision test
     Mutant("apply-phi-zero-before-precision-check", "breuil.py",
            "    prec = M.prec\n    if x.alphas[0]", "    prec = M.prec\n    if x.is_zero():\n"

@@ -57,6 +57,15 @@ def apply_phi(p, q, T, phi, pole, alphas):
     return p * pole - strip, [cs[strip:] + [0] * strip for cs in nums]
 
 
+def invert_unit(q, cs):
+    """The inverse of cs mod (q, u^T), T = len(cs), cs[0] a unit mod q, by
+    the recurrence g_k = -g_0 * sum_{j=1..k} cs[j] g_{k-j}."""
+    g = [pow(cs[0], -1, q)]
+    for k in range(1, len(cs)):
+        g.append(-g[0] * sum(cs[j] * g[k - j] for j in range(1, k + 1)) % q)
+    return g
+
+
 def weierstrass_prep(p, n, a):
     """(c, d, W, U) with a = p^c U W mod (p^n, u^T), T = len(a), for a nonzero:
     W = u^d + (terms divisible by p), U a unit with zero top d coefficients,
@@ -66,9 +75,7 @@ def weierstrass_prep(p, n, a):
     b = [x // p**c for x in a]
     d = next(i for i, x in enumerate(b) if x % p)
     v = [x % p for x in b[d:]] + [0] * d  # U mod p
-    v_inv = [pow(v[0], -1, p)]
-    for k in range(1, d):
-        v_inv.append(-v_inv[0] * sum(v[j] * v_inv[k - j] for j in range(1, k + 1)) % p)
+    v_inv = invert_unit(p, v[:d]) if d else []
     W, U = [0] * d + [1] + [0] * (T - d - 1), v
     for k in range(1, n - c):
         pk = p**k

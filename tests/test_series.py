@@ -709,7 +709,52 @@ def test_invert_unit(a):
         with pytest.raises(ValueError):
             invert_unit(a)
         return
-    assert a * invert_unit(a) == TruncatedSeries.one(a.prec)
+    assert list(invert_unit(a).coeffs) == reference.invert_unit(a.prec.modulus, a.coeffs)
+
+
+B = series._NEWTON_BASE
+INVERT_SIZES = [1, B - 1, B, B + 1, 2 * B, 2 * B + 1, 200, 1024]
+
+
+def _unit(p, n, T, kind, rng):
+    """A unit of (Z/p^n)[u]/(u^T): every coefficient drawn, or three terms
+    past the constant, so that the sparse route runs inside a Newton step."""
+    q = p**n
+    cs = [rng.randrange(q) for _ in range(T)] if kind == "dense" else [0] * T
+    for i in rng.sample(range(1, T), min(3, T - 1)) if kind == "sparse" else ():
+        cs[i] = rng.randrange(1, q)
+    cs[0] = p * rng.randrange(q // p) + rng.randrange(1, p)
+    return TruncatedSeries(Precision(p, n, T), tuple(cs))
+
+
+# (2, 8) packs its products' slots into machine words, (10007, 3) into bytes
+@pytest.mark.parametrize("p, n, T, kind", [
+    (p, n, T, kind) for p, n in [(2, 8), (10007, 3)] for T in INVERT_SIZES
+    for kind in ("dense", "sparse")], ids=lambda x: str(x))
+def test_invert_unit_matches_the_reference(monkeypatch, p, n, T, kind):
+    a = _unit(p, n, T, kind, random.Random(f"invert-{p}-{n}-{T}-{kind}"))
+    sparse, mul_sparse = [], series._mul_sparse
+    monkeypatch.setattr(series, "_mul_sparse", lambda *args: sparse.append(1) or mul_sparse(*args))
+    assert list(invert_unit(a).coeffs) == reference.invert_unit(p**n, a.coeffs)
+    assert bool(sparse) == (kind == "sparse" and T > B)
+    with pytest.raises(ValueError, match="not a unit"):
+        invert_unit(TruncatedSeries(a.prec, (p * a.coeffs[0] % p**n,) + a.coeffs[1:]))
+
+
+def test_invert_unit_of_a_constant_adds_zero_corrections():
+    # every Newton step's e is 0, so its second product returns no terms
+    a = TruncatedSeries.from_coeffs(Precision(2, 8, 200), [3])
+    assert invert_unit(a).coeffs == (171,) + (0,) * 199  # 3 * 171 = 2 * 256 + 1
+
+
+@pytest.mark.parametrize("T", INVERT_SIZES)
+def test_invert_unit_takes_two_products_per_newton_step(monkeypatch, T):
+    # a count, not a time: a fall-back to the quadratic recurrence takes none
+    calls, mul_raw = [], series._mul_raw
+    monkeypatch.setattr(series, "_mul_raw", lambda *args: calls.append(1) or mul_raw(*args))
+    invert_unit(_unit(2, 8, T, "dense", random.Random(T)))
+    steps = (-(-T // B) - 1).bit_length()  # ceil(log2(T / B)), 0 at T <= B
+    assert len(calls) == 2 * steps
 
 
 # -- Weierstrass preparation -------------------------------------------------------------------
