@@ -13,8 +13,11 @@ drop = t - floor(t/p) is the quantity the stopping rule tests, so under
 the standard rule the sums strictly decrease; the sum-form of the rule would break that chain,
 which is why the difference form is implemented for both variants.
 These facts hold by construction, so BoundTrace, which compute_s alone
-builds, is a plain record that re-checks none of them; Example 4's cap is
-the plain block that bound_example4(p, e, s) returns.
+builds, is a plain record that re-checks none of them.  It has no check to
+skip, so compute_s builds it without __init__, setting its four slots on a
+bare instance as series._series does for a ring result: a frozen
+dataclass's __init__ cost as much as the recursion itself.  Example 4's cap
+is the plain block that bound_example4(p, e, s) returns.
 
 The modified variant keeps stepping while t - floor(t/p) equals
 tau + epsilon; such steps leave t + s unchanged, and since drop never
@@ -35,7 +38,7 @@ from fractions import Fraction
 from .series import int_valuation, require_prime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundTrace:
     """Full transcript of the recursion: every pair (t_j, s_j) in order."""
 
@@ -59,6 +62,13 @@ class BoundTrace:
         return t + s
 
 
+_new = object.__new__
+_set_p = BoundTrace.p.__set__
+_set_e = BoundTrace.e.__set__
+_set_variant = BoundTrace.variant.__set__
+_set_pairs = BoundTrace.pairs.__set__
+
+
 def compute_s(p: int, e: int, tau: int, iota: int, variant: str = "standard") -> BoundTrace:
     """Check the inputs, run the recursion and return the full trace (s is
     trace.s)."""
@@ -72,26 +82,35 @@ def compute_s(p: int, e: int, tau: int, iota: int, variant: str = "standard") ->
         )
     if tau < 1:
         raise ValueError(f"tau = {tau} must be >= 1")
-    m = int_valuation(e, p)
-    if m == 0:
+    if e % p:
         if (tau, iota) != (1, 0):
             raise ValueError("for p not dividing e the only invariant pair is (1, 0)")
+        step = tau  # tau + epsilon, epsilon = 0
     else:
         if not (1 <= iota <= e - 1):
             raise ValueError(f"iota = {iota} must lie in [1, {e - 1}]")
         if iota % p == 0:
             raise ValueError(f"iota = {iota} must not be divisible by p")
-    if variant not in ("standard", "modified"):
+        step = tau + 1  # epsilon = 1
+    # the largest drop t - floor(t/p) at which the variant stops
+    if variant == "standard":
+        stop = step
+    elif variant == "modified":
+        stop = step - 1
+    else:
         raise ValueError(f"unknown variant {variant!r}")
-    step = tau + (0 if e % p else 1)  # tau + epsilon
-    pairs = [((tau * e + iota) // (p - 1), 0)]
-    while True:
-        t, s = pairs[-1]
-        drop = t - t // p
-        if (drop <= step) if variant == "standard" else (drop < step):
-            break
-        pairs.append((t // p, s + step))
-    return BoundTrace(p=p, e=e, variant=variant, pairs=tuple(pairs))
+    t, s = (tau * e + iota) // (p - 1), 0
+    pairs = [(t, s)]
+    while t - t // p > stop:
+        t //= p
+        s += step
+        pairs.append((t, s))
+    trace = _new(BoundTrace)
+    _set_p(trace, p)
+    _set_e(trace, e)
+    _set_variant(trace, variant)
+    _set_pairs(trace, tuple(pairs))
+    return trace
 
 
 def reference_log_bound(p: int, e: int) -> int:

@@ -10,7 +10,10 @@
 An integer, in a flag, polynomial text or a module file (a JSON integer or
 a string), is ASCII `-?[0-9]+` of at most D = L // 2 - 1 digits for
 Python's int-string limit L (2149 by default), so that a product of two
-inputs still prints; a flag past that exits 2 before any work.  Every
+inputs still prints; a flag past that exits 2 before any work.  A module
+file whose text is ASCII with no run of more than D digits holds no longer
+integer, so json reads its integers with its own int(), in C; any other
+file sends each JSON integer through that rule.  Every
 command refuses a --p that is not a prime alike.  Polynomial text is a sum
 of terms `c*u^k` (the `*` may be omitted, `u` alone means `u^1`, a bare
 integer is the constant term) joined by `+` or `-`; the first term may
@@ -281,14 +284,30 @@ def _json_int(text: str) -> int:
     return int(text) if len(text) <= DIGIT_CAP and text.isascii() else decimal(text)
 
 
+# a run of more than DIGIT_CAP ASCII digits; the lookbehind starts a match
+# only where a run starts, so a search is linear in the text
+_LONG_RUN = (None if DIGIT_CAP == float("inf")
+             else re.compile(rf"(?<![0-9])[0-9]{{{DIGIT_CAP + 1}}}"))
+
+
+def _read_json(text: str):
+    """json.loads(text, parse_int=_json_int), by json's own int() when the
+    text is ASCII with no run of more than DIGIT_CAP digits: every integer
+    then has at most DIGIT_CAP ASCII digits, and _json_int is int()."""
+    if text.isascii() and not (_LONG_RUN and _LONG_RUN.search(text)):
+        return json.loads(text)
+    return json.loads(text, parse_int=_json_int)
+
+
 def cmd_heights(args) -> int:
     payload: dict = {"command": "heights"}
     if args.module_file is not None:
         with open(args.module_file, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh, parse_int=_json_int)
-            except (DecimalError, RecursionError) as err:  # too long, or nested too deep
-                raise ValueError(f"malformed module file: {err}") from None
+            text = fh.read()
+        try:
+            data = _read_json(text)
+        except (DecimalError, RecursionError) as err:  # too long, or nested too deep
+            raise ValueError(f"malformed module file: {err}") from None
         module = breuil.module_from_json(data)
         payload["h"] = module.h
         payload["order"] = breuil.order(module)

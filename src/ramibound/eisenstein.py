@@ -367,6 +367,15 @@ class TauSearchResult:
         return self.tau == 1
 
 
+def _valuation_weights(p: int, N: int, e: int) -> list[int]:
+    """ord_p(a)*e for each residue a mod p^N, and N*e for a = 0, by a sieve:
+    the multiples of p^k, 0 among them, are written once for each k <= N."""
+    weight = [0] * p**N
+    for k in range(1, N + 1):
+        weight[::p**k] = [k * e] * p**(N - k)
+    return weight
+
+
 def tau_v_search(E: EisensteinPolynomial, digit_precision: int) -> TauSearchResult:
     """Minimize (tau, iota) over all changes with digits mod p^digit_precision.
 
@@ -413,7 +422,7 @@ def tau_v_search(E: EisensteinPolynomial, digit_precision: int) -> TauSearchResu
     # residue reads N*e, the bound invariants() reports, above the key of
     # every nonzero residue mod p^N
     e1 = [i for i in range(1, e) if i % p]
-    weight = [N * e] + [int_valuation(a, p) * e for a in range(1, q)]
+    weight = _valuation_weights(p, N, e)
 
     def key_of(res):
         """The key of the charpoly residues res, checked inline to be

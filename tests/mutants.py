@@ -33,6 +33,7 @@ TWIST_TEST = "tests/test_series.py::test_frobenius_matches_a_plain_loop"
 SLOT_TEST = "tests/test_series.py::test_packed_slots_hold_the_largest_sums"
 ZERO_TEST = "tests/test_series.py::test_zero_operands_take_no_product_route"
 INVERT_TEST = "tests/test_series.py::test_invert_unit_matches_the_reference"
+S_TRACE_TEST = "tests/test_bounds.py::test_compute_s_matches_the_reference"
 # __mul__'s precision test and the two lines after it, since + and - repeat the test
 MUL_GUARD = ("""        if other.__class__ is not TruncatedSeries or other.prec is not prec:
             _require_prec(prec, other)
@@ -198,4 +199,20 @@ MUTANTS = [
     Mutant("residue-tau-bound-loosened", "eisenstein.py",
            "tau=self.precision, iota=None", "tau=self.precision - 1, iota=None",
            ("tests/test_eisenstein.py::test_substituted_tau_lower_bound_marker",)),
+    # the modified variant stops at a drop of tau + epsilon, as the standard does
+    Mutant("modified-stops-like-standard", "bounds.py",
+           "stop = step - 1", "stop = step", (S_TRACE_TEST + "[2-modified]",)),
+    # epsilon dropped when p | e: each step adds tau to s
+    Mutant("epsilon-dropped-when-p-divides-e", "bounds.py",
+           "step = tau + 1  # epsilon = 1", "step = tau", (S_TRACE_TEST + "[2-standard]",)),
+    # the sieve of the tau search's weights stops at p^(N-1), so the residue
+    # 0 weighs (N-1)*e, not N*e
+    Mutant("weight-sieve-stops-at-n-minus-1", "eisenstein.py",
+           "for k in range(1, N + 1):", "for k in range(1, N):",
+           ("tests/test_eisenstein.py::test_valuation_weights_match_the_reference[2-4-2]",)),
+    # a module file's run of D + 1 digits read by json's own int(), past the
+    # digit rule
+    Mutant("json-long-run-one-digit-short", "cli.py",
+           "[0-9]{{{DIGIT_CAP + 1}}}", "[0-9]{{{DIGIT_CAP + 2}}}",
+           ("tests/test_cli.py::test_module_file_json_integer_past_d_digits_is_malformed[D+1]",)),
 ]

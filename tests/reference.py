@@ -26,6 +26,21 @@ def admissible_pairs(p, e):
     return [(tau, iota) for tau in range(1, m + 2) for iota in range(1, e) if iota % p]
 
 
+def s_trace(p, e, tau, iota, variant):
+    """The (t, s) recursion's pairs for an admissible (tau, iota): from
+    (floor((tau*e + iota)/(p-1)), 0), step to (floor(t/p), s + tau + epsilon)
+    while the drop t - floor(t/p) exceeds tau + epsilon, or (modified) while
+    it is at least that; epsilon = 1 exactly when ord_p(e) > 0."""
+    bump = tau + (valuation(e, p) > 0)
+    pairs = [((tau * e + iota) // (p - 1), 0)]
+    while True:
+        t, s = pairs[-1]
+        drop = t - t // p
+        if drop < bump or drop == bump and variant == "standard":
+            return pairs
+        pairs.append((t // p, s + bump))
+
+
 # -- series mod (q, u^T) -----------------------------------------------------------
 
 def schoolbook_dot(q, T, xs, ys):

@@ -1,12 +1,14 @@
 """The recursion trace, its closed forms, and the global bounds."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
-from reference import admissible_pairs, valuation
+from reference import admissible_pairs, s_trace, valuation
 
 from ramibound.bounds import (
+    BoundTrace,
     bound_example4,
     bound_f11,
     compute_s,
@@ -29,6 +31,35 @@ def test_trace_examples():
 
     # (5, 0) -> (2, 3) keeps t + s constant: a step only the modified variant takes
     assert compute_s(2, 2, 2, 1, "modified").pairs == ((5, 0), (2, 3))
+
+
+@pytest.mark.parametrize("variant", ["standard", "modified"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_compute_s_matches_the_reference(p, variant):
+    # every admissible (tau, iota) of every e <= 64
+    for e in range(1, 65):
+        for tau, iota in admissible_pairs(p, e):
+            trace = compute_s(p, e, tau, iota, variant)
+            pairs = s_trace(p, e, tau, iota, variant)
+            assert trace.pairs == tuple(pairs), (e, tau, iota)
+            assert (trace.z, trace.s) == (len(pairs) - 1, sum(pairs[-1]))
+            assert trace.epsilon == (valuation(e, p) > 0)
+
+
+def test_trace_is_a_frozen_record():
+    # compute_s builds the record without __init__; it must still be the
+    # dataclass the constructor makes
+    made = BoundTrace(p=2, e=4, variant="standard", pairs=((13, 0), (6, 4)))
+    trace = compute_s(2, 4, 3, 1)
+    assert trace == made and hash(trace) == hash(made)
+    assert trace != compute_s(2, 4, 3, 1, "modified")
+    assert repr(trace) == ("BoundTrace(p=2, e=4, variant='standard', "
+                           "pairs=((13, 0), (6, 4)))")
+    assert not hasattr(trace, "__dict__")
+    for field in ("p", "e", "variant", "pairs"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trace, field, 0)
+    assert trace == made
 
 
 def test_compute_s_input_validation():

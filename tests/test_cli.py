@@ -340,17 +340,57 @@ def test_module_file_json_integer_past_d_digits_is_malformed(capsys, tmp_path, d
 
 
 @_NEEDS_INT_LIMIT
-def test_module_file_json_integers_of_d_digits_are_read(capsys, tmp_path):
-    # D digits pass the rule; the entry is then reduced like any other
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_module_file_json_integers_of_d_digits_are_read(capsys, tmp_path, sign):
+    # D digits pass the rule, with or without a sign; the entry is then
+    # reduced like any other
     data = json.loads((GOLDEN_MODULES / "extension_n1.json").read_text(encoding="utf-8"))
     want = run_json(capsys, "heights", "--module-file",
                     str(GOLDEN_MODULES / "extension_n1.json"))
-    big = data["phi"][0][0][0] + data["p"] ** data["n"] * 10 ** (_D - 1)
-    assert len(str(big)) == _D
+    big = data["phi"][0][0][0] + sign * data["p"] ** data["n"] * 10 ** (_D - 1)
+    assert len(str(abs(big))) == _D
     data["phi"][0][0][0] = "BIG"
     path = tmp_path / "module.json"
     path.write_text(json.dumps(data).replace('"BIG"', str(big)))
     assert run_json(capsys, "heights", "--module-file", str(path)) == want
+
+
+def _count_json_int(monkeypatch):
+    """The texts _json_int is called on from now on."""
+    calls, read = [], cli._json_int
+    monkeypatch.setattr(cli, "_json_int", lambda text: calls.append(text) or read(text))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["extension_n1.json", "corner_u3_e2.json"])
+def test_ordinary_module_files_read_every_integer_natively(capsys, monkeypatch, name):
+    # corner_u3_e2 is read, then refused by the module's own checks (exit 2)
+    calls = _count_json_int(monkeypatch)
+    first = run(capsys, "heights", "--module-file", str(GOLDEN_MODULES / name))
+    assert calls == []
+    monkeypatch.setattr(cli, "_LONG_RUN", None)  # no int-string limit: no digit cap
+    assert run(capsys, "heights", "--module-file", str(GOLDEN_MODULES / name)) == first
+    assert calls == []
+
+
+@_NEEDS_INT_LIMIT
+@pytest.mark.parametrize("note", ["1" * (_D + 1), "\u00e9"], ids=["long-run", "non-ascii"])
+def test_module_files_past_the_native_route_read_by_the_digit_rule(capsys, monkeypatch,
+                                                                   tmp_path, note):
+    # a run of D + 1 digits or a non-ASCII character, here in a key the
+    # reader ignores, sends every integer through _json_int; the module reads
+    # the same
+    source = GOLDEN_MODULES / "extension_n1.json"
+    want = run_json(capsys, "heights", "--module-file", str(source))
+    data = json.loads(source.read_text(encoding="utf-8"))
+    data["note"] = note
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    tokens = []
+    json.loads(path.read_text(encoding="utf-8"), parse_int=tokens.append)
+    calls = _count_json_int(monkeypatch)
+    assert run_json(capsys, "heights", "--module-file", str(path)) == want
+    assert calls == tokens != []
 
 
 _VALID_POLYS = ["u^2+2u+2", "u^2-2", "u^4+2", "3*u^4 + 7", "-u + 2", "u^3 + 2*u^2 + 6",

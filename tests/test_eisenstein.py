@@ -501,6 +501,14 @@ def test_tau_search_substitutes_each_witness_once(monkeypatch):
     assert calls == [(1, 5, 0)] == [found.witness.cs]
 
 
+@pytest.mark.parametrize("p, N, e", [(2, 4, 2), (2, 5, 4), (2, 6, 8), (3, 4, 3), (3, 4, 6),
+                                     (5, 5, 25), (2, 7, 16)])
+def test_valuation_weights_match_the_reference(p, N, e):
+    # the tau search's key weights: ord_p(a)*e, and N*e for the residue 0
+    want = [N * e] + [reference.valuation(a, p) * e for a in range(1, p**N)]
+    assert eisenstein._valuation_weights(p, N, e) == want
+
+
 def test_tau_search_charpolys_pinned():
     # class counts, with searches too large for the per-candidate route:
     # dp = 4 at (3, 3) is 354294 changes, (2, 4, 4) 32768.  At dp >= m + 2
